@@ -24,10 +24,8 @@ from .model import (
     ViolationProbability,
     analytic_violation_probability,
     chsh_correlation,
-    chsh_halfspace,
     enumeration_cost,
     exact_violation_probability,
-    gaussian_halfspace_oracle,
     gaussian_tail_probability,
     is_violation,
     tally,
@@ -35,17 +33,12 @@ from .model import (
 from .montecarlo import (
     McEstimate,
     estimate_violation_probability,
-    fair_steps,
-    simulate_experiment,
     wilson_interval,
 )
 from .walks import (
     DEFAULT_STEP_LIMIT,
-    HalfSpaceSpec,
     WalkPmf,
     erfc,
-    gaussian_density,
-    hyperplane_distance,
     walk_pmf,
 )
 
@@ -59,7 +52,6 @@ __all__ = [
     "DEFAULT_ENUMERATION_BUDGET",
     "DEFAULT_STEP_LIMIT",
     "ExperimentConfig",
-    "HalfSpaceSpec",
     "InvalidConfigError",
     "LimitError",
     "MAXIMAL_VIOLATION_RECORDS",
@@ -75,18 +67,12 @@ __all__ = [
     "WalkPmf",
     "analytic_violation_probability",
     "chsh_correlation",
-    "chsh_halfspace",
     "enumeration_cost",
     "erfc",
     "estimate_violation_probability",
     "exact_violation_probability",
-    "fair_steps",
-    "gaussian_density",
-    "gaussian_halfspace_oracle",
     "gaussian_tail_probability",
-    "hyperplane_distance",
     "is_violation",
-    "simulate_experiment",
     "tally",
     "walk_pmf",
     "wilson_interval",

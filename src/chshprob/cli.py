@@ -33,7 +33,7 @@ from .model import (
     is_violation,
     tally,
 )
-from .montecarlo import estimate_violation_probability
+from .montecarlo import _check_run, estimate_violation_probability
 
 # Fixed default seed: runs are reproducible out of the box, never wall-clock.
 DEFAULT_SEED = 42
@@ -110,10 +110,6 @@ def split_rounds(variant: str, total: int) -> tuple[int, int, int, int] | None:
     return tuple(unit * w for w in weights)
 
 
-def _fraction_str(value: Fraction) -> str:
-    return str(value)
-
-
 def _result_row(result: ViolationProbability) -> dict:
     rounds = result.config.rounds
     value = result.value
@@ -125,7 +121,7 @@ def _result_row(result: ViolationProbability) -> dict:
         "n2": rounds[1],
         "n3": rounds[2],
         "n4": rounds[3],
-        "value": _fraction_str(value) if isinstance(value, Fraction) else repr(float(value)),
+        "value": str(value) if isinstance(value, Fraction) else repr(float(value)),
         "value_decimal": float(value),
     }
 
@@ -165,15 +161,15 @@ def cmd_toy(args: argparse.Namespace) -> int:
                 for r in records
             ],
             "contributions": contributions,
-            "correlation": _fraction_str(correlation),
+            "correlation": str(correlation),
             "correlation_decimal": float(correlation),
             "classical_bound": CLASSICAL_BOUND,
             "violation_strict": is_violation(correlation, STRICT),
             "config": list(config.rounds),
             "probability": {
-                "strict": _fraction_str(strict_p),
+                "strict": str(strict_p),
                 "strict_decimal": float(strict_p),
-                "non-strict": _fraction_str(nonstrict_p),
+                "non-strict": str(nonstrict_p),
                 "non-strict_decimal": float(nonstrict_p),
             },
         }
@@ -228,6 +224,7 @@ def cmd_approx(args: argparse.Namespace) -> int:
 
 def cmd_mc(args: argparse.Namespace) -> int:
     config = _parse_config(args.rounds)
+    _check_run(args.trials, args.workers)
     expected_hits = gaussian_tail_probability(config.rounds) * args.trials
     if expected_hits < 10:
         print(
@@ -302,7 +299,7 @@ def sweep_rows(request: SweepRequest) -> list[dict]:
             config = ExperimentConfig(rounds=parts)
             for threshold, key in ((STRICT, "p_exact_strict"), (NON_STRICT, "p_exact_nonstrict")):
                 value = exact_violation_probability(config, threshold).value
-                row[key] = _fraction_str(value)
+                row[key] = str(value)
                 row[key + "_decimal"] = float(value)
 
     return [rows[total] for total in sorted(rows)]

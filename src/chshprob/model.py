@@ -11,11 +11,10 @@ with the minus sign on the (1,2) channel.  A violation is |C| > 2 (strict)
 or |C| >= 2 (non-strict); the two differ because finite samples put real
 probability mass on the boundary C = +-2.
 
-Three routes to the violation probability live here: exact enumeration over
-channel displacements (dyadic rationals, bit-exact), the Gaussian tail
-formula erfc(d) with d the distance from the origin to the isotropized
-boundary plane, and a plain Monte Carlo integration of the Gaussian measure
-kept solely as a cross-check of the formula.
+Two routes to the violation probability live here: exact enumeration over
+channel displacements, weighted by integer binomial rows (bit-exact), and
+the Gaussian tail formula erfc(sqrt(2 / sum_k 1/n_k)).  The third route,
+Monte Carlo simulation, lives in :mod:`chshprob.montecarlo`.
 """
 
 from __future__ import annotations
@@ -25,10 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import CorruptRecordError, InvalidConfigError, LimitError
-from .walks import HalfSpaceSpec, WalkPmf, erfc, hyperplane_distance, walk_pmf
+from .walks import binomial_row, erfc
 
 # Channel order everywhere in this package; the (1,2) channel carries the
 # minus sign in C.
@@ -53,11 +50,6 @@ DEFAULT_ENUMERATION_BUDGET = 10**8
 def _check_threshold(threshold: str) -> None:
     if threshold not in THRESHOLDS:
         raise InvalidConfigError(f"threshold must be one of {THRESHOLDS}, got {threshold!r}")
-
-
-def _seed_entropy(seed: int) -> int:
-    # SeedSequence rejects negative entropy; keep the 64-bit pattern instead.
-    return int(seed) & 0xFFFFFFFFFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -211,13 +203,6 @@ class ViolationProbability:
             raise InvalidConfigError(f"probability out of range: {self.value!r}")
 
 
-def _scaled_weights(pmf: WalkPmf) -> list[int]:
-    """Integer numerators of the pmf over 2**steps, indexed so entry i holds
-    displacement 2*i - steps."""
-    scale = 1 << pmf.steps
-    return [int(pmf.mass[2 * i - pmf.steps] * scale) for i in range(pmf.steps + 1)]
-
-
 def enumeration_cost(config: ExperimentConfig) -> int:
     """Displacement-tuple count (n1+1)(n2+1)(n3+1)(n4+1) of exact enumeration."""
     cost = 1
@@ -240,7 +225,7 @@ def _violation_numerator(rounds: Sequence[int], threshold: str) -> int:
     strict = threshold == STRICT
     order = sorted(range(4), key=lambda k: rounds[k])
     ns = [rounds[k] for k in order]
-    weights = [_scaled_weights(walk_pmf(n)) for n in ns]
+    weights = [binomial_row(n) for n in ns]
     scale = math.lcm(*ns)
     bound = 2 * scale
     qs = [scale // n for n in ns]
@@ -299,12 +284,14 @@ def exact_violation_probability(
 ) -> ViolationProbability:
     """Exact violation probability as a dyadic rational over 2**N.
 
-    Enumerates the four-channel displacement lattice weighted by the exact
-    walk pmfs; every comparison is integer arithmetic, so the result is
-    bit-exact.  Refuses configurations whose lattice exceeds ``budget``
-    tuples (use the analytic method there).
+    Enumerates the four-channel displacement lattice weighted by the
+    binomial path counts; every comparison is integer arithmetic, so the
+    result is bit-exact.  Refuses configurations whose lattice exceeds
+    ``budget`` tuples (use the analytic method there).
     """
     _check_threshold(threshold)
+    if budget < 0:
+        raise InvalidConfigError(f"enumeration budget must be non-negative, got {budget}")
     cost = enumeration_cost(config)
     if cost > budget:
         raise LimitError(
@@ -320,30 +307,20 @@ def exact_violation_probability(
     )
 
 
-def chsh_halfspace(rounds: Sequence[float]) -> HalfSpaceSpec:
-    """Boundary plane of the violation region in isotropized coordinates.
-
-    After rescaling each channel sum by sqrt(2*n_k), the Gaussian measure is
-    rotation invariant and the boundary C = 2 becomes the plane
-    sum_k sqrt(2/n_k) z_k = 2.  Accepts non-integer counts so continuous
-    sweeps can evaluate the same geometry.
-    """
-    for n in rounds:
-        if not (isinstance(n, (int, float)) and math.isfinite(n) and n > 0):
-            raise InvalidConfigError(f"round counts must be positive and finite, got {tuple(rounds)}")
-    return HalfSpaceSpec(
-        coefficients=tuple(math.sqrt(2.0 / n) for n in rounds),
-        offset=2.0,
-    )
-
-
 def gaussian_tail_probability(rounds: Sequence[float]) -> float:
-    """erfc of the origin-to-boundary distance for the given round counts.
+    """erfc(sqrt(2 / (1/n1 + 1/n2 + 1/n3 + 1/n4))) for the given round counts.
 
-    Equals erfc(sqrt(2 / (1/n1 + 1/n2 + 1/n3 + 1/n4))); accurate for large
-    counts, increasingly optimistic for very small ones.
+    After rescaling each channel sum by sqrt(2*n_k) the Gaussian measure is
+    rotation invariant, and this is erfc of the distance from the origin to
+    the boundary plane C = 2.  Accurate for large counts, increasingly
+    optimistic for very small ones.  Accepts non-integer counts so
+    continuous sweeps can evaluate the same formula.
     """
-    return erfc(hyperplane_distance(chsh_halfspace(rounds)))
+    if not rounds or any(
+        not (isinstance(n, (int, float)) and math.isfinite(n) and n > 0) for n in rounds
+    ):
+        raise InvalidConfigError(f"round counts must be positive and finite, got {tuple(rounds)}")
+    return erfc(math.sqrt(2.0 / math.fsum(1.0 / n for n in rounds)))
 
 
 def analytic_violation_probability(config: ExperimentConfig) -> ViolationProbability:
@@ -359,31 +336,3 @@ def analytic_violation_probability(config: ExperimentConfig) -> ViolationProbabi
         threshold=STRICT,
         config=config,
     )
-
-
-# Per-coordinate standard deviation of the isotropized measure, density
-# exp(-z^2)/sqrt(pi) per coordinate.
-_ISOTROPIC_SIGMA = math.sqrt(0.5)
-_ORACLE_CHUNK = 1 << 18
-
-
-def gaussian_halfspace_oracle(config: ExperimentConfig, samples: int, seed: int) -> float:
-    """Monte Carlo integral of the Gaussian measure outside |C| <= 2.
-
-    Draws 4D points from the isotropized Gaussian and returns the fraction
-    landing past either boundary plane.  Exists purely as an independent
-    check of :func:`analytic_violation_probability`; channel signs are
-    irrelevant because each coordinate is symmetric.
-    """
-    if samples < 10_000:
-        raise InvalidConfigError(f"oracle needs at least 10000 samples, got {samples}")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=_seed_entropy(seed)))
-    coefficients = np.array(chsh_halfspace(config.rounds).coefficients)
-    hits = 0
-    remaining = samples
-    while remaining:
-        chunk = min(remaining, _ORACLE_CHUNK)
-        z = rng.normal(0.0, _ISOTROPIC_SIGMA, size=(chunk, 4))
-        hits += int(np.count_nonzero(np.abs(z @ coefficients) > 2.0))
-        remaining -= chunk
-    return hits / samples

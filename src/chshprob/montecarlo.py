@@ -14,7 +14,6 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -23,9 +22,7 @@ from .model import (
     CHANNEL_SIGNS,
     STRICT,
     ExperimentConfig,
-    RoundTally,
     _check_threshold,
-    _seed_entropy,
 )
 
 # Fixed batching rule: batch b of a run draws from the child stream
@@ -78,37 +75,20 @@ def wilson_interval(hits: int, trials: int, z: float = _Z95) -> tuple[float, flo
     return max(0.0, min(center - half, p)), min(1.0, max(center + half, p))
 
 
-def fair_steps(rng: np.random.Generator, block: int = 1024) -> Iterator[int]:
-    """Endless stream of fair +-1 steps drawn from ``rng`` one bit each."""
-    while True:
-        for bit in rng.integers(0, 2, size=block):
-            yield 2 * int(bit) - 1
-
-
-def simulate_experiment(config: ExperimentConfig, stream: Iterable[int]) -> RoundTally:
-    """Run one experiment, consuming exactly sum(rounds) steps in channel order.
-
-    ``stream`` yields the per-round product outcomes c = a*b as -1 or +1;
-    channel k's rounds are the next n_k values.
-    """
-    it = iter(stream)
-    sums = []
-    for n in config.rounds:
-        m = 0
-        for _ in range(n):
-            try:
-                step = next(it)
-            except StopIteration:
-                raise ValueError("step stream exhausted mid-experiment") from None
-            if step != 1 and step != -1:
-                raise ValueError(f"step stream must yield -1 or +1, got {step!r}")
-            m += int(step)
-        sums.append(m)
-    return RoundTally(m=tuple(sums), n=config.rounds)
-
-
 def _batch_trials(rounds: tuple[int, ...]) -> int:
     return max(1, min(MAX_BATCH_TRIALS, BATCH_ELEMENT_BUDGET // max(rounds)))
+
+
+def _seed_entropy(seed: int) -> int:
+    # SeedSequence rejects negative entropy; keep the 64-bit pattern instead.
+    return int(seed) & 0xFFFFFFFFFFFFFFFF
+
+
+def _check_run(trials: int, workers: int) -> None:
+    if trials < 1:
+        raise InvalidConfigError(f"trials must be >= 1, got {trials}")
+    if workers < 1:
+        raise InvalidConfigError(f"workers must be >= 1, got {workers}")
 
 
 def _batch_hits(
@@ -117,47 +97,30 @@ def _batch_hits(
     batch_index: int,
     count: int,
     threshold: str,
-    force_exact_sum: bool = False,
 ) -> int:
     """Violations among ``count`` experiments drawn from batch substream ``batch_index``.
 
-    The violation test compares the integer sum_k sign_k*q_k*m_k against
-    2*lcm(rounds), which is the correlation inequality with denominators
-    cleared; int64 covers any |sum| up to 4*lcm, and configurations beyond
-    that fall back to Python integers on the same draws.
+    Channel k's rounds are the next n_k bits of each experiment's row, in
+    channel order.  The violation test compares the integer
+    sum_k sign_k*q_k*m_k against 2*lcm(rounds), which is the correlation
+    inequality with denominators cleared; int64 covers any |sum| up to
+    4*lcm, and configurations beyond that accumulate Python integers.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=_seed_entropy(seed), spawn_key=(batch_index,))
     )
     scale = math.lcm(*rounds)
     bound = 2 * scale
-    strict = threshold == STRICT
-    coefficients = [sign * (scale // n) for sign, n in zip(CHANNEL_SIGNS, rounds)]
-
-    if not force_exact_sum and 4 * scale < 2**62:
-        acc = np.zeros(count, dtype=np.int64)
-        for n, coefficient in zip(rounds, coefficients):
-            steps = rng.integers(0, 2, size=(count, n), dtype=np.int8)
-            acc += coefficient * (2 * steps.sum(axis=1, dtype=np.int64) - n)
-        magnitudes = np.abs(acc)
-        if strict:
-            return int(np.count_nonzero(magnitudes > bound))
-        return int(np.count_nonzero(magnitudes >= bound))
-
-    # Same draws, arbitrary-precision accumulation.
-    per_channel = []
-    for n in rounds:
+    dtype = np.int64 if 4 * scale < 2**62 else object
+    acc = np.zeros(count, dtype=dtype)
+    for sign, n in zip(CHANNEL_SIGNS, rounds):
         steps = rng.integers(0, 2, size=(count, n), dtype=np.int8)
-        per_channel.append(2 * steps.sum(axis=1, dtype=np.int64) - n)
-    hits = 0
-    for values in zip(*per_channel):
-        total = abs(sum(c * int(v) for c, v in zip(coefficients, values)))
-        hits += (total > bound) if strict else (total >= bound)
-    return hits
-
-
-def _batch_hits_args(args: tuple) -> int:
-    return _batch_hits(*args)
+        sums = 2 * steps.sum(axis=1, dtype=np.int64) - n
+        acc += sign * (scale // n) * sums.astype(dtype, copy=False)
+    magnitudes = np.abs(acc)
+    if threshold == STRICT:
+        return int(np.count_nonzero(magnitudes > bound))
+    return int(np.count_nonzero(magnitudes >= bound))
 
 
 def estimate_violation_probability(
@@ -175,8 +138,7 @@ def estimate_violation_probability(
     worker count reproduces the sequential result exactly.
     """
     _check_threshold(threshold)
-    if trials < 1:
-        raise InvalidConfigError(f"trials must be >= 1, got {trials}")
+    _check_run(trials, workers)
     batch = _batch_trials(config.rounds)
     spans = [
         (config.rounds, seed, index, min(batch, trials - start), threshold)
@@ -184,7 +146,7 @@ def estimate_violation_probability(
     ]
     if workers > 1 and len(spans) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            hits = sum(pool.map(_batch_hits_args, spans))
+            hits = sum(pool.map(_batch_hits, *zip(*spans)))
     else:
         hits = sum(_batch_hits(*span) for span in spans)
 

@@ -1,11 +1,10 @@
-"""Fair one-dimensional walk distributions and Gaussian half-space geometry.
+"""Fair one-dimensional walk distributions and the complementary error function.
 
 This module holds the small, exact pieces everything else is built from:
-the endpoint distribution of an n-step fair +-1 walk (kept as dyadic
-rationals so downstream probabilities stay bit-exact), the Gaussian density
-that approximates it for many steps, the complementary error function, and
-the distance from the origin to a hyperplane, which turns a Gaussian
-half-space mass into a single erfc evaluation.
+the binomial row that counts the paths of an n-step fair +-1 walk (plain
+integers, so downstream probabilities stay bit-exact), a dyadic-rational
+view of the same row as the walk's endpoint distribution, and the
+complementary error function behind the Gaussian tail formula.
 
 All functions are pure; every value is safe to share across workers.
 """
@@ -22,6 +21,23 @@ from .errors import InvalidConfigError, LimitError
 # Cap on walk length: binomial numerators near the cap run to ~1200 digits,
 # beyond it exact arithmetic cost grows with no practical payoff.
 DEFAULT_STEP_LIMIT = 4096
+
+
+def binomial_row(n: int, *, limit: int = DEFAULT_STEP_LIMIT) -> list[int]:
+    """Path counts [C(n, 0), ..., C(n, n)] of the n-step fair walk.
+
+    Entry i counts the paths ending at displacement 2*i - n; the row sums
+    to 2**n.  Raises InvalidConfigError for n < 1 and LimitError for
+    n > limit.
+    """
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise InvalidConfigError(f"walk length must be a positive integer, got {n!r}")
+    if n > limit:
+        raise LimitError(f"walk length {n} exceeds the step limit {limit}")
+    row = [1]
+    for i in range(n):
+        row.append(row[-1] * (n - i) // (i + 1))
+    return row
 
 
 @dataclass(frozen=True)
@@ -41,35 +57,16 @@ class WalkPmf:
         """Probability of ending at ``displacement`` (0 if unreachable)."""
         return self.mass.get(displacement, Fraction(0))
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.mass))
-
 
 def walk_pmf(n: int, *, limit: int = DEFAULT_STEP_LIMIT) -> WalkPmf:
     """Exact pmf of the n-step fair walk: P(m) = C(n, (n+m)/2) / 2**n.
 
     Raises InvalidConfigError for n < 1 and LimitError for n > limit.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InvalidConfigError(f"walk length must be a positive integer, got {n!r}")
-    if n > limit:
-        raise LimitError(f"walk length {n} exceeds the step limit {limit}")
+    row = binomial_row(n, limit=limit)
     denominator = 1 << n
-    mass = {2 * i - n: Fraction(math.comb(n, i), denominator) for i in range(n + 1)}
+    mass = {2 * i - n: Fraction(count, denominator) for i, count in enumerate(row)}
     return WalkPmf(steps=n, mass=mass)
-
-
-def gaussian_density(n: int, x: float) -> float:
-    """Continuous density approximating the n-step walk endpoint.
-
-    Evaluates (1/sqrt(2*pi*n)) * exp(-x**2 / (2n)).  Note the walk lives on
-    a lattice of spacing 2, so matching a single pmf value requires a
-    factor 2 on this density.
-    """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InvalidConfigError(f"step count must be a positive integer, got {n!r}")
-    return math.exp(-(x * x) / (2.0 * n)) / math.sqrt(2.0 * math.pi * n)
 
 
 def erfc(x: float) -> float:
@@ -86,36 +83,3 @@ def erfc(x: float) -> float:
     if not math.isfinite(x):
         raise ValueError(f"erfc requires a finite argument, got {x!r}")
     return math.erfc(x)
-
-
-@dataclass(frozen=True)
-class HalfSpaceSpec:
-    """A hyperplane sum_i coefficients[i] * z_i = offset.
-
-    Coefficients must be finite and strictly positive (the degenerate
-    all-zero normal vector is rejected at construction); the offset must be
-    finite.  The pair of half spaces |sum| > |offset| is what the violation
-    probability integrates over.
-    """
-
-    coefficients: tuple[float, ...]
-    offset: float
-
-    def __post_init__(self) -> None:
-        coefficients = tuple(float(c) for c in self.coefficients)
-        object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "offset", float(self.offset))
-        if not coefficients:
-            raise InvalidConfigError("half-space needs at least one coefficient")
-        if any(not math.isfinite(c) or c <= 0.0 for c in coefficients):
-            raise InvalidConfigError(
-                f"half-space coefficients must be finite and positive, got {coefficients}"
-            )
-        if not math.isfinite(self.offset):
-            raise InvalidConfigError(f"half-space offset must be finite, got {self.offset!r}")
-
-
-def hyperplane_distance(spec: HalfSpaceSpec) -> float:
-    """Distance from the origin to the hyperplane: |offset| / sqrt(sum a_i^2)."""
-    norm = math.sqrt(math.fsum(c * c for c in spec.coefficients))
-    return abs(spec.offset) / norm

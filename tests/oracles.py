@@ -1,15 +1,20 @@
 """Independent reference computations for the test suite.
 
 Deliberately separate from the package and deliberately naive: raw
-enumeration over every possible sign sequence, and an exact-rational
-Maclaurin series for erfc.  Slow but first-principles; nothing in here
-shares code with the implementation paths it checks.
+enumeration over every possible sign sequence, an exact-rational Maclaurin
+series for erfc, the continuous Gaussian density that approximates a long
+walk, and a Monte Carlo integral of the Gaussian measure outside the
+violation boundary.  Slow but first-principles; nothing in here shares code
+with the implementation paths it checks.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import product
+
+import numpy as np
 
 # 2/sqrt(pi) to 53 significant digits (enough for series results far below
 # any tolerance used in the tests).
@@ -81,3 +86,45 @@ def brute_force_walk_distribution(n: int) -> dict[int, Fraction]:
         endpoint = sum(sequence)
         counts[endpoint] = counts.get(endpoint, 0) + 1
     return {m: Fraction(c, 2**n) for m, c in counts.items()}
+
+
+def gaussian_density(n: int, x: float) -> float:
+    """Continuous density approximating the n-step walk endpoint.
+
+    Evaluates (1/sqrt(2*pi*n)) * exp(-x**2 / (2n)).  Note the walk lives on
+    a lattice of spacing 2, so matching a single pmf value requires a
+    factor 2 on this density.
+    """
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"step count must be a positive integer, got {n!r}")
+    return math.exp(-(x * x) / (2.0 * n)) / math.sqrt(2.0 * math.pi * n)
+
+
+# Per-coordinate standard deviation of the isotropized measure, density
+# exp(-z^2)/sqrt(pi) per coordinate.
+_ISOTROPIC_SIGMA = math.sqrt(0.5)
+_ORACLE_CHUNK = 1 << 18
+
+
+def gaussian_halfspace_oracle(rounds, samples: int, seed: int) -> float:
+    """Monte Carlo integral of the Gaussian measure outside |C| <= 2.
+
+    After rescaling each channel sum by sqrt(2*n_k) the boundary C = 2 is
+    the plane sum_k sqrt(2/n_k) z_k = 2.  Draws 4D points from the
+    isotropized Gaussian and returns the fraction landing past either
+    boundary plane; channel signs are irrelevant because each coordinate is
+    symmetric.
+    """
+    if samples < 10_000:
+        raise ValueError(f"oracle needs at least 10000 samples, got {samples}")
+    # SeedSequence rejects negative entropy; keep the 64-bit pattern instead.
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed & 0xFFFFFFFFFFFFFFFF))
+    coefficients = np.array([math.sqrt(2.0 / n) for n in rounds])
+    hits = 0
+    remaining = samples
+    while remaining:
+        chunk = min(remaining, _ORACLE_CHUNK)
+        z = rng.normal(0.0, _ISOTROPIC_SIGMA, size=(chunk, 4))
+        hits += int(np.count_nonzero(np.abs(z @ coefficients) > 2.0))
+        remaining -= chunk
+    return hits / samples

@@ -19,13 +19,17 @@ from chshprob.model import (
     analytic_violation_probability,
     chsh_correlation,
     exact_violation_probability,
-    gaussian_halfspace_oracle,
     gaussian_tail_probability,
     tally,
 )
 from chshprob.montecarlo import estimate_violation_probability
-from chshprob.walks import erfc, gaussian_density, walk_pmf
-from oracles import brute_force_violation_probability, erfc_series
+from chshprob.walks import erfc, walk_pmf
+from oracles import (
+    brute_force_violation_probability,
+    erfc_series,
+    gaussian_density,
+    gaussian_halfspace_oracle,
+)
 
 
 def _report(number: int, name: str, ok: bool, detail: str) -> None:
@@ -103,7 +107,7 @@ def test_criterion_4_analytic_formula_and_gaussian_oracle():
         if rel > 1e-12:
             failures.append((rounds, "formula", value, reference))
         if value >= 1e-4:
-            fraction = gaussian_halfspace_oracle(config, 10**6, seed=1000 + index)
+            fraction = gaussian_halfspace_oracle(rounds, 10**6, seed=1000 + index)
             sigma = math.sqrt(value * (1.0 - value) / 10**6)
             oracle_checks += 1
             if abs(fraction - value) > 3 * sigma:

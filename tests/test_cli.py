@@ -116,6 +116,23 @@ class TestProbabilityCommands:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("mc", "1", "1", "1", "1", "--workers", "0"),
+            ("mc", "1", "1", "1", "1", "--workers", "-3"),
+            ("mc", "1", "1", "1", "1", "--trials", "0"),
+            ("mc", "1", "1", "1", "1", "--trials", "-5"),
+            ("exact", "1", "1", "1", "1", "--budget", "-1"),
+        ],
+    )
+    def test_invalid_run_settings_exit_1_before_any_work(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert "warning" not in err
+
 
 class TestUsageErrors:
     def test_unknown_command(self, capsys):

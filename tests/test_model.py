@@ -17,15 +17,12 @@ from chshprob.model import (
     RoundTally,
     analytic_violation_probability,
     chsh_correlation,
-    chsh_halfspace,
     exact_violation_probability,
-    gaussian_halfspace_oracle,
     gaussian_tail_probability,
     is_violation,
     tally,
 )
-from chshprob.walks import hyperplane_distance
-from oracles import brute_force_violation_probability
+from oracles import brute_force_violation_probability, gaussian_halfspace_oracle
 
 small_rounds = st.tuples(*[st.integers(min_value=1, max_value=4)] * 4)
 
@@ -104,6 +101,13 @@ class TestCorrelation:
     def test_result_is_exact(self):
         counts = RoundTally(m=(1, 1, 1, 1), n=(3, 3, 3, 3))
         assert chsh_correlation(counts) == Fraction(2, 3)
+
+    def test_all_heads_lands_on_boundary(self):
+        counts = RoundTally(m=(2, 3, 4, 5), n=(2, 3, 4, 5))
+        correlation = chsh_correlation(counts)
+        assert correlation == 2
+        assert not is_violation(correlation, STRICT)
+        assert is_violation(correlation, NON_STRICT)
 
     def test_rejects_empty_channel(self):
         with pytest.raises(InvalidConfigError):
@@ -228,16 +232,16 @@ class TestAnalyticProbability:
     def test_equal_split_maximizes_distance_at_fixed_total(self):
         # harmonic mean is largest for the even split, so the boundary sits
         # farthest away and the tail probability is smallest
-        total = 124 * 301
-        splits = {
-            "equal": tuple(total // 4 for _ in range(4)),
-            "ratio10": tuple(total // 31 * w for w in (1, 10, 10, 10)),
-            "ratio100": tuple(total // 301 * w for w in (1, 100, 100, 100)),
+        total = 4 * 31 * 7
+        tails = {
+            name: gaussian_tail_probability(tuple(total * w / sum(weights) for w in weights))
+            for name, weights in (
+                ("equal", (1, 1, 1, 1)),
+                ("ratio10", (1, 10, 10, 10)),
+                ("ratio100", (1, 100, 100, 100)),
+            )
         }
-        distances = {
-            name: hyperplane_distance(chsh_halfspace(rounds)) for name, rounds in splits.items()
-        }
-        assert distances["equal"] > distances["ratio10"] > distances["ratio100"]
+        assert 0.0 < tails["equal"] < tails["ratio10"] < tails["ratio100"]
 
     @pytest.mark.parametrize("total", [4 * 31, 8 * 31, 16 * 31, 64 * 31])
     def test_uneven_splits_violate_more_often(self, total):
@@ -248,8 +252,16 @@ class TestAnalyticProbability:
         assert ratio10 > equal
 
     def test_rejects_non_positive_rounds(self):
-        with pytest.raises(InvalidConfigError):
-            gaussian_tail_probability((1.0, 2.0, 0.0, 3.0))
+        degenerate = [
+            (1.0, 2.0, 0.0, 3.0),
+            (),
+            (-1.0, 1.0),
+            (float("nan"), 1.0),
+            (1.0, float("inf")),
+        ]
+        for rounds in degenerate:
+            with pytest.raises(InvalidConfigError):
+                gaussian_tail_probability(rounds)
 
 
 class TestInterlockingRoutes:
@@ -263,28 +275,28 @@ class TestInterlockingRoutes:
 
     def test_halfspace_oracle_single_round(self):
         config = ExperimentConfig((1, 1, 1, 1))
-        fraction = gaussian_halfspace_oracle(config, 10**6, seed=20260809)
+        fraction = gaussian_halfspace_oracle(config.rounds, 10**6, seed=20260809)
         p = analytic_violation_probability(config).value
         tolerance = 3 * math.sqrt(p * (1 - p) / 10**6)
         assert abs(fraction - p) <= tolerance
 
     def test_halfspace_oracle_four_rounds(self):
         config = ExperimentConfig((4, 4, 4, 4))
-        fraction = gaussian_halfspace_oracle(config, 10**6, seed=7)
+        fraction = gaussian_halfspace_oracle(config.rounds, 10**6, seed=7)
         p = math.erfc(math.sqrt(2.0))
         tolerance = 3 * math.sqrt(p * (1 - p) / 10**6)
         assert abs(fraction - p) <= tolerance
 
     def test_halfspace_oracle_vanishes_for_huge_counts(self):
         config = ExperimentConfig((10**6,) * 4)
-        assert gaussian_halfspace_oracle(config, 10**4, seed=1) == 0.0
+        assert gaussian_halfspace_oracle(config.rounds, 10**4, seed=1) == 0.0
 
     def test_halfspace_oracle_deterministic(self):
         config = ExperimentConfig((2, 3, 4, 5))
-        a = gaussian_halfspace_oracle(config, 10**4, seed=99)
-        b = gaussian_halfspace_oracle(config, 10**4, seed=99)
+        a = gaussian_halfspace_oracle(config.rounds, 10**4, seed=99)
+        b = gaussian_halfspace_oracle(config.rounds, 10**4, seed=99)
         assert a == b
 
     def test_halfspace_oracle_rejects_tiny_sample_counts(self):
-        with pytest.raises(InvalidConfigError):
-            gaussian_halfspace_oracle(ExperimentConfig((1, 1, 1, 1)), 9999, seed=1)
+        with pytest.raises(ValueError):
+            gaussian_halfspace_oracle((1, 1, 1, 1), 9999, seed=1)

@@ -1,5 +1,5 @@
-import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,93 +11,81 @@ from chshprob.model import (
     NON_STRICT,
     STRICT,
     ExperimentConfig,
-    chsh_correlation,
     exact_violation_probability,
     is_violation,
 )
 from chshprob.montecarlo import (
     _batch_hits,
     estimate_violation_probability,
-    fair_steps,
-    simulate_experiment,
     wilson_interval,
 )
 from chshprob.walks import walk_pmf
 
 
-class CountingStream:
-    """Iterator wrapper that records how many steps were consumed."""
+def replay_channel_sums(rounds, seed, batch_index, count):
+    """Per-trial channel sums (m1, m2, m3, m4) redrawn from batch substream
+    ``batch_index``: each channel's count x n_k bit matrix in channel order,
+    bit 1 a +1 round and bit 0 a -1 round."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=seed & 0xFFFFFFFFFFFFFFFF, spawn_key=(batch_index,))
+    )
+    bits = [rng.integers(0, 2, size=(count, n), dtype=np.int8) for n in rounds]
+    return [
+        tuple(2 * int(channel[t].sum()) - n for channel, n in zip(bits, rounds))
+        for t in range(count)
+    ]
 
-    def __init__(self, values):
-        self._it = iter(values)
-        self.consumed = 0
 
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        value = next(self._it)
-        self.consumed += 1
-        return value
+def replay_hits(rounds, seed, batch_index, count, threshold):
+    """Violations among the replayed trials, counted one at a time in exact
+    rationals, with the minus sign on the (1,2) channel."""
+    n1, n2, n3, n4 = rounds
+    hits = 0
+    for m1, m2, m3, m4 in replay_channel_sums(rounds, seed, batch_index, count):
+        correlation = Fraction(m1, n1) - Fraction(m2, n2) + Fraction(m3, n3) + Fraction(m4, n4)
+        hits += is_violation(correlation, threshold)
+    return hits
 
 
 class TestSimulateExperiment:
-    def test_replays_maximal_violation(self):
-        config = ExperimentConfig((1, 1, 1, 1))
-        counts = simulate_experiment(config, iter([+1, -1, +1, +1]))
-        assert counts.m == (1, -1, 1, 1)
-        assert chsh_correlation(counts) == 4
+    """Experiments simulated by the batch kernel, replayed trial by trial."""
 
-    def test_all_heads_lands_on_boundary(self):
-        config = ExperimentConfig((2, 3, 4, 5))
-        counts = simulate_experiment(config, itertools.repeat(1))
-        assert counts.m == config.rounds
-        correlation = chsh_correlation(counts)
-        assert correlation == 2
-        assert not is_violation(correlation, STRICT)
-        assert is_violation(correlation, NON_STRICT)
+    def test_replays_maximal_violation(self):
+        # single-trial batches of four single-round channels: the kernel's hit
+        # is decided by the replayed signs alone, |C| = 4 only for +-(+1, -1, +1, +1)
+        rounds = (1, 1, 1, 1)
+        seen = set()
+        for index in range(64):
+            (m,) = replay_channel_sums(rounds, 3, index, 1)
+            strict = _batch_hits(rounds, 3, index, 1, STRICT)
+            nonstrict = _batch_hits(rounds, 3, index, 1, NON_STRICT)
+            correlation = m[0] - m[1] + m[2] + m[3]
+            assert strict == (abs(correlation) == 4), m
+            assert nonstrict == (abs(correlation) >= 2), m
+            seen.add(m)
+        assert (1, -1, 1, 1) in seen and (1, 1, 1, 1) in seen
 
     def test_consumes_exactly_the_round_total_in_order(self):
-        config = ExperimentConfig((2, 1, 3, 1))
-        stream = CountingStream([+1, +1, -1, +1, -1, +1, -1, +1, +1])
-        counts = simulate_experiment(config, stream)
-        assert stream.consumed == config.total
-        # channel order: first two steps are channel 1, the third channel 2, ...
-        assert counts.m == (2, -1, 1, -1)
-        assert next(stream) == +1  # later steps untouched
-
-    def test_rejects_bad_step_values(self):
-        with pytest.raises(ValueError):
-            simulate_experiment(ExperimentConfig((1, 1, 1, 1)), iter([1, 0, 1, 1]))
-
-    def test_rejects_exhausted_stream(self):
-        with pytest.raises(ValueError):
-            simulate_experiment(ExperimentConfig((2, 2, 2, 2)), iter([1, 1, 1]))
+        # the replay reads each trial's n_k bits per channel in channel order;
+        # agreement pins that layout, the channel order and the (1,2) sign
+        for rounds in ((1, 1, 1, 1), (2, 3, 4, 5), (3, 5, 7, 2)):
+            for threshold in (STRICT, NON_STRICT):
+                for index in (0, 1):
+                    expected = replay_hits(rounds, 13, index, 2048, threshold)
+                    got = _batch_hits(rounds, 13, index, 2048, threshold)
+                    assert got == expected, (rounds, threshold, index)
 
     def test_channel_sums_follow_walk_distribution(self):
         # frequency check of each channel endpoint against the exact pmf
-        config = ExperimentConfig((2, 2, 2, 2))
         trials = 20_000
-        stream = fair_steps(np.random.default_rng(2024))
-        observed = {m: [0, 0, 0, 0] for m in (-2, 0, 2)}
-        for _ in range(trials):
-            counts = simulate_experiment(config, stream)
-            for k, mk in enumerate(counts.m):
-                observed[mk][k] += 1
+        sums = replay_channel_sums((2, 2, 2, 2), 2024, 0, trials)
         pmf = walk_pmf(2)
-        for m, per_channel in observed.items():
+        for m in (-2, 0, 2):
             p = float(pmf.mass[m])
             sigma = math.sqrt(p * (1 - p) / trials)
             for k in range(4):
-                assert abs(per_channel[k] / trials - p) <= 3 * sigma, (m, k)
-
-
-class TestFairSteps:
-    def test_values_and_balance(self):
-        rng = np.random.default_rng(7)
-        draws = list(itertools.islice(fair_steps(rng), 10**6))
-        assert set(draws) == {-1, 1}
-        assert abs(sum(draws) / 10**6) <= 4 / math.sqrt(10**6)
+                frequency = sum(1 for trial in sums if trial[k] == m) / trials
+                assert abs(frequency - p) <= 3 * sigma, (m, k)
 
 
 class TestWilsonInterval:
@@ -181,18 +169,21 @@ class TestEstimate:
         with pytest.raises(InvalidConfigError):
             estimate_violation_probability(ExperimentConfig((1, 1, 1, 1)), 0, seed=1)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_non_positive_workers(self, workers):
+        with pytest.raises(InvalidConfigError):
+            estimate_violation_probability(ExperimentConfig((1, 1, 1, 1)), 10, seed=1, workers=workers)
+
     def test_negative_seed_accepted_and_stable(self):
         config = ExperimentConfig((1, 1, 1, 1))
         a = estimate_violation_probability(config, 50_000, seed=-1)
         b = estimate_violation_probability(config, 50_000, seed=-1)
         assert a == b
 
-    def test_bigint_fallback_matches_vectorized_kernel(self):
-        rounds = (3, 5, 7, 2)
+    def test_bigint_accumulator_matches_replay(self):
+        # 4*lcm >= 2**62 here, so sums past int64 accumulate as Python integers
+        rounds = (2, 1048573, 1048571, 1048559)
+        assert 4 * math.lcm(*rounds) >= 2**62
         for threshold in (STRICT, NON_STRICT):
-            fast = _batch_hits(rounds, seed=13, batch_index=0, count=4096, threshold=threshold)
-            slow = _batch_hits(
-                rounds, seed=13, batch_index=0, count=4096, threshold=threshold,
-                force_exact_sum=True,
-            )
-            assert fast == slow
+            expected = replay_hits(rounds, 13, 0, 4, threshold)
+            assert _batch_hits(rounds, 13, 0, 4, threshold) == expected

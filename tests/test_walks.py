@@ -6,15 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chshprob.errors import InvalidConfigError, LimitError
-from chshprob.walks import (
-    DEFAULT_STEP_LIMIT,
-    HalfSpaceSpec,
-    erfc,
-    gaussian_density,
-    hyperplane_distance,
-    walk_pmf,
-)
-from oracles import brute_force_walk_distribution, erfc_series
+from chshprob.model import gaussian_tail_probability
+from chshprob.walks import DEFAULT_STEP_LIMIT, binomial_row, erfc, walk_pmf
+from oracles import brute_force_walk_distribution, erfc_series, gaussian_density
 
 
 class TestWalkPmf:
@@ -52,21 +46,32 @@ class TestWalkPmf:
         assert pmf.probability(n - 1) == 0
 
     def test_rejects_zero_steps(self):
-        with pytest.raises(InvalidConfigError):
-            walk_pmf(0)
+        for build in (walk_pmf, binomial_row):
+            with pytest.raises(InvalidConfigError):
+                build(0)
 
     def test_rejects_negative_and_non_integer(self):
-        with pytest.raises(InvalidConfigError):
-            walk_pmf(-3)
-        with pytest.raises(InvalidConfigError):
-            walk_pmf(2.0)
+        for build in (walk_pmf, binomial_row):
+            with pytest.raises(InvalidConfigError):
+                build(-3)
+            with pytest.raises(InvalidConfigError):
+                build(2.0)
 
     def test_step_limit(self):
-        with pytest.raises(LimitError):
-            walk_pmf(DEFAULT_STEP_LIMIT + 1)
-        with pytest.raises(LimitError):
-            walk_pmf(9, limit=8)
+        for build in (walk_pmf, binomial_row):
+            with pytest.raises(LimitError):
+                build(DEFAULT_STEP_LIMIT + 1)
+            with pytest.raises(LimitError):
+                build(9, limit=8)
         assert walk_pmf(8, limit=8).steps == 8
+        assert len(binomial_row(8, limit=8)) == 9
+
+    @given(n=st.integers(min_value=1, max_value=DEFAULT_STEP_LIMIT))
+    @settings(max_examples=10, deadline=None)
+    def test_binomial_row_matches_comb(self, n):
+        row = binomial_row(n)
+        assert row == [math.comb(n, i) for i in range(n + 1)]
+        assert sum(row) == 2**n
 
 
 class TestGaussianDensity:
@@ -84,7 +89,7 @@ class TestGaussianDensity:
         assert gaussian_density(n, x) == gaussian_density(n, -x)
 
     def test_rejects_bad_step_count(self):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(ValueError):
             gaussian_density(0, 1.0)
 
     @pytest.mark.parametrize("n", [64, 256])
@@ -149,44 +154,30 @@ class TestErfc:
 
 
 class TestHalfSpace:
+    """The tail formula is erfc of the origin-to-boundary distance
+    2 / sqrt(sum_k 2/n_k) in isotropized coordinates."""
+
     def test_unit_example(self):
-        spec = HalfSpaceSpec(coefficients=(1.0, 1.0, 1.0, 1.0), offset=2.0)
-        assert hyperplane_distance(spec) == pytest.approx(1.0, rel=1e-15)
+        # coefficients sqrt(2/n_k) = 1 put the plane sum z_k = 2 at distance 1
+        assert gaussian_tail_probability((2, 2, 2, 2)) == pytest.approx(erfc(1.0), rel=1e-15)
 
     def test_chsh_single_round_distance(self):
-        spec = HalfSpaceSpec(coefficients=(math.sqrt(2.0),) * 4, offset=2.0)
-        assert hyperplane_distance(spec) == pytest.approx(math.sqrt(0.5), rel=1e-14)
+        assert gaussian_tail_probability((1, 1, 1, 1)) == pytest.approx(
+            erfc(math.sqrt(0.5)), rel=1e-14
+        )
 
     def test_chsh_25_round_distance(self):
-        spec = HalfSpaceSpec(coefficients=(math.sqrt(2.0 / 25),) * 4, offset=2.0)
-        assert hyperplane_distance(spec) == pytest.approx(math.sqrt(12.5), rel=1e-14)
+        assert gaussian_tail_probability((25,) * 4) == pytest.approx(
+            erfc(math.sqrt(12.5)), rel=1e-14
+        )
 
     @given(
-        coefficients=st.lists(
-            st.floats(min_value=1e-6, max_value=1e6), min_size=1, max_size=6
-        ),
-        offset=st.floats(min_value=-100, max_value=100),
+        rounds=st.lists(st.floats(min_value=1e-6, max_value=1e6), min_size=1, max_size=6),
         seed=st.randoms(use_true_random=False),
     )
-    def test_permutation_and_sign_invariance(self, coefficients, offset, seed):
-        shuffled = list(coefficients)
+    def test_permutation_invariance(self, rounds, seed):
+        shuffled = list(rounds)
         seed.shuffle(shuffled)
-        base = hyperplane_distance(HalfSpaceSpec(tuple(coefficients), offset))
-        assert hyperplane_distance(HalfSpaceSpec(tuple(shuffled), offset)) == pytest.approx(
-            base, rel=1e-12, abs=1e-300
+        assert gaussian_tail_probability(tuple(shuffled)) == pytest.approx(
+            gaussian_tail_probability(tuple(rounds)), rel=1e-12, abs=1e-300
         )
-        assert hyperplane_distance(HalfSpaceSpec(tuple(coefficients), -offset)) == base
-
-    @pytest.mark.parametrize(
-        "coefficients,offset",
-        [
-            ((), 2.0),
-            ((0.0, 1.0), 2.0),
-            ((-1.0, 1.0), 2.0),
-            ((float("nan"), 1.0), 2.0),
-            ((1.0,), float("inf")),
-        ],
-    )
-    def test_rejects_degenerate_specs(self, coefficients, offset):
-        with pytest.raises(InvalidConfigError):
-            HalfSpaceSpec(coefficients=coefficients, offset=offset)
