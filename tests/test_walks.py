@@ -11,6 +11,16 @@ from chshprob.walks import DEFAULT_STEP_LIMIT, binomial_row, erfc, walk_pmf
 from oracles import brute_force_walk_distribution, erfc_series, gaussian_density
 
 
+def _rounds_for_plane(coefficients, offset):
+    """Round counts whose CHSH boundary is the plane sum_k c_k z_k = offset.
+
+    The boundary has c_k = sqrt(2/n_k) at offset 2, so n_k = offset^2 / (2 c_k^2).
+    The sign of c_k is kept and a zero c_k maps to an infinite count, so a
+    plane that no positive round counts produce maps to invalid counts.
+    """
+    return tuple(offset * offset / (2.0 * c * abs(c)) if c else math.inf for c in coefficients)
+
+
 class TestWalkPmf:
     def test_single_step(self):
         pmf = walk_pmf(1)
@@ -159,6 +169,7 @@ class TestHalfSpace:
 
     def test_unit_example(self):
         # coefficients sqrt(2/n_k) = 1 put the plane sum z_k = 2 at distance 1
+        assert _rounds_for_plane((1.0,) * 4, 2.0) == (2.0,) * 4
         assert gaussian_tail_probability((2, 2, 2, 2)) == pytest.approx(erfc(1.0), rel=1e-15)
 
     def test_chsh_single_round_distance(self):
@@ -181,3 +192,18 @@ class TestHalfSpace:
         assert gaussian_tail_probability(tuple(shuffled)) == pytest.approx(
             gaussian_tail_probability(tuple(rounds)), rel=1e-12, abs=1e-300
         )
+
+    @pytest.mark.parametrize(
+        "coefficients,offset",
+        [
+            ((), 2.0),
+            ((0.0, 1.0), 2.0),
+            ((-1.0, 1.0), 2.0),
+            ((float("nan"), 1.0), 2.0),
+            ((1.0,), float("inf")),
+        ],
+    )
+    def test_rejects_degenerate_specs(self, coefficients, offset):
+        # no round counts give these planes, so the tail formula must refuse them
+        with pytest.raises(InvalidConfigError):
+            gaussian_tail_probability(_rounds_for_plane(coefficients, offset))
