@@ -25,7 +25,6 @@ from .model import (
     STRICT,
     TSIRELSON_BOUND,
     ExperimentConfig,
-    ViolationProbability,
     analytic_violation_probability,
     chsh_correlation,
     exact_violation_probability,
@@ -68,19 +67,16 @@ SWEEP_FIELDS = (
 
 @dataclass(frozen=True)
 class SweepRequest:
-    """One sweep: a variant, its totals, and output options."""
+    """One sweep: a variant, its totals, and which columns to fill."""
 
     variant: str
     n_values: tuple[int, ...]
     include_exact_intervals: bool = False
     continuous: bool = False
-    output_format: str = "csv"
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise InvalidConfigError(f"unknown variant {self.variant!r}")
-        if self.output_format not in ("csv", "json"):
-            raise InvalidConfigError(f"unknown output format {self.output_format!r}")
         values = tuple(sorted(set(int(n) for n in self.n_values)))
         object.__setattr__(self, "n_values", values)
         if not values:
@@ -110,13 +106,14 @@ def split_rounds(variant: str, total: int) -> tuple[int, int, int, int] | None:
     return tuple(unit * w for w in weights)
 
 
-def _result_row(result: ViolationProbability) -> dict:
-    rounds = result.config.rounds
-    value = result.value
+def _result_row(
+    method: str, threshold: str, config: ExperimentConfig, value: Fraction | float
+) -> dict:
+    rounds = config.rounds
     return {
-        "method": result.method,
-        "threshold": result.threshold,
-        "N": result.config.total,
+        "method": method,
+        "threshold": threshold,
+        "N": config.total,
         "n1": rounds[0],
         "n2": rounds[1],
         "n3": rounds[2],
@@ -211,14 +208,16 @@ def cmd_exact(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print(f"hint: chshprob approx {rounds}", file=sys.stderr)
         return 2
-    _write_rows([_result_row(result)], RESULT_FIELDS, args.format, sys.stdout)
+    row = _result_row(result.method, result.threshold, config, result.value)
+    _write_rows([row], RESULT_FIELDS, args.format, sys.stdout)
     return 0
 
 
 def cmd_approx(args: argparse.Namespace) -> int:
     config = _parse_config(args.rounds)
     result = analytic_violation_probability(config)
-    _write_rows([_result_row(result)], RESULT_FIELDS, args.format, sys.stdout)
+    row = _result_row(result.method, result.threshold, config, result.value)
+    _write_rows([row], RESULT_FIELDS, args.format, sys.stdout)
     return 0
 
 
@@ -235,24 +234,28 @@ def cmd_mc(args: argparse.Namespace) -> int:
     estimate = estimate_violation_probability(
         config, args.trials, args.seed, args.threshold, workers=args.workers
     )
-    row = {
-        "method": "monte-carlo",
-        "threshold": estimate.threshold,
-        "N": config.total,
-        "n1": config.rounds[0],
-        "n2": config.rounds[1],
-        "n3": config.rounds[2],
-        "n4": config.rounds[3],
-        "value": repr(estimate.estimate),
-        "value_decimal": estimate.estimate,
-        "trials": estimate.trials,
-        "hits": estimate.hits,
-        "ci_low": estimate.ci_low,
-        "ci_high": estimate.ci_high,
-        "seed": estimate.seed,
-    }
+    row = _result_row("monte-carlo", estimate.threshold, config, estimate.estimate)
+    row.update(
+        trials=estimate.trials,
+        hits=estimate.hits,
+        ci_low=estimate.ci_low,
+        ci_high=estimate.ci_high,
+        seed=estimate.seed,
+    )
     _write_rows([row], MC_FIELDS, args.format, sys.stdout)
     return 0
+
+
+def _sweep_row(variant: str, total: int, parts: tuple) -> dict:
+    return {
+        "variant": variant,
+        "N": total,
+        "n1": parts[0],
+        "n2": parts[1],
+        "n3": parts[2],
+        "n4": parts[3],
+        "p_analytic": gaussian_tail_probability(parts),
+    }
 
 
 def sweep_rows(request: SweepRequest) -> list[dict]:
@@ -262,40 +265,26 @@ def sweep_rows(request: SweepRequest) -> list[dict]:
     divisor = sum(weights)
     rows: dict[int, dict] = {}
     for total in request.n_values:
-        row: dict = {"variant": request.variant, "N": total}
         if request.continuous:
             parts = tuple(total * w / divisor for w in weights)
-            row.update(n1=parts[0], n2=parts[1], n3=parts[2], n4=parts[3])
-            row["p_analytic"] = gaussian_tail_probability(parts)
         else:
             parts = split_rounds(request.variant, total)
-            if parts is None:
-                row["error"] = (
-                    f"N={total} not divisible by {divisor}; "
-                    f"use a multiple of {divisor} or --continuous"
-                )
-            else:
-                row.update(n1=parts[0], n2=parts[1], n3=parts[2], n4=parts[3])
-                row["p_analytic"] = float(
-                    analytic_violation_probability(ExperimentConfig(rounds=parts)).value
-                )
-        rows[total] = row
+        if parts is None:
+            rows[total] = {
+                "variant": request.variant,
+                "N": total,
+                "error": f"N={total} not divisible by {divisor}; "
+                f"use a multiple of {divisor} or --continuous",
+            }
+        else:
+            rows[total] = _sweep_row(request.variant, total, parts)
 
     if request.include_exact_intervals and request.variant == "equal":
         for total in INTERVAL_TOTALS:
             parts = split_rounds("equal", total)
             row = rows.get(total)
             if row is None or "error" in row:
-                row = {
-                    "variant": request.variant,
-                    "N": total,
-                    "n1": parts[0],
-                    "n2": parts[1],
-                    "n3": parts[2],
-                    "n4": parts[3],
-                    "p_analytic": gaussian_tail_probability(parts),
-                }
-                rows[total] = row
+                row = rows[total] = _sweep_row(request.variant, total, parts)
             config = ExperimentConfig(rounds=parts)
             for threshold, key in ((STRICT, "p_exact_strict"), (NON_STRICT, "p_exact_nonstrict")):
                 value = exact_violation_probability(config, threshold).value
@@ -316,9 +305,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         n_values=tuple(args.n_values) if args.n_values else default_totals(args.variant),
         include_exact_intervals=args.intervals,
         continuous=args.continuous,
-        output_format=args.format,
     )
-    _write_rows(sweep_rows(request), SWEEP_FIELDS, request.output_format, sys.stdout)
+    _write_rows(sweep_rows(request), SWEEP_FIELDS, args.format, sys.stdout)
     return 0
 
 
@@ -382,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=DEFAULT_ENUMERATION_BUDGET,
-        help="max displacement tuples prod(n_k+1) to enumerate (default %(default)s)",
+        help="max lattice size prod(n_k+1) to accept; a size cap, not the work done "
+        "(default %(default)s)",
     )
     exact.set_defaults(func=cmd_exact)
 

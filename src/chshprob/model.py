@@ -11,17 +11,20 @@ with the minus sign on the (1,2) channel.  A violation is |C| > 2 (strict)
 or |C| >= 2 (non-strict); the two differ because finite samples put real
 probability mass on the boundary C = +-2.
 
-Two routes to the violation probability live here: exact enumeration over
-channel displacements, weighted by integer binomial rows (bit-exact), and
-the Gaussian tail formula erfc(sqrt(2 / sum_k 1/n_k)).  The third route,
-Monte Carlo simulation, lives in :mod:`chshprob.montecarlo`.
+Two routes to the violation probability live here: an exact count of
+violating sign patterns in plain integers (bit-exact), met in the middle
+between two channel pairs, and the Gaussian tail formula
+erfc(sqrt(2 / sum_k 1/n_k)).  The third route, Monte Carlo simulation,
+lives in :mod:`chshprob.montecarlo`.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import CorruptRecordError, InvalidConfigError, LimitError
@@ -42,8 +45,8 @@ THRESHOLDS = (STRICT, NON_STRICT)
 
 METHODS = ("exact", "analytic", "monte-carlo")
 
-# Default ceiling on the displacement-tuple count (n1+1)(n2+1)(n3+1)(n4+1)
-# accepted by exact enumeration.
+# Default ceiling on the lattice size (n1+1)(n2+1)(n3+1)(n4+1) accepted by
+# exact enumeration.
 DEFAULT_ENUMERATION_BUDGET = 10**8
 
 
@@ -204,76 +207,61 @@ class ViolationProbability:
 
 
 def enumeration_cost(config: ExperimentConfig) -> int:
-    """Displacement-tuple count (n1+1)(n2+1)(n3+1)(n4+1) of exact enumeration."""
-    cost = 1
-    for n in config.rounds:
-        cost *= n + 1
-    return cost
+    """Lattice size (n1+1)(n2+1)(n3+1)(n4+1) that the enumeration budget caps.
+
+    This is the number of displacement tuples, not the work the kernel does:
+    the meet-in-the-middle count visits about (n1+1)(n4+1) + (n2+1)(n3+1)
+    channel-pair sums for the sorted counts.
+    """
+    return math.prod(n + 1 for n in config.rounds)
+
+
+def _walk_sums(rounds: Sequence[int], scale: int) -> dict[int, int]:
+    """Path counts of the joint walks of ``rounds``, keyed by sum_k q_k*m_k
+    with q_k = scale/n_k.  Equal sums merge, so channels that share a
+    coefficient cost no more than one walk of their combined length."""
+    sums = {0: 1}
+    for n in rounds:
+        q = scale // n
+        steps = [q * (2 * i - n) for i in range(n + 1)]
+        row = binomial_row(n)
+        merged: dict[int, int] = {}
+        for s, count in sums.items():
+            for step, w in zip(steps, row):
+                merged[s + step] = merged.get(s + step, 0) + count * w
+        sums = merged
+    return sums
 
 
 def _violation_numerator(rounds: Sequence[int], threshold: str) -> int:
-    """Sum of binomial weight products over violating displacement tuples.
+    """Number of the 2**N sign patterns whose correlation violates.
 
     Works in integer units of lcm(n1..n4): C compares to 2 exactly as
-    sum_k q_k*m_k compares to 2*lcm, with q_k = lcm/n_k.  Each channel's
-    weight sequence is symmetric in m_k, so flipping the sign of the
-    subtracted channel leaves the distribution of C unchanged; all channels
-    can therefore be summed with a plus sign.  The innermost (largest)
-    channel is resolved through prefix sums instead of iteration, which
-    drops the cost from prod(n_k+1) to the product over the other three.
+    S = sum_k q_k*m_k compares to 2*lcm, with q_k = lcm/n_k.  Each channel's
+    path counts are symmetric in m_k, so the minus sign on the (1,2)
+    channel leaves the distribution of S unchanged and S is symmetric about
+    0: the lower half-space holds as many patterns as the upper one.
+
+    Meet in the middle: S splits into two channel pairs, the smallest count
+    with the largest and the two middle counts.  The middle pair's sums are
+    sorted with suffix sums of their path counts, so for each first-pair
+    sum s the violating ones, >= 2*lcm - s (+1 when strict), are one
+    bisection away.  The first pair is streamed rather than tabulated,
+    which keeps memory at one binomial row when the largest count is long.
     """
-    strict = threshold == STRICT
-    order = sorted(range(4), key=lambda k: rounds[k])
-    ns = [rounds[k] for k in order]
-    weights = [binomial_row(n) for n in ns]
-    scale = math.lcm(*ns)
-    bound = 2 * scale
-    qs = [scale // n for n in ns]
-    contribs = [
-        [q * (2 * i - n) for i in range(n + 1)] for q, n in zip(qs, ns)
-    ]
-
-    n4, q4 = ns[3], qs[3]
-    prefix = [0]
-    for w in weights[3]:
-        prefix.append(prefix[-1] + w)
-    total_w4 = prefix[-1]
-    top = n4 + 1
-
-    total = 0
-    for c1, w1 in zip(contribs[0], weights[0]):
-        for c2, w2 in zip(contribs[1], weights[1]):
-            c12 = c1 + c2
-            w12 = w1 * w2
-            for c3, w3 in zip(contribs[2], weights[2]):
-                s = c12 + c3
-                # upper half space: m*q4 > bound - s (>= when non-strict)
-                r = bound - s
-                if strict:
-                    m_min = r // q4 + 1
-                else:
-                    m_min = -((-r) // q4)
-                i0 = (m_min + n4 + 1) // 2
-                if i0 < 0:
-                    i0 = 0
-                elif i0 > top:
-                    i0 = top
-                count = total_w4 - prefix[i0]
-                # lower half space: m*q4 < -bound - s (<= when non-strict)
-                r = -bound - s
-                if strict:
-                    m_max = -((-r) // q4) - 1
-                else:
-                    m_max = r // q4
-                i1 = (m_max + n4) // 2 + 1
-                if i1 < 0:
-                    i1 = 0
-                elif i1 > top:
-                    i1 = top
-                count += prefix[i1]
-                if count:
-                    total += w12 * w3 * count
-    return total
+    n1, n2, n3, n4 = sorted(rounds)
+    scale = math.lcm(*rounds)
+    keys, counts = zip(*sorted(_walk_sums((n2, n3), scale).items()))
+    tail = list(accumulate(reversed(counts), initial=0))[::-1]
+    offset = 2 * scale + int(threshold == STRICT)
+    q4 = scale // n4
+    # (r, path count) per step of the largest channel: a middle-pair sum t
+    # violates with smallest-channel sum s exactly when t >= r - s
+    row4 = [(offset - q4 * (2 * i - n4), w) for i, w in enumerate(binomial_row(n4))]
+    upper = 0
+    for s, count in _walk_sums((n1,), scale).items():
+        upper += count * sum(w * tail[bisect_left(keys, r - s)] for r, w in row4)
+    return 2 * upper
 
 
 def exact_violation_probability(
@@ -284,10 +272,11 @@ def exact_violation_probability(
 ) -> ViolationProbability:
     """Exact violation probability as a dyadic rational over 2**N.
 
-    Enumerates the four-channel displacement lattice weighted by the
-    binomial path counts; every comparison is integer arithmetic, so the
-    result is bit-exact.  Refuses configurations whose lattice exceeds
-    ``budget`` tuples (use the analytic method there).
+    Counts the violating sign patterns over the four-channel displacement
+    lattice, weighted by the binomial path counts; every comparison is
+    integer arithmetic, so the result is bit-exact.  Refuses configurations
+    whose lattice size prod(n_k+1) exceeds ``budget`` (use the analytic
+    method there).
     """
     _check_threshold(threshold)
     if budget < 0:

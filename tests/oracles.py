@@ -1,7 +1,8 @@
 """Independent reference computations for the test suite.
 
 Deliberately separate from the package and deliberately naive: raw
-enumeration over every possible sign sequence, an exact-rational Maclaurin
+enumeration over every possible sign sequence, a plain sum over every
+displacement tuple with exact-rational C, an exact-rational Maclaurin
 series for erfc, the continuous Gaussian density that approximates a long
 walk, and a Monte Carlo integral of the Gaussian measure outside the
 violation boundary.  Slow but first-principles; nothing in here shares code
@@ -77,6 +78,24 @@ def brute_force_violation_probability(rounds, threshold: str) -> Fraction:
         if (magnitude > 2) if threshold == "strict" else (magnitude >= 2):
             hits += 1
     return Fraction(hits, 2**total)
+
+
+def lattice_violation_probability(rounds, threshold: str) -> Fraction:
+    """Violation probability by visiting every displacement tuple.
+
+    Each tuple (m1, m2, m3, m4), m_k = 2*i_k - n_k, carries the product of
+    its channels' path counts C(n_k, i_k); C is summed as a Fraction with
+    the (1,2) minus sign written out.  No common-denominator scaling, no
+    symmetry and no pairing of channels.  Cost prod(n_k + 1).
+    """
+    ratios = [[Fraction(2 * i - n, n) for i in range(n + 1)] for n in rounds]
+    hits = 0
+    for i1, i2, i3, i4 in product(*(range(n + 1) for n in rounds)):
+        correlation = ratios[0][i1] - ratios[1][i2] + ratios[2][i3] + ratios[3][i4]
+        magnitude = abs(correlation)
+        if (magnitude > 2) if threshold == "strict" else (magnitude >= 2):
+            hits += math.prod(math.comb(n, i) for n, i in zip(rounds, (i1, i2, i3, i4)))
+    return Fraction(hits, 2 ** sum(rounds))
 
 
 def brute_force_walk_distribution(n: int) -> dict[int, Fraction]:

@@ -22,7 +22,11 @@ from chshprob.model import (
     is_violation,
     tally,
 )
-from oracles import brute_force_violation_probability, gaussian_halfspace_oracle
+from oracles import (
+    brute_force_violation_probability,
+    gaussian_halfspace_oracle,
+    lattice_violation_probability,
+)
 
 small_rounds = st.tuples(*[st.integers(min_value=1, max_value=4)] * 4)
 
@@ -162,6 +166,33 @@ class TestExactProbability:
         expected = brute_force_violation_probability(rounds, threshold)
         value = exact_violation_probability(ExperimentConfig(rounds), threshold).value
         assert value == expected
+        assert lattice_violation_probability(rounds, threshold) == expected
+
+    @given(
+        rounds=st.tuples(
+            *[st.integers(min_value=1, max_value=8)] * 3, st.integers(min_value=1, max_value=24)
+        )
+        .flatmap(st.permutations)
+        .map(tuple)
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_matches_lattice_sum(self, rounds):
+        # beyond the brute force's N <= 16: one channel up to 24 rounds
+        config = ExperimentConfig(rounds)
+        for threshold in (STRICT, NON_STRICT):
+            expected = lattice_violation_probability(rounds, threshold)
+            assert exact_violation_probability(config, threshold).value == expected
+
+    @pytest.mark.parametrize("threshold", [STRICT, NON_STRICT])
+    @pytest.mark.parametrize("n", [5, 20, 99])
+    def test_equal_split_is_one_long_walk(self, n, threshold):
+        # with n rounds everywhere, n*C is the endpoint 2k - 4n of one
+        # 4n-step walk (the (1,2) sign flips a symmetric channel); C > 2 is
+        # k > 3n, and C < -2 has the same count by symmetry
+        k_min = 3 * n + (threshold == STRICT)
+        tail = sum(math.comb(4 * n, k) for k in range(k_min, 4 * n + 1))
+        value = exact_violation_probability(ExperimentConfig((n,) * 4), threshold).value
+        assert value == Fraction(2 * tail, 2 ** (4 * n))
 
     @given(rounds=small_rounds)
     @settings(max_examples=25, deadline=None)
