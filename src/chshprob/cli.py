@@ -242,6 +242,9 @@ def cmd_mc(args: argparse.Namespace) -> int:
         ci_high=estimate.ci_high,
         seed=estimate.seed,
     )
+    if args.format == "json":
+        # the CSV columns stay byte-stable; only JSON names the sampler stream
+        row["stream"] = estimate.stream
     _write_rows([row], MC_FIELDS, args.format, sys.stdout)
     return 0
 

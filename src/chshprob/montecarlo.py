@@ -6,6 +6,13 @@ experiments estimates the same probability the exact and analytic routes
 compute.  Streams are derived from a user seed through numpy SeedSequence
 spawning, so runs are reproducible bit-for-bit regardless of how many
 workers execute the trial batches.
+
+Rounds are packed 64 to a word: one experiment is a row of
+ceil(sum(n_k) / 64) raw PCG64 outputs, bit j of the row (bit j % 64 of word
+j // 64) is round j, and bit 1 is a +1 round.  Channel k owns the n_k bits
+that follow channels 1..k-1, and its +1 count is a popcount over them.
+``STREAM_VERSION`` names this layout; version 1 was one int8 draw per round
+per channel.  Hit counts differ between versions for the same seed.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 from statistics import NormalDist
 
 import numpy as np
@@ -27,10 +35,15 @@ from .model import (
 
 # Fixed batching rule: batch b of a run draws from the child stream
 # SeedSequence(seed, spawn_key=(b,)).  Batch size depends only on the
-# config (bounding the per-channel draw matrix), never on the worker
-# count, which is what makes 1-worker and k-worker runs bit-identical.
-BATCH_ELEMENT_BUDGET = 1 << 22
+# config (bounding the packed draw matrix to WORD_BUDGET uint64 words,
+# 4 MiB), never on the worker count, which is what makes 1-worker and
+# k-worker runs bit-identical.  A row longer than WORD_BUDGET is drawn in
+# pieces of at most WORD_BUDGET words.
+WORD_BUDGET = 1 << 19
 MAX_BATCH_TRIALS = 1 << 16
+# The same budget in bytes; benchmarks/tracing.py still reads this name.
+BATCH_ELEMENT_BUDGET = 8 * WORD_BUDGET
+STREAM_VERSION = 2
 
 _Z95 = NormalDist().inv_cdf(0.975)
 
@@ -47,6 +60,7 @@ class McEstimate:
     seed: int
     threshold: str
     config: ExperimentConfig
+    stream: int = STREAM_VERSION
 
     def __post_init__(self) -> None:
         if not 0 <= self.hits <= self.trials:
@@ -75,8 +89,12 @@ def wilson_interval(hits: int, trials: int, z: float = _Z95) -> tuple[float, flo
     return max(0.0, min(center - half, p)), min(1.0, max(center + half, p))
 
 
+def _row_words(rounds: tuple[int, ...]) -> int:
+    return -(-sum(rounds) // 64)
+
+
 def _batch_trials(rounds: tuple[int, ...]) -> int:
-    return max(1, min(MAX_BATCH_TRIALS, BATCH_ELEMENT_BUDGET // max(rounds)))
+    return max(1, min(MAX_BATCH_TRIALS, WORD_BUDGET // _row_words(rounds)))
 
 
 def _seed_entropy(seed: int) -> int:
@@ -91,6 +109,33 @@ def _check_run(trials: int, workers: int) -> None:
         raise InvalidConfigError(f"workers must be >= 1, got {workers}")
 
 
+def _count_ones(bits: np.ndarray, first_word: int, offsets: list[int], ones: np.ndarray) -> None:
+    """Add each channel's +1 count within ``bits`` to ``ones`` (channels x trials).
+
+    ``bits`` holds words ``first_word`` onwards of each trial's row, and
+    channel k owns row bits offsets[k] <= j < offsets[k+1].  Its count is the
+    popcount of the whole words from offsets[k] // 64 up to offsets[k+1] // 64,
+    less the bits below offsets[k] in its first word, plus the bits below
+    offsets[k+1] in the word where it ends.
+    """
+    last_word = first_word + bits.shape[1]
+    per_word = np.bitwise_count(bits)
+    for channel in range(len(offsets) - 1):
+        lo = max(offsets[channel] // 64, first_word)
+        hi = min(offsets[channel + 1] // 64, last_word)
+        if lo < hi:
+            whole = per_word[:, lo - first_word : hi - first_word]
+            ones[channel] += whole.sum(axis=1, dtype=np.int64)
+    for boundary, offset in enumerate(offsets):
+        word, bit = divmod(offset, 64)
+        if bit and first_word <= word < last_word:
+            below = np.bitwise_count(bits[:, word - first_word] & np.uint64((1 << bit) - 1))
+            if boundary > 0:
+                ones[boundary - 1] += below
+            if boundary < len(offsets) - 1:
+                ones[boundary] -= below
+
+
 def _batch_hits(
     rounds: tuple[int, ...],
     seed: int,
@@ -100,22 +145,37 @@ def _batch_hits(
 ) -> int:
     """Violations among ``count`` experiments drawn from batch substream ``batch_index``.
 
-    Channel k's rounds are the next n_k bits of each experiment's row, in
-    channel order.  The violation test compares the integer
-    sum_k sign_k*q_k*m_k against 2*lcm(rounds), which is the correlation
-    inequality with denominators cleared; int64 covers any |sum| up to
-    4*lcm, and configurations beyond that accumulate Python integers.
+    The substream's raw PCG64 words are read in order as ``count`` packed
+    rows of ceil(sum(n_k) / 64) words, trial after trial; channel k's
+    rounds are the n_k bits after channels 1..k-1, bit 1 a +1 round.  Rows
+    are drawn a group of trials at a time, or a row in pieces when it is
+    longer than WORD_BUDGET, so no draw holds more than WORD_BUDGET words;
+    sequential draws read the same stream as one.  The violation test
+    compares the integer sum_k sign_k*q_k*m_k against 2*lcm(rounds), which
+    is the correlation inequality with denominators cleared; int64 covers
+    any |sum| up to 4*lcm, and configurations beyond that accumulate
+    Python integers.
     """
-    rng = np.random.default_rng(
+    bit_generator = np.random.PCG64(
         np.random.SeedSequence(entropy=_seed_entropy(seed), spawn_key=(batch_index,))
     )
+    offsets = list(accumulate(rounds, initial=0))
+    words = _row_words(rounds)
+    rows = max(1, WORD_BUDGET // words)
+    piece = min(words, WORD_BUDGET)
+    ones = np.zeros((len(rounds), count), dtype=np.int64)
+    for first_trial in range(0, count, rows):
+        group = ones[:, first_trial : first_trial + rows]
+        for first_word in range(0, words, piece):
+            shape = (group.shape[1], min(piece, words - first_word))
+            _count_ones(bit_generator.random_raw(shape), first_word, offsets, group)
+
     scale = math.lcm(*rounds)
     bound = 2 * scale
     dtype = np.int64 if 4 * scale < 2**62 else object
     acc = np.zeros(count, dtype=dtype)
-    for sign, n in zip(CHANNEL_SIGNS, rounds):
-        steps = rng.integers(0, 2, size=(count, n), dtype=np.int8)
-        sums = 2 * steps.sum(axis=1, dtype=np.int64) - n
+    for sign, n, plus in zip(CHANNEL_SIGNS, rounds, ones):
+        sums = 2 * plus - n
         acc += sign * (scale // n) * sums.astype(dtype, copy=False)
     magnitudes = np.abs(acc)
     if threshold == STRICT:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from chshprob.cli import SweepRequest, default_totals, main, split_rounds, sweep_rows
+from chshprob.cli import MC_FIELDS, SweepRequest, default_totals, main, split_rounds, sweep_rows
 from chshprob.model import (
     NON_STRICT,
     STRICT,
@@ -103,6 +103,18 @@ class TestProbabilityCommands:
         assert int(row["seed"]) == 42
         assert float(row["ci_low"]) <= 0.125 <= float(row["ci_high"])
         assert float(row["ci_low"]) <= float(row["value_decimal"]) <= float(row["ci_high"])
+
+    def test_mc_json_names_the_sampler_stream(self, capsys):
+        argv = ("mc", "2", "2", "2", "2", "--trials", "5000", "--seed", "7")
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        (row,) = json.loads(out)
+        assert row["stream"] == 2
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[0].split(",") == list(MC_FIELDS)
+        (csv_row,) = parse_csv(out)
+        assert int(csv_row["hits"]) == row["hits"]
 
     def test_mc_warns_when_hits_unreachable(self, capsys):
         code, out, err = run_cli(capsys, "mc", "25", "25", "25", "25", "--trials", "1000")

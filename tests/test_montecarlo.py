@@ -14,8 +14,12 @@ from chshprob.model import (
     exact_violation_probability,
     is_violation,
 )
+from chshprob import montecarlo
 from chshprob.montecarlo import (
+    STREAM_VERSION,
     _batch_hits,
+    _batch_trials,
+    _row_words,
     estimate_violation_probability,
     wilson_interval,
 )
@@ -24,16 +28,25 @@ from chshprob.walks import walk_pmf
 
 def replay_channel_sums(rounds, seed, batch_index, count):
     """Per-trial channel sums (m1, m2, m3, m4) redrawn from batch substream
-    ``batch_index``: each channel's count x n_k bit matrix in channel order,
-    bit 1 a +1 round and bit 0 a -1 round."""
-    rng = np.random.default_rng(
+    ``batch_index``: each trial's row is the next ceil(sum(n_k) / 64) raw
+    64-bit words read as one little-endian integer, channel k owns the n_k
+    bits after channels 1..k-1, bit 1 a +1 round and bit 0 a -1 round."""
+    bit_generator = np.random.default_rng(
         np.random.SeedSequence(entropy=seed & 0xFFFFFFFFFFFFFFFF, spawn_key=(batch_index,))
-    )
-    bits = [rng.integers(0, 2, size=(count, n), dtype=np.int8) for n in rounds]
-    return [
-        tuple(2 * int(channel[t].sum()) - n for channel, n in zip(bits, rounds))
-        for t in range(count)
-    ]
+    ).bit_generator
+    words = -(-sum(rounds) // 64)
+    raw = bit_generator.random_raw((count, words)).astype("<u8")
+    offsets = [sum(rounds[:k]) for k in range(len(rounds))]
+    sums = []
+    for t in range(count):
+        row = int.from_bytes(raw[t].tobytes(), "little")
+        sums.append(
+            tuple(
+                2 * ((row >> o) & ((1 << n) - 1)).bit_count() - n
+                for o, n in zip(offsets, rounds)
+            )
+        )
+    return sums
 
 
 def replay_hits(rounds, seed, batch_index, count, threshold):
@@ -67,13 +80,34 @@ class TestSimulateExperiment:
 
     def test_consumes_exactly_the_round_total_in_order(self):
         # the replay reads each trial's n_k bits per channel in channel order;
-        # agreement pins that layout, the channel order and the (1,2) sign
-        for rounds in ((1, 1, 1, 1), (2, 3, 4, 5), (3, 5, 7, 2)):
+        # agreement pins that layout, the channel order and the (1,2) sign.
+        # The last three put channel edges on, just past and across word
+        # boundaries and make rows of several words.
+        for rounds in (
+            (1, 1, 1, 1),
+            (2, 3, 4, 5),
+            (3, 5, 7, 2),
+            (63, 1, 64, 2),
+            (64, 64, 64, 64),
+            (1, 1, 1000, 1000),
+        ):
             for threshold in (STRICT, NON_STRICT):
                 for index in (0, 1):
                     expected = replay_hits(rounds, 13, index, 2048, threshold)
                     got = _batch_hits(rounds, 13, index, 2048, threshold)
                     assert got == expected, (rounds, threshold, index)
+
+    def test_rows_past_the_word_budget_are_drawn_in_pieces(self, monkeypatch):
+        # a 32-word row under a 5-word budget: one trial per draw, each row in
+        # 5-word pieces; sequential draws read the same stream as one draw
+        rounds = (1, 1, 1000, 1000)
+        assert _row_words(rounds) == 32
+        whole = {th: _batch_hits(rounds, 13, 0, 64, th) for th in (STRICT, NON_STRICT)}
+        monkeypatch.setattr(montecarlo, "WORD_BUDGET", 5)
+        assert _batch_trials(rounds) == 1
+        for threshold in (STRICT, NON_STRICT):
+            expected = replay_hits(rounds, 13, 0, 64, threshold)
+            assert _batch_hits(rounds, 13, 0, 64, threshold) == expected == whole[threshold]
 
     def test_channel_sums_follow_walk_distribution(self):
         # frequency check of each channel endpoint against the exact pmf
@@ -146,12 +180,20 @@ class TestEstimate:
         assert a.hits != b.hits
 
     def test_worker_count_does_not_change_the_result(self):
-        config = ExperimentConfig((1, 1, 1, 1))
-        sequential = estimate_violation_probability(config, 300_000, seed=3, threshold=STRICT)
-        parallel = estimate_violation_probability(
-            config, 300_000, seed=3, threshold=STRICT, workers=4
-        )
-        assert sequential == parallel
+        # (1,1,1000,1000) has 32-word rows and 16384-trial batches, so 50k
+        # trials run four batches across the workers
+        for rounds, trials, workers in (
+            ((1, 1, 1, 1), 300_000, 4),
+            ((1, 1, 1000, 1000), 50_000, 2),
+        ):
+            config = ExperimentConfig(rounds)
+            assert -(-trials // _batch_trials(rounds)) >= 4
+            sequential = estimate_violation_probability(config, trials, seed=3, threshold=STRICT)
+            parallel = estimate_violation_probability(
+                config, trials, seed=3, threshold=STRICT, workers=workers
+            )
+            assert sequential == parallel
+            assert sequential.stream == STREAM_VERSION == 2
 
     def test_strict_hits_never_exceed_nonstrict(self):
         config = ExperimentConfig((3, 2, 2, 3))
