@@ -32,7 +32,7 @@ from .model import (
     is_violation,
     tally,
 )
-from .montecarlo import _check_run, estimate_violation_probability
+from .montecarlo import estimate_violation_probability
 
 # Fixed default seed: runs are reproducible out of the box, never wall-clock.
 DEFAULT_SEED = 42
@@ -223,17 +223,15 @@ def cmd_approx(args: argparse.Namespace) -> int:
 
 def cmd_mc(args: argparse.Namespace) -> int:
     config = _parse_config(args.rounds)
-    _check_run(args.trials, args.workers)
-    expected_hits = gaussian_tail_probability(config.rounds) * args.trials
-    if expected_hits < 10:
-        print(
-            f"warning: expected hit count ~{expected_hits:.3g} at {args.trials} trials; "
-            "the estimate will be mostly zeros. Use 'exact' or 'approx' for this regime.",
-            file=sys.stderr,
-        )
     estimate = estimate_violation_probability(
         config, args.trials, args.seed, args.threshold, workers=args.workers
     )
+    if estimate.hits < 10:
+        print(
+            f"warning: only {estimate.hits} hits in {estimate.trials} trials; "
+            "the estimate is mostly zeros. Use 'exact' or 'approx' for this regime.",
+            file=sys.stderr,
+        )
     row = _result_row("monte-carlo", estimate.threshold, config, estimate.estimate)
     row.update(
         trials=estimate.trials,
@@ -285,9 +283,7 @@ def sweep_rows(request: SweepRequest) -> list[dict]:
     if request.include_exact_intervals and request.variant == "equal":
         for total in INTERVAL_TOTALS:
             parts = split_rounds("equal", total)
-            row = rows.get(total)
-            if row is None or "error" in row:
-                row = rows[total] = _sweep_row(request.variant, total, parts)
+            row = rows[total] = _sweep_row(request.variant, total, parts)
             config = ExperimentConfig(rounds=parts)
             for threshold, key in ((STRICT, "p_exact_strict"), (NON_STRICT, "p_exact_nonstrict")):
                 value = exact_violation_probability(config, threshold).value

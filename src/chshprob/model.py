@@ -28,7 +28,7 @@ from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import CorruptRecordError, InvalidConfigError, LimitError
-from .walks import binomial_row, erfc
+from .walks import binomial_row
 
 # Channel order everywhere in this package; the (1,2) channel carries the
 # minus sign in C.
@@ -43,11 +43,13 @@ STRICT = "strict"
 NON_STRICT = "non-strict"
 THRESHOLDS = (STRICT, NON_STRICT)
 
-METHODS = ("exact", "analytic", "monte-carlo")
-
 # Default ceiling on the lattice size (n1+1)(n2+1)(n3+1)(n4+1) accepted by
 # exact enumeration.
 DEFAULT_ENUMERATION_BUDGET = 10**8
+# Cap on any one channel's round count in exact enumeration: binomial
+# numerators near the cap run to ~1200 digits, beyond it exact arithmetic
+# cost grows with no practical payoff.
+DEFAULT_STEP_LIMIT = 4096
 
 
 def _check_threshold(threshold: str) -> None:
@@ -140,10 +142,6 @@ class RoundTally:
                     f"channel sum m={mk} unreachable in n={nk} rounds (needs |m| <= n, m = n mod 2)"
                 )
 
-    def channel(self, i: int, j: int) -> tuple[int, int]:
-        """(m, n) for polarizer pair (i, j)."""
-        return self.m[CHANNELS.index((i, j))], self.n[CHANNELS.index((i, j))]
-
 
 def tally(records: Iterable[MeasurementRecord]) -> RoundTally:
     """Aggregate measurement rows into per-channel (m, n) counts."""
@@ -199,8 +197,6 @@ class ViolationProbability:
     config: ExperimentConfig
 
     def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise InvalidConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         _check_threshold(self.threshold)
         if not 0 <= self.value <= 1:
             raise InvalidConfigError(f"probability out of range: {self.value!r}")
@@ -274,9 +270,10 @@ def exact_violation_probability(
 
     Counts the violating sign patterns over the four-channel displacement
     lattice, weighted by the binomial path counts; every comparison is
-    integer arithmetic, so the result is bit-exact.  Refuses configurations
-    whose lattice size prod(n_k+1) exceeds ``budget`` (use the analytic
-    method there).
+    integer arithmetic, so the result is bit-exact.  Refuses, before any
+    binomial row is built, configurations whose lattice size prod(n_k+1)
+    exceeds ``budget`` or with a count over ``DEFAULT_STEP_LIMIT`` (use the
+    analytic method there).
     """
     _check_threshold(threshold)
     if budget < 0:
@@ -287,6 +284,9 @@ def exact_violation_probability(
             f"exact enumeration needs {cost} displacement tuples, over the budget {budget}; "
             "the analytic method has no such limit"
         )
+    longest = max(config.rounds)
+    if longest > DEFAULT_STEP_LIMIT:
+        raise LimitError(f"walk length {longest} exceeds the step limit {DEFAULT_STEP_LIMIT}")
     numerator = _violation_numerator(config.rounds, threshold)
     return ViolationProbability(
         value=Fraction(numerator, 1 << config.total),
@@ -309,7 +309,7 @@ def gaussian_tail_probability(rounds: Sequence[float]) -> float:
         not (isinstance(n, (int, float)) and math.isfinite(n) and n > 0) for n in rounds
     ):
         raise InvalidConfigError(f"round counts must be positive and finite, got {tuple(rounds)}")
-    return erfc(math.sqrt(2.0 / math.fsum(1.0 / n for n in rounds)))
+    return math.erfc(math.sqrt(2.0 / math.fsum(1.0 / n for n in rounds)))
 
 
 def analytic_violation_probability(config: ExperimentConfig) -> ViolationProbability:

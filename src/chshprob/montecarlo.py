@@ -72,8 +72,8 @@ class McEstimate:
         _check_threshold(self.threshold)
 
 
-def wilson_interval(hits: int, trials: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion.
+def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion.
 
     Chosen over the Wald interval because it stays sensible when hits is 0
     or tiny, the usual regime for rare violations.
@@ -81,10 +81,10 @@ def wilson_interval(hits: int, trials: int, z: float = _Z95) -> tuple[float, flo
     if trials < 1 or not 0 <= hits <= trials:
         raise InvalidConfigError(f"need 0 <= hits <= trials, got hits={hits} trials={trials}")
     p = hits / trials
-    z2 = z * z
+    z2 = _Z95 * _Z95
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2.0 * trials)) / denom
-    half = z * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials)) / denom
+    half = _Z95 * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials)) / denom
     # the true interval always contains p; the clamps only absorb last-ulp rounding
     return max(0.0, min(center - half, p)), min(1.0, max(center + half, p))
 
@@ -100,13 +100,6 @@ def _batch_trials(rounds: tuple[int, ...]) -> int:
 def _seed_entropy(seed: int) -> int:
     # SeedSequence rejects negative entropy; keep the 64-bit pattern instead.
     return int(seed) & 0xFFFFFFFFFFFFFFFF
-
-
-def _check_run(trials: int, workers: int) -> None:
-    if trials < 1:
-        raise InvalidConfigError(f"trials must be >= 1, got {trials}")
-    if workers < 1:
-        raise InvalidConfigError(f"workers must be >= 1, got {workers}")
 
 
 def _count_ones(bits: np.ndarray, first_word: int, offsets: list[int], ones: np.ndarray) -> None:
@@ -198,7 +191,10 @@ def estimate_violation_probability(
     worker count reproduces the sequential result exactly.
     """
     _check_threshold(threshold)
-    _check_run(trials, workers)
+    if trials < 1:
+        raise InvalidConfigError(f"trials must be >= 1, got {trials}")
+    if workers < 1:
+        raise InvalidConfigError(f"workers must be >= 1, got {workers}")
     batch = _batch_trials(config.rounds)
     spans = [
         (config.rounds, seed, index, min(batch, trials - start), threshold)

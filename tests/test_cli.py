@@ -123,6 +123,15 @@ class TestProbabilityCommands:
         (row,) = parse_csv(out)
         assert float(row["value_decimal"]) == 0.0
 
+    def test_mc_warns_when_the_run_sees_few_hits(self, capsys):
+        # the tail formula forecasts ~46 hits here, but the exact probability
+        # is 7.4e-32: the warning follows the hits the run actually saw
+        code, out, err = run_cli(capsys, "mc", "1", "400", "400", "400", "--trials", "1000")
+        assert code == 0
+        assert "warning" in err
+        (row,) = parse_csv(out)
+        assert int(row["hits"]) == 0
+
     def test_invalid_round_count_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "exact", "0", "1", "1", "1")
         assert code == 1
@@ -200,6 +209,21 @@ class TestSweep:
         totals = [row["N"] for row in rows]
         assert totals == [4, 8, 12, 16, 20, 64]
         assert "p_exact_strict" not in rows[-1]
+
+    def test_continuous_interval_rows_use_integer_splits(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--continuous", "--intervals", "--n-values", "4", "6"
+        )
+        assert code == 0
+        rows = {int(row["N"]): row for row in parse_csv(out)}
+        assert sorted(rows) == [4, 6, 8, 12, 16, 20]
+        assert [rows[6][k] for k in ("n1", "n2", "n3", "n4")] == ["1.5"] * 4
+        for total in (4, 8, 12, 16, 20):
+            parts = [rows[total][k] for k in ("n1", "n2", "n3", "n4")]
+            assert parts == [str(total // 4)] * 4
+            config = ExperimentConfig(tuple(int(n) for n in parts))
+            assert float(rows[total]["p_analytic"]) == analytic_violation_probability(config).value
+            assert Fraction(rows[total]["p_exact_strict"]) == exact_violation_probability(config).value
 
     def test_indivisible_total_becomes_error_row_and_run_continues(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--variant", "ratio10", "--n-values", "31", "32", "62")

@@ -64,7 +64,7 @@ class TestRecordsAndTally:
         counts = tally(MAXIMAL_VIOLATION_RECORDS)
         assert counts.m == (1, -1, 1, 1)
         assert counts.n == (1, 1, 1, 1)
-        assert counts.channel(1, 2) == (-1, 1)
+        assert (counts.m[1], counts.n[1]) == (-1, 1)
 
     def test_empty_tally(self):
         counts = tally([])
@@ -77,7 +77,7 @@ class TestRecordsAndTally:
             MeasurementRecord(time_index=2, a=1, b=-1, c=-1, i=1, j=1),
         ]
         counts = tally(records)
-        assert counts.channel(1, 1) == (0, 2)
+        assert (counts.m[0], counts.n[0]) == (0, 2)
         assert counts.n == (2, 0, 0, 0)
 
     def test_tally_rejects_corrupt_row(self):

@@ -115,7 +115,7 @@ class TestSimulateExperiment:
         sums = replay_channel_sums((2, 2, 2, 2), 2024, 0, trials)
         pmf = walk_pmf(2)
         for m in (-2, 0, 2):
-            p = float(pmf.mass[m])
+            p = float(pmf[m])
             sigma = math.sqrt(p * (1 - p) / trials)
             for k in range(4):
                 frequency = sum(1 for trial in sums if trial[k] == m) / trials

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chshprob import model
 from chshprob.errors import InvalidConfigError, LimitError
-from chshprob.model import gaussian_tail_probability
-from chshprob.walks import DEFAULT_STEP_LIMIT, binomial_row, erfc, walk_pmf
+from chshprob.model import DEFAULT_STEP_LIMIT, gaussian_tail_probability
+from chshprob.walks import binomial_row, walk_pmf
 from oracles import brute_force_walk_distribution, erfc_series, gaussian_density
 
 
@@ -24,36 +25,36 @@ def _rounds_for_plane(coefficients, offset):
 class TestWalkPmf:
     def test_single_step(self):
         pmf = walk_pmf(1)
-        assert pmf.mass == {-1: Fraction(1, 2), 1: Fraction(1, 2)}
+        assert pmf == {-1: Fraction(1, 2), 1: Fraction(1, 2)}
 
     def test_two_steps(self):
         # direct evaluation, cross-checked against all 4 step sequences below
         pmf = walk_pmf(2)
-        assert pmf.mass == {-2: Fraction(1, 4), 0: Fraction(1, 2), 2: Fraction(1, 4)}
+        assert pmf == {-2: Fraction(1, 4), 0: Fraction(1, 2), 2: Fraction(1, 4)}
 
     def test_four_steps_center(self):
-        assert walk_pmf(4).probability(0) == Fraction(6, 16)
+        assert walk_pmf(4)[0] == Fraction(6, 16)
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_matches_exhaustive_enumeration(self, n):
-        assert dict(walk_pmf(n).mass) == brute_force_walk_distribution(n)
+        assert walk_pmf(n) == brute_force_walk_distribution(n)
 
     @given(n=st.integers(min_value=1, max_value=200))
     def test_mass_sums_to_one(self, n):
-        assert sum(walk_pmf(n).mass.values()) == 1
+        assert sum(walk_pmf(n).values()) == 1
 
     @given(n=st.integers(min_value=1, max_value=200))
     def test_symmetric(self, n):
         pmf = walk_pmf(n)
-        for m, p in pmf.mass.items():
-            assert pmf.mass[-m] == p
+        for m, p in pmf.items():
+            assert pmf[-m] == p
 
     @given(n=st.integers(min_value=1, max_value=200))
     def test_support_has_walk_parity(self, n):
         pmf = walk_pmf(n)
-        assert all(abs(m) <= n and (m - n) % 2 == 0 for m in pmf.mass)
-        # off-parity displacements are absent, and read back as zero
-        assert pmf.probability(n - 1) == 0
+        assert all(abs(m) <= n and (m - n) % 2 == 0 for m in pmf)
+        # off-parity displacements are absent
+        assert n - 1 not in pmf
 
     def test_rejects_zero_steps(self):
         for build in (walk_pmf, binomial_row):
@@ -67,14 +68,19 @@ class TestWalkPmf:
             with pytest.raises(InvalidConfigError):
                 build(2.0)
 
-    def test_step_limit(self):
-        for build in (walk_pmf, binomial_row):
-            with pytest.raises(LimitError):
-                build(DEFAULT_STEP_LIMIT + 1)
-            with pytest.raises(LimitError):
-                build(9, limit=8)
-        assert walk_pmf(8, limit=8).steps == 8
-        assert len(binomial_row(8, limit=8)) == 9
+    def test_step_limit(self, monkeypatch):
+        # the exact route refuses an over-long channel before it builds any row
+        def no_rows(n):
+            raise AssertionError(f"binomial_row({n}) built before the refusal")
+
+        monkeypatch.setattr(model, "binomial_row", no_rows)
+        for rounds in ((DEFAULT_STEP_LIMIT + 1, 1, 1, 1), (1, 1, 4000, 5000)):
+            message = f"walk length {max(rounds)} exceeds the step limit {DEFAULT_STEP_LIMIT}"
+            with pytest.raises(LimitError, match=message):
+                model.exact_violation_probability(model.ExperimentConfig(rounds))
+        monkeypatch.undo()
+        # a channel at the limit is accepted
+        model.exact_violation_probability(model.ExperimentConfig((1, 1, 1, DEFAULT_STEP_LIMIT)))
 
     @given(n=st.integers(min_value=1, max_value=DEFAULT_STEP_LIMIT))
     @settings(max_examples=10, deadline=None)
@@ -111,7 +117,7 @@ class TestGaussianDensity:
         for m in range(-reach, reach + 1):
             if (m - n) % 2:
                 continue
-            mass = float(pmf.mass[m])
+            mass = float(pmf[m])
             approx = 2.0 * gaussian_density(n, float(m))
             assert abs(approx - mass) <= 0.05 * mass, (n, m)
             checked += 1
@@ -120,47 +126,48 @@ class TestGaussianDensity:
 
 class TestErfc:
     def test_at_zero(self):
-        assert erfc(0.0) == 1.0
+        assert math.erfc(0.0) == 1.0
 
     def test_known_point(self):
         # value pinned from the exact-rational series oracle
-        assert erfc(1.0) == pytest.approx(0.15729920705028513, rel=1e-13)
+        assert math.erfc(1.0) == pytest.approx(0.15729920705028513, rel=1e-13)
 
     def test_half_variance_point(self):
-        assert erfc(math.sqrt(0.5)) == pytest.approx(0.3173105078629141, rel=1e-13)
+        assert math.erfc(math.sqrt(0.5)) == pytest.approx(0.3173105078629141, rel=1e-13)
 
     def test_against_series_oracle_grid(self):
         for j in range(25):
             x = Fraction(5 * j, 24)
             reference, bound = erfc_series(x)
             assert bound < Fraction(1, 10**25)
-            value = erfc(float(x))
+            value = math.erfc(float(x))
             assert abs(value - float(reference)) <= 1e-12 * float(reference), x
 
     def test_reflection_identity(self):
         for j in range(-20, 21):
             x = j / 4.0
-            assert abs(erfc(x) + erfc(-x) - 2.0) <= 1e-12
+            assert abs(math.erfc(x) + math.erfc(-x) - 2.0) <= 1e-12
 
     @given(x=st.floats(min_value=-10, max_value=10))
     def test_reflection_identity_property(self, x):
-        assert abs(erfc(x) + erfc(-x) - 2.0) <= 1e-12
+        assert abs(math.erfc(x) + math.erfc(-x) - 2.0) <= 1e-12
 
     def test_strictly_decreasing_on_grid(self):
         # strict decrease where doubles can resolve it; past |x| ~ 6 the value
         # saturates at 2.0 or underflows and only non-increase is meaningful
-        values = [erfc(x / 8.0) for x in range(-40, 41)]
+        values = [math.erfc(x / 8.0) for x in range(-40, 41)]
         assert all(a > b for a, b in zip(values, values[1:]))
-        wide = [erfc(x / 8.0) for x in range(-120, 121)]
+        wide = [math.erfc(x / 8.0) for x in range(-120, 121)]
         assert all(a >= b for a, b in zip(wide, wide[1:]))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite(self, bad):
-        with pytest.raises(ValueError):
-            erfc(bad)
+        # the tail formula refuses non-finite counts before erfc sees them
+        with pytest.raises(InvalidConfigError):
+            gaussian_tail_probability((bad, 1, 1, 1))
 
     def test_large_argument_underflows_cleanly(self):
-        assert 0.0 <= erfc(30.0) < 1e-300
+        assert 0.0 <= math.erfc(30.0) < 1e-300
 
 
 class TestHalfSpace:
@@ -170,16 +177,16 @@ class TestHalfSpace:
     def test_unit_example(self):
         # coefficients sqrt(2/n_k) = 1 put the plane sum z_k = 2 at distance 1
         assert _rounds_for_plane((1.0,) * 4, 2.0) == (2.0,) * 4
-        assert gaussian_tail_probability((2, 2, 2, 2)) == pytest.approx(erfc(1.0), rel=1e-15)
+        assert gaussian_tail_probability((2, 2, 2, 2)) == pytest.approx(math.erfc(1.0), rel=1e-15)
 
     def test_chsh_single_round_distance(self):
         assert gaussian_tail_probability((1, 1, 1, 1)) == pytest.approx(
-            erfc(math.sqrt(0.5)), rel=1e-14
+            math.erfc(math.sqrt(0.5)), rel=1e-14
         )
 
     def test_chsh_25_round_distance(self):
         assert gaussian_tail_probability((25,) * 4) == pytest.approx(
-            erfc(math.sqrt(12.5)), rel=1e-14
+            math.erfc(math.sqrt(12.5)), rel=1e-14
         )
 
     @given(
