@@ -8,6 +8,8 @@ seeded Monte Carlo simulation.
 The package root holds the three routes, their inputs and their errors;
 everything else is importable from its submodule (``chshprob.model``,
 ``chshprob.montecarlo``, ``chshprob.walks``, ``chshprob.cli``).
+``estimate_violation_probability`` is loaded on first access, so importing
+the package does not import numpy.
 """
 
 from .errors import CorruptRecordError, InvalidConfigError, LimitError
@@ -18,7 +20,6 @@ from .model import (
     analytic_violation_probability,
     exact_violation_probability,
 )
-from .montecarlo import estimate_violation_probability
 
 __version__ = "0.1.0"
 
@@ -33,3 +34,12 @@ __all__ = [
     "estimate_violation_probability",
     "exact_violation_probability",
 ]
+
+
+def __getattr__(name: str):
+    # PEP 562: only the sampler needs numpy, so it is imported on first use
+    if name == "estimate_violation_probability":
+        from .montecarlo import estimate_violation_probability
+
+        return estimate_violation_probability
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -32,7 +32,6 @@ from .model import (
     is_violation,
     tally,
 )
-from .montecarlo import estimate_violation_probability
 
 # Fixed default seed: runs are reproducible out of the box, never wall-clock.
 DEFAULT_SEED = 42
@@ -222,6 +221,9 @@ def cmd_approx(args: argparse.Namespace) -> int:
 
 
 def cmd_mc(args: argparse.Namespace) -> int:
+    # imported here so that only mc pays for numpy
+    from .montecarlo import estimate_violation_probability
+
     config = _parse_config(args.rounds)
     estimate = estimate_violation_probability(
         config, args.trials, args.seed, args.threshold, workers=args.workers

@@ -1,5 +1,7 @@
+import concurrent.futures
 import math
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -145,6 +147,11 @@ class TestWilsonInterval:
         low, high = wilson_interval(hits, trials)
         assert 0.0 <= low <= hits / trials <= high <= 1.0
 
+    def test_z_is_the_exact_normal_quantile(self):
+        # the literal must be this double to the last bit: ci_low and ci_high
+        # are written to CSV at full precision
+        assert montecarlo._Z95 == NormalDist().inv_cdf(0.975)
+
     def test_rejects_bad_counts(self):
         with pytest.raises(InvalidConfigError):
             wilson_interval(5, 0)
@@ -194,6 +201,42 @@ class TestEstimate:
             )
             assert sequential == parallel
             assert sequential.stream == STREAM_VERSION == 2
+
+    def test_pool_never_outgrows_the_batches_or_the_cores(self, monkeypatch):
+        # a stand-in pool that records its size and maps in this process, so
+        # no worker is ever started whatever workers= asks for
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        config = ExperimentConfig((1, 1, 1, 1))
+        batch = _batch_trials(config.rounds)
+        for batches, workers, cpus, expected in (
+            (2, 5000, 64, 2),
+            (10, 5000, 3, 3),
+            (10, 5000, None, 1),
+            (10, 2, 64, 2),
+        ):
+            monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+            sizes.clear()
+            sequential = estimate_violation_probability(config, batches * batch, seed=7)
+            pooled = estimate_violation_probability(
+                config, batches * batch, seed=7, workers=workers
+            )
+            assert sizes == [expected]
+            assert pooled == sequential
 
     def test_strict_hits_never_exceed_nonstrict(self):
         config = ExperimentConfig((3, 2, 2, 3))

@@ -4,6 +4,8 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import chshprob
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -35,3 +37,14 @@ def test_package_root_is_the_documented_api():
         "LimitError",
     ])
     assert all(hasattr(chshprob, name) for name in chshprob.__all__)
+
+
+def test_star_import_binds_every_public_name_and_unknown_names_fail():
+    namespace: dict = {}
+    exec("from chshprob import *", namespace)
+    assert set(chshprob.__all__) <= namespace.keys()
+    assert namespace["estimate_violation_probability"] is (
+        chshprob.montecarlo.estimate_violation_probability
+    )
+    with pytest.raises(AttributeError):
+        chshprob.no_such_name
