@@ -2,7 +2,7 @@
 
 Data goes to stdout as text, CSV, or JSON; diagnostics and warnings go to
 stderr.  Exit codes: 0 success, 1 usage or validation error, 2 enumeration
-budget or step-limit error.
+budget exceeded.
 """
 
 from __future__ import annotations
@@ -207,6 +207,10 @@ def cmd_exact(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print(f"hint: chshprob approx {rounds}", file=sys.stderr)
         return 2
+    # p = k / 2**N prints k in full: N*log10(2) digits, past the interpreter's
+    # default 4300-digit int-to-str limit once N > 14284
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     row = _result_row(result.method, result.threshold, config, result.value)
     _write_rows([row], RESULT_FIELDS, args.format, sys.stdout)
     return 0
@@ -222,7 +226,11 @@ def cmd_approx(args: argparse.Namespace) -> int:
 
 def cmd_mc(args: argparse.Namespace) -> int:
     # imported here so that only mc pays for numpy
-    from .montecarlo import estimate_violation_probability
+    try:
+        from .montecarlo import estimate_violation_probability
+    except ImportError as exc:
+        print(f"error: mc needs numpy >= 2.0 ({exc})", file=sys.stderr)
+        return 1
 
     config = _parse_config(args.rounds)
     estimate = estimate_violation_probability(
@@ -371,8 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=DEFAULT_ENUMERATION_BUDGET,
-        help="max lattice size prod(n_k+1) to accept; a size cap, not the work done "
-        "(default %(default)s)",
+        help="max work of the exact plan to accept: table entries, streamed pairs and "
+        "row entries, weighted by integer width; the default accepts what runs in "
+        "about a second or less (default %(default)s)",
     )
     exact.set_defaults(func=cmd_exact)
 

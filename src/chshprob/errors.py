@@ -10,4 +10,4 @@ class CorruptRecordError(ValueError):
 
 
 class LimitError(RuntimeError):
-    """A computation was refused because it exceeds a configured size budget."""
+    """A computation was refused because it exceeds a configured work budget."""

@@ -5,9 +5,10 @@ integers, so downstream probabilities stay bit-exact; the exact kernel in
 :mod:`chshprob.model` reads it directly.  ``walk_pmf`` is a dyadic-rational
 view of the same row as the walk's endpoint distribution.
 
-Length limits are decided by the caller (:mod:`chshprob.model` refuses
-exact work before any row is built).  All functions are pure; every value
-is safe to share across workers.
+Lengths are not limited here: :mod:`chshprob.model` prices the rows of
+its plan in the enumeration budget and refuses over-budget work before any
+row is built.  All functions are pure; every value is safe to share across
+workers.
 """
 
 from __future__ import annotations

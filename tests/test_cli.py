@@ -70,15 +70,29 @@ class TestProbabilityCommands:
         assert Fraction(row["value"]) == Fraction(5, 8)
 
     def test_exact_budget_exceeded_exits_2_and_points_to_approx(self, capsys):
-        code, out, err = run_cli(capsys, "exact", "200", "200", "200", "200")
+        code, out, err = run_cli(capsys, "exact", "1001", "1002", "1003", "1004")
         assert code == 2
         assert out == ""
         assert "approx" in err
 
     def test_exact_step_limit_exits_2(self, capsys):
-        code, _, err = run_cli(capsys, "exact", "5000", "1", "1", "1")
+        # no separate step limit: the budget prices the long row
+        code, _, err = run_cli(capsys, "exact", "1000000", "1", "1", "1")
         assert code == 2
         assert "approx" in err
+
+    def test_exact_prints_fractions_past_the_int_digit_limit(self, capsys):
+        # 2**14303 has 4306 digits; (1,1,1,L) violates strictly with
+        # p = (2**L - 1) / 2**(L + 2)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        try:
+            code, out, _ = run_cli(capsys, "exact", "1", "1", "1", "14300")
+            assert code == 0
+            (row,) = parse_csv(out)
+            assert Fraction(row["value"]) == Fraction(2**14300 - 1, 2**14302)
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
 
     def test_exact_custom_budget_flag(self, capsys):
         code, _, err = run_cli(capsys, "exact", "2", "2", "2", "2", "--budget", "10")

@@ -53,7 +53,9 @@ def run_child(mode, argv):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    return json.loads(result.stdout.splitlines()[-1])
+    report = json.loads(result.stdout.splitlines()[-1])
+    report["stderr"] = result.stderr
+    return report
 
 
 @pytest.mark.parametrize("argv", NON_MC_COMMANDS, ids=" ".join)
@@ -70,3 +72,12 @@ def test_single_worker_mc_does_not_import_the_pool():
     assert report["code"] == 0
     assert report["numpy"]
     assert not report["pool"]
+
+
+def test_mc_without_numpy_exits_1_with_one_error_line():
+    report = run_child("block", ["mc", "1", "1", "1", "1", "--trials", "10"])
+    assert report["code"] == 1
+    assert report["stdout"] == ""
+    lines = report["stderr"].splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: mc needs numpy >= 2.0")
+    assert "Traceback" not in report["stderr"]

@@ -4,11 +4,12 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chshprob.errors import CorruptRecordError, InvalidConfigError, LimitError
 from chshprob.model import (
+    DEFAULT_ENUMERATION_BUDGET,
     MAXIMAL_VIOLATION_RECORDS,
     NON_STRICT,
     STRICT,
@@ -17,6 +18,7 @@ from chshprob.model import (
     RoundTally,
     analytic_violation_probability,
     chsh_correlation,
+    enumeration_cost,
     exact_violation_probability,
     gaussian_tail_probability,
     is_violation,
@@ -29,6 +31,17 @@ from oracles import (
 )
 
 small_rounds = st.tuples(*[st.integers(min_value=1, max_value=4)] * 4)
+
+
+@st.composite
+def grouped_rounds(draw):
+    """Four counts with exactly k distinct values for a drawn k in 1..4, so
+    the exact kernel's plans with 1, 2, 3 and 4 groups of equal counts
+    all occur."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    pool = draw(st.lists(st.integers(min_value=1, max_value=10), min_size=k, max_size=k, unique=True))
+    extra = draw(st.lists(st.sampled_from(pool), min_size=4 - k, max_size=4 - k))
+    return tuple(draw(st.permutations(pool + extra)))
 
 
 class TestConfig:
@@ -161,7 +174,9 @@ class TestExactProbability:
         assert (1 << 8) % value.denominator == 0
 
     @pytest.mark.parametrize("threshold", [STRICT, NON_STRICT])
-    @pytest.mark.parametrize("rounds", [(1, 1, 1, 1), (2, 2, 2, 2), (1, 2, 3, 4), (2, 1, 1, 2), (3, 3, 1, 1), (1, 1, 2, 5)])
+    @pytest.mark.parametrize(
+        "rounds", [(1, 1, 1, 1), (2, 2, 2, 2), (1, 2, 3, 4), (2, 1, 1, 2), (3, 3, 1, 1), (1, 1, 2, 5), (1, 1, 2, 3)]
+    )
     def test_matches_raw_sequence_enumeration(self, rounds, threshold):
         expected = brute_force_violation_probability(rounds, threshold)
         value = exact_violation_probability(ExperimentConfig(rounds), threshold).value
@@ -183,16 +198,41 @@ class TestExactProbability:
             expected = lattice_violation_probability(rounds, threshold)
             assert exact_violation_probability(config, threshold).value == expected
 
+    @given(rounds=grouped_rounds())
+    @example(rounds=(3, 3, 3, 3))
+    @example(rounds=(2, 7, 7, 7))
+    @example(rounds=(5, 1, 5, 2))
+    @example(rounds=(4, 1, 6, 9))
+    @settings(max_examples=25, deadline=None)
+    def test_repeated_counts_match_lattice_sum(self, rounds):
+        # repeated counts merge into one walk per distinct count
+        config = ExperimentConfig(rounds)
+        for threshold in (STRICT, NON_STRICT):
+            expected = lattice_violation_probability(rounds, threshold)
+            assert exact_violation_probability(config, threshold).value == expected
+
     @pytest.mark.parametrize("threshold", [STRICT, NON_STRICT])
-    @pytest.mark.parametrize("n", [5, 20, 99])
-    def test_equal_split_is_one_long_walk(self, n, threshold):
-        # with n rounds everywhere, n*C is the endpoint 2k - 4n of one
-        # 4n-step walk (the (1,2) sign flips a symmetric channel); C > 2 is
-        # k > 3n, and C < -2 has the same count by symmetry
-        k_min = 3 * n + (threshold == STRICT)
-        tail = sum(math.comb(4 * n, k) for k in range(k_min, 4 * n + 1))
-        value = exact_violation_probability(ExperimentConfig((n,) * 4), threshold).value
-        assert value == Fraction(2 * tail, 2 ** (4 * n))
+    @pytest.mark.parametrize(
+        "rounds",
+        [pytest.param((n,) * 4, id=str(n)) for n in (5, 20, 99)]
+        + [pytest.param((u, 10 * u, 10 * u, 10 * u), id=f"{u}-{10 * u}x3") for u in (1, 4)],
+    )
+    def test_equal_split_is_one_long_walk(self, rounds, threshold):
+        # channels (1,2), (2,1), (2,2) all have v rounds, so with v = k*u and
+        # u rounds in channel (1,1), v*C = k*m1 + M where M is the endpoint
+        # 2j - 3v of one 3v-step walk (the (1,2) sign flips a symmetric
+        # channel) and m1 = 2i - u
+        u, v = rounds[0], rounds[1]
+        k = v // u
+        bound = 2 * v + (threshold == STRICT)
+        count = sum(
+            math.comb(u, i) * math.comb(3 * v, j)
+            for i in range(u + 1)
+            for j in range(3 * v + 1)
+            if abs(k * (2 * i - u) + 2 * j - 3 * v) >= bound
+        )
+        value = exact_violation_probability(ExperimentConfig(rounds), threshold).value
+        assert value == Fraction(count, 2 ** (u + 3 * v))
 
     @given(rounds=small_rounds)
     @settings(max_examples=25, deadline=None)
@@ -214,14 +254,31 @@ class TestExactProbability:
             assert exact_violation_probability(ExperimentConfig(permuted), STRICT).value == strict
 
     def test_budget_rejection(self):
-        with pytest.raises(LimitError):
-            exact_violation_probability(ExperimentConfig((100, 100, 100, 100)))
+        # four large distinct counts: two big tables of wide integers
+        with pytest.raises(LimitError, match="over the budget"):
+            exact_violation_probability(ExperimentConfig((1001, 1002, 1003, 1004)))
         with pytest.raises(LimitError):
             exact_violation_probability(ExperimentConfig((3, 3, 3, 3)), budget=100)
+        # the budget is inclusive: a config costing exactly the budget runs
+        config = ExperimentConfig((2, 3, 3, 5))
+        cost = enumeration_cost(config)
+        assert exact_violation_probability(config, budget=cost).value == lattice_violation_probability(
+            config.rounds, STRICT
+        )
+        with pytest.raises(LimitError):
+            exact_violation_probability(config, budget=cost - 1)
+        # the price counts integer width: one 65536-step row (seconds and
+        # hundreds of MiB) is over the default budget, the 16384-step walk
+        # of (4096,)*4 (about 0.1 s) within it
+        assert enumeration_cost(ExperimentConfig((1, 1, 1, 65536))) > DEFAULT_ENUMERATION_BUDGET
+        assert enumeration_cost(ExperimentConfig((4096,) * 4)) <= DEFAULT_ENUMERATION_BUDGET
 
     def test_step_limit_rejection(self):
-        with pytest.raises(LimitError):
-            exact_violation_probability(ExperimentConfig((4097, 1, 1, 1)))
+        # no separate step limit: one very long channel is refused by the
+        # price of its binomial row alone
+        for rounds in ((10**6, 1, 1, 1), (1, 1, 1, 10**9)):
+            with pytest.raises(LimitError, match="over the budget"):
+                exact_violation_probability(ExperimentConfig(rounds))
 
 
 class TestAnalyticProbability:

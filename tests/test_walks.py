@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from chshprob import model
 from chshprob.errors import InvalidConfigError, LimitError
-from chshprob.model import DEFAULT_STEP_LIMIT, gaussian_tail_probability
+from chshprob.model import gaussian_tail_probability
 from chshprob.walks import binomial_row, walk_pmf
 from oracles import brute_force_walk_distribution, erfc_series, gaussian_density
 
@@ -69,20 +69,24 @@ class TestWalkPmf:
                 build(2.0)
 
     def test_step_limit(self, monkeypatch):
-        # the exact route refuses an over-long channel before it builds any row
+        # the exact route refuses over-budget work before it builds any row:
+        # a very long channel, or four large distinct counts
         def no_rows(n):
             raise AssertionError(f"binomial_row({n}) built before the refusal")
 
         monkeypatch.setattr(model, "binomial_row", no_rows)
-        for rounds in ((DEFAULT_STEP_LIMIT + 1, 1, 1, 1), (1, 1, 4000, 5000)):
-            message = f"walk length {max(rounds)} exceeds the step limit {DEFAULT_STEP_LIMIT}"
-            with pytest.raises(LimitError, match=message):
+        for rounds in ((10**6, 1, 1, 1), (10**9, 1, 1, 1), (1001, 1002, 1003, 1004)):
+            with pytest.raises(LimitError, match="over the budget"):
                 model.exact_violation_probability(model.ExperimentConfig(rounds))
         monkeypatch.undo()
-        # a channel at the limit is accepted
-        model.exact_violation_probability(model.ExperimentConfig((1, 1, 1, DEFAULT_STEP_LIMIT)))
+        # one long channel alone is cheap, and accepted past 4096 steps: with
+        # one round in each other channel, |C| > 2 needs -m2 + m3 + m4 = +-3
+        # (2 of 8 patterns) and then every m1 but the one that cancels it
+        n = 4097
+        value = model.exact_violation_probability(model.ExperimentConfig((n, 1, 1, 1))).value
+        assert value == Fraction(2**n - 1, 2 ** (n + 2))
 
-    @given(n=st.integers(min_value=1, max_value=DEFAULT_STEP_LIMIT))
+    @given(n=st.integers(min_value=1, max_value=4096))
     @settings(max_examples=10, deadline=None)
     def test_binomial_row_matches_comb(self, n):
         row = binomial_row(n)
