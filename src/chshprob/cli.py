@@ -82,6 +82,11 @@ class SweepRequest:
             raise InvalidConfigError("sweep needs at least one total round count")
         if values[0] < 1:
             raise InvalidConfigError(f"total round counts must be positive, got {values[0]}")
+        # continuous splits are floats; an integer count stays exact at any size
+        if self.continuous and values[-1] > sys.float_info.max:
+            raise InvalidConfigError(
+                f"continuous totals must be at most {sys.float_info.max!r} (the float range)"
+            )
 
 
 def default_totals(variant: str) -> tuple[int, ...]:

@@ -317,13 +317,20 @@ def gaussian_tail_probability(rounds: Sequence[float]) -> float:
     rotation invariant, and this is erfc of the distance from the origin to
     the boundary plane C = 2.  Accurate for large counts, increasingly
     optimistic for very small ones.  Accepts non-integer counts so
-    continuous sweeps can evaluate the same formula.
+    continuous sweeps can evaluate the same formula.  Integer counts may lie
+    past float range: 1 / n rounds correctly for any int, and when every 1/n
+    underflows to 0 the tail is 0.0, as erfc of a huge distance is.
     """
     if not rounds or any(
-        not (isinstance(n, (int, float)) and math.isfinite(n) and n > 0) for n in rounds
+        not (
+            isinstance(n, int) and n > 0
+            or isinstance(n, float) and math.isfinite(n) and n > 0
+        )
+        for n in rounds
     ):
         raise InvalidConfigError(f"round counts must be positive and finite, got {tuple(rounds)}")
-    return math.erfc(math.sqrt(2.0 / math.fsum(1.0 / n for n in rounds)))
+    inverse_sum = math.fsum(1 / n for n in rounds)
+    return math.erfc(math.sqrt(2.0 / inverse_sum)) if inverse_sum else 0.0
 
 
 def analytic_violation_probability(config: ExperimentConfig) -> ViolationProbability:

@@ -14,9 +14,17 @@ that follow channels 1..k-1, and its +1 count is a popcount over them.
 ``STREAM_VERSION`` names this layout; version 1 was one int8 draw per round
 per channel.  Hit counts differ between versions for the same seed.
 
+A short row, one whose 2**sum(n_k) possible values fit in one batch
+(sum(n_k) <= 16), is not counted channel by channel: the low sum(n_k) bits
+of its word index a table of which rows violate.  The table is built once
+per process per (rounds, threshold) by the same counting and comparison
+that long rows run, so both read the same stream and give the same hits.
+
 The process pool is imported only when a run asks for ``workers > 1`` and
 has more than one batch, and it starts at most min(workers, batches, CPU
-count) processes; the worker count never changes the hits.
+count) processes, each summing every pool-size-th batch; the worker count
+never changes the hits.  Batches are made one at a time, so memory does not
+grow with the trial count.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from itertools import accumulate
 
 import numpy as np
@@ -133,6 +142,42 @@ def _count_ones(bits: np.ndarray, first_word: int, offsets: list[int], ones: np.
                 ones[boundary] -= below
 
 
+def _violations(rounds: tuple[int, ...], ones: np.ndarray, threshold: str) -> np.ndarray:
+    """Which trials violate, given each channel's +1 counts ``ones`` (channels x trials).
+
+    Compares the integer sum_k sign_k*q_k*m_k, with m_k = 2*ones_k - n_k and
+    q_k = lcm(rounds)/n_k, against 2*lcm(rounds): the correlation inequality
+    with denominators cleared.  int64 covers any |sum| up to 4*lcm, and
+    configurations beyond that accumulate Python integers.
+    """
+    scale = math.lcm(*rounds)
+    bound = 2 * scale
+    dtype = np.int64 if 4 * scale < 2**62 else object
+    acc = np.zeros(ones.shape[1], dtype=dtype)
+    for sign, n, plus in zip(CHANNEL_SIGNS, rounds, ones):
+        sums = 2 * plus - n
+        acc += sign * (scale // n) * sums.astype(dtype, copy=False)
+    magnitudes = np.abs(acc)
+    if threshold == STRICT:
+        return magnitudes > bound
+    return magnitudes >= bound
+
+
+@lru_cache
+def _violation_table(rounds: tuple[int, ...], threshold: str) -> np.ndarray:
+    """``table[r]``: whether the one-word row ``r`` violates, for every r < 2**sum(rounds).
+
+    Counted by ``_count_ones`` and compared by ``_violations``, exactly as
+    ``_batch_hits`` treats drawn rows.  Read-only, since every caller shares it.
+    """
+    rows = np.arange(1 << sum(rounds), dtype=np.uint64)[:, np.newaxis]
+    ones = np.zeros((len(rounds), len(rows)), dtype=np.int64)
+    _count_ones(rows, 0, list(accumulate(rounds, initial=0)), ones)
+    table = _violations(rounds, ones, threshold)
+    table.flags.writeable = False
+    return table
+
+
 def _batch_hits(
     rounds: tuple[int, ...],
     seed: int,
@@ -144,18 +189,25 @@ def _batch_hits(
 
     The substream's raw PCG64 words are read in order as ``count`` packed
     rows of ceil(sum(n_k) / 64) words, trial after trial; channel k's
-    rounds are the n_k bits after channels 1..k-1, bit 1 a +1 round.  Rows
-    are drawn a group of trials at a time, or a row in pieces when it is
-    longer than WORD_BUDGET, so no draw holds more than WORD_BUDGET words;
-    sequential draws read the same stream as one.  The violation test
-    compares the integer sum_k sign_k*q_k*m_k against 2*lcm(rounds), which
-    is the correlation inequality with denominators cleared; int64 covers
-    any |sum| up to 4*lcm, and configurations beyond that accumulate
-    Python integers.
+    rounds are the n_k bits after channels 1..k-1, bit 1 a +1 round.
+
+    A row of w = sum(n_k) bits with 2**w <= MAX_BATCH_TRIALS is looked up:
+    the low w bits of its word index ``_violation_table``, which holds the
+    verdict on every such row.  Longer rows are counted channel by channel
+    by ``_count_ones`` and compared by ``_violations``.  They are drawn a
+    group of trials at a time, or a row in pieces when it is longer than
+    WORD_BUDGET, so no draw holds more than WORD_BUDGET words; sequential
+    draws read the same stream as one.
     """
     bit_generator = np.random.PCG64(
         np.random.SeedSequence(entropy=_seed_entropy(seed), spawn_key=(batch_index,))
     )
+    width = sum(rounds)
+    if 1 << width <= MAX_BATCH_TRIALS:
+        # int64 is numpy's index type, so take() indexes without a conversion
+        low_bits = bit_generator.random_raw(count).view(np.int64) & ((1 << width) - 1)
+        return int(np.count_nonzero(_violation_table(rounds, threshold).take(low_bits)))
+
     offsets = list(accumulate(rounds, initial=0))
     words = _row_words(rounds)
     rows = max(1, WORD_BUDGET // words)
@@ -166,18 +218,27 @@ def _batch_hits(
         for first_word in range(0, words, piece):
             shape = (group.shape[1], min(piece, words - first_word))
             _count_ones(bit_generator.random_raw(shape), first_word, offsets, group)
+    return int(np.count_nonzero(_violations(rounds, ones, threshold)))
 
-    scale = math.lcm(*rounds)
-    bound = 2 * scale
-    dtype = np.int64 if 4 * scale < 2**62 else object
-    acc = np.zeros(count, dtype=dtype)
-    for sign, n, plus in zip(CHANNEL_SIGNS, rounds, ones):
-        sums = 2 * plus - n
-        acc += sign * (scale // n) * sums.astype(dtype, copy=False)
-    magnitudes = np.abs(acc)
-    if threshold == STRICT:
-        return int(np.count_nonzero(magnitudes > bound))
-    return int(np.count_nonzero(magnitudes >= bound))
+
+def _strided_hits(
+    rounds: tuple[int, ...],
+    seed: int,
+    trials: int,
+    threshold: str,
+    stride: int,
+    first: int,
+) -> int:
+    """Hits summed over batches first, first + stride, ... of a ``trials``-trial run.
+
+    Batches are made one at a time, so no input makes the run hold a
+    per-batch list; the last batch takes the trials left over.
+    """
+    batch = _batch_trials(rounds)
+    return sum(
+        _batch_hits(rounds, seed, index, min(batch, trials - index * batch), threshold)
+        for index in range(first, -(-trials // batch), stride)
+    )
 
 
 def estimate_violation_probability(
@@ -199,20 +260,18 @@ def estimate_violation_probability(
         raise InvalidConfigError(f"trials must be >= 1, got {trials}")
     if workers < 1:
         raise InvalidConfigError(f"workers must be >= 1, got {workers}")
-    batch = _batch_trials(config.rounds)
-    spans = [
-        (config.rounds, seed, index, min(batch, trials - start), threshold)
-        for index, start in enumerate(range(0, trials, batch))
-    ]
-    if workers > 1 and len(spans) > 1:
+    batches = -(-trials // _batch_trials(config.rounds))
+    if workers > 1 and batches > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        # more processes than batches or cores only cost start-up time
-        pool_size = min(workers, len(spans), os.cpu_count() or 1)
+        # more processes than batches or cores only cost start-up time; each
+        # process sums every pool_size-th batch
+        pool_size = min(workers, batches, os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            hits = sum(pool.map(_batch_hits, *zip(*spans)))
+            task = partial(_strided_hits, config.rounds, seed, trials, threshold, pool_size)
+            hits = sum(pool.map(task, range(pool_size)))
     else:
-        hits = sum(_batch_hits(*span) for span in spans)
+        hits = _strided_hits(config.rounds, seed, trials, threshold, stride=1, first=0)
 
     low, high = wilson_interval(hits, trials)
     return McEstimate(

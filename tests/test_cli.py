@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from chshprob.cli import MC_FIELDS, SweepRequest, default_totals, main, split_rounds, sweep_rows
+from chshprob.errors import InvalidConfigError
 from chshprob.model import (
     NON_STRICT,
     STRICT,
@@ -105,6 +106,20 @@ class TestProbabilityCommands:
         assert float(row["value"]) == pytest.approx(0.3173105078629141, rel=1e-13)
         # repr round-trip: the printed string parses back to the same float
         assert repr(float(row["value"])) == row["value"]
+
+    def test_approx_counts_past_float_range(self, capsys):
+        # 1/10**400 underflows to 0, leaving erfc(sqrt(2/3)); with every count
+        # that large the tail is 0.0
+        huge = str(10**400)
+        code, out, _ = run_cli(capsys, "approx", huge, "1", "1", "1")
+        assert code == 0
+        (row,) = parse_csv(out)
+        assert row["value"] == "0.24821307898992362"
+        assert row["n1"] == huge
+        code, out, _ = run_cli(capsys, "approx", huge, huge, huge, huge)
+        assert code == 0
+        (row,) = parse_csv(out)
+        assert row["value"] == "0.0"
 
     def test_mc_row(self, capsys):
         code, out, _ = run_cli(
@@ -256,6 +271,25 @@ class TestSweep:
         rows = parse_csv(out)
         assert all(row["error"] == "" for row in rows)
         assert float(rows[0]["n1"]) == pytest.approx(10 / 301)
+
+    def test_totals_past_float_range(self, capsys):
+        huge = 10**400
+        code, out, _ = run_cli(capsys, "sweep", "--n-values", str(huge), "8")
+        assert code == 0
+        rows = parse_csv(out)
+        assert [row["N"] for row in rows] == ["8", str(huge)]
+        assert rows[1]["n1"] == str(huge // 4)
+        assert rows[1]["p_analytic"] == "0.0"
+        # continuous splits are floats: refused before any row is built
+        code, out, err = run_cli(capsys, "sweep", "--continuous", "--n-values", str(huge), "8")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        largest = int(sys.float_info.max)
+        (row,) = sweep_rows(SweepRequest("ratio100", (largest,), continuous=True))
+        assert row["n4"] == largest * 100 / 301
+        with pytest.raises(InvalidConfigError):
+            SweepRequest("equal", (largest + 1,), continuous=True)
 
     def test_variant_ordering_on_a_common_grid(self):
         grids = {

@@ -303,6 +303,13 @@ class TestAnalyticProbability:
         reference = math.erfc(math.sqrt(2.0 / sum(1.0 / n for n in rounds)))
         assert value == pytest.approx(reference, rel=1e-12)
 
+    @given(rounds=st.tuples(*[st.integers(min_value=1, max_value=2**53)] * 4))
+    def test_integer_counts_keep_their_float_bytes(self, rounds):
+        # int / int rounds correctly, as 1.0 / float(n) does while n is exact
+        # in a float, so every count below 2**53 prints the same value
+        reference = math.erfc(math.sqrt(2.0 / math.fsum(1.0 / float(n) for n in rounds)))
+        assert gaussian_tail_probability(rounds) == reference
+
     @given(
         rounds=st.tuples(*[st.integers(min_value=1, max_value=200)] * 4),
         bumps=st.tuples(*[st.integers(min_value=0, max_value=50)] * 4),

@@ -1,5 +1,7 @@
 import concurrent.futures
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from statistics import NormalDist
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from chshprob.cli import main
 from chshprob.errors import InvalidConfigError
 from chshprob.model import (
     NON_STRICT,
@@ -18,10 +21,12 @@ from chshprob.model import (
 )
 from chshprob import montecarlo
 from chshprob.montecarlo import (
+    MAX_BATCH_TRIALS,
     STREAM_VERSION,
     _batch_hits,
     _batch_trials,
     _row_words,
+    _violation_table,
     estimate_violation_probability,
     wilson_interval,
 )
@@ -111,6 +116,44 @@ class TestSimulateExperiment:
             expected = replay_hits(rounds, 13, 0, 64, threshold)
             assert _batch_hits(rounds, 13, 0, 64, threshold) == expected == whole[threshold]
 
+    def test_short_rows_are_looked_up_and_longer_rows_counted(self, monkeypatch):
+        # 2**16 possible rows fill one batch, so (4,4,4,4) builds its table
+        # from every one-word row; (4,4,4,5) counts its drawn rows directly
+        assert MAX_BATCH_TRIALS == 1 << 16
+        shapes = []
+        count_ones = montecarlo._count_ones
+
+        def recording(bits, *args):
+            shapes.append(bits.shape)
+            count_ones(bits, *args)
+
+        monkeypatch.setattr(montecarlo, "_count_ones", recording)
+        _violation_table.cache_clear()
+        for rounds, counted in (((4, 4, 4, 4), [(1 << 16, 1)]), ((4, 4, 4, 5), [(4096, 1)])):
+            shapes.clear()
+            for threshold in (STRICT, NON_STRICT):
+                expected = replay_hits(rounds, 13, 0, 4096, threshold)
+                assert _batch_hits(rounds, 13, 0, 4096, threshold) == expected, (rounds, threshold)
+            assert shapes == counted * 2, rounds
+
+    def test_table_is_built_once_per_rounds_and_threshold(self, monkeypatch):
+        calls = []
+        count_ones = montecarlo._count_ones
+
+        def counting(*args):
+            calls.append(args[0].shape)
+            count_ones(*args)
+
+        monkeypatch.setattr(montecarlo, "_count_ones", counting)
+        _violation_table.cache_clear()
+        config = ExperimentConfig((2, 2, 2, 2))
+        trials = 4 * _batch_trials(config.rounds)
+        estimate_violation_probability(config, trials, seed=1, threshold=STRICT)
+        assert calls == [(256, 1)]
+        estimate_violation_probability(config, trials, seed=2, threshold=STRICT)
+        assert len(calls) == 1
+        assert not _violation_table(config.rounds, STRICT).flags.writeable
+
     def test_channel_sums_follow_walk_distribution(self):
         # frequency check of each channel endpoint against the exact pmf
         trials = 20_000
@@ -122,6 +165,26 @@ class TestSimulateExperiment:
             for k in range(4):
                 frequency = sum(1 for trial in sums if trial[k] == m) / trials
                 assert abs(frequency - p) <= 3 * sigma, (m, k)
+
+
+class TestViolationTable:
+    """``_violation_table`` against the correlation of each row, decoded bit by bit."""
+
+    @pytest.mark.parametrize(
+        "rounds",
+        [r for r in itertools.product(range(1, 5), repeat=4) if sum(r) <= 7],
+    )
+    def test_every_row_of_every_short_config(self, rounds):
+        offsets = [sum(rounds[:k]) for k in range(4)]
+        for threshold in (STRICT, NON_STRICT):
+            table = _violation_table(rounds, threshold)
+            assert table.shape == (1 << sum(rounds),)
+            for row in range(1 << sum(rounds)):
+                correlation = sum(
+                    sign * Fraction(2 * bin((row >> o) & ((1 << n) - 1)).count("1") - n, n)
+                    for sign, o, n in zip((1, -1, 1, 1), offsets, rounds)
+                )
+                assert table[row] == is_violation(correlation, threshold), (rounds, threshold, row)
 
 
 class TestWilsonInterval:
@@ -264,6 +327,39 @@ class TestEstimate:
         a = estimate_violation_probability(config, 50_000, seed=-1)
         b = estimate_violation_probability(config, 50_000, seed=-1)
         assert a == b
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_stream_2_hit_counts(self, workers):
+        # recorded from the stream-2 sampler before short rows were looked up;
+        # a change to these values is a new stream and needs a new STREAM_VERSION
+        assert STREAM_VERSION == 2
+        for rounds, trials, seed, strict, nonstrict in (
+            ((2, 2, 2, 2), 4_000_000, 42, 280805, 1155620),
+            ((4, 4, 4, 4), 200_000, 7, 4259, 15355),
+            ((4, 4, 4, 5), 200_000, 7, 8273, 9766),
+            ((1, 1, 1000, 1000), 50_000, 42, 12193, 12650),
+        ):
+            config = ExperimentConfig(rounds)
+            for threshold, hits in ((STRICT, strict), (NON_STRICT, nonstrict)):
+                result = estimate_violation_probability(config, trials, seed, threshold, workers=workers)
+                assert result.hits == hits, (rounds, threshold)
+
+    def test_batches_are_made_one_at_a_time(self, monkeypatch, capsys):
+        # 10**9 trials are 15259 batches; nothing per batch may exist before
+        # the first one is drawn
+        def first_batch(*args):
+            raise RuntimeError("first batch reached")
+
+        monkeypatch.setattr(montecarlo, "_batch_hits", first_batch)
+        argv = ["mc", "1", "1", "1", "1", "--trials", str(10**9)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(RuntimeError, match="first batch reached"):
+                main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 1024
 
     def test_bigint_accumulator_matches_replay(self):
         # 4*lcm >= 2**62 here, so sums past int64 accumulate as Python integers
