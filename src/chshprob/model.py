@@ -321,12 +321,9 @@ def gaussian_tail_probability(rounds: Sequence[float]) -> float:
     past float range: 1 / n rounds correctly for any int, and when every 1/n
     underflows to 0 the tail is 0.0, as erfc of a huge distance is.
     """
+    # comparing an int with inf is exact, so counts past float range pass
     if not rounds or any(
-        not (
-            isinstance(n, int) and n > 0
-            or isinstance(n, float) and math.isfinite(n) and n > 0
-        )
-        for n in rounds
+        not (isinstance(n, (int, float)) and 0 < n < math.inf) for n in rounds
     ):
         raise InvalidConfigError(f"round counts must be positive and finite, got {tuple(rounds)}")
     inverse_sum = math.fsum(1 / n for n in rounds)

@@ -203,7 +203,8 @@ def _batch_hits(
         np.random.SeedSequence(entropy=_seed_entropy(seed), spawn_key=(batch_index,))
     )
     width = sum(rounds)
-    if 1 << width <= MAX_BATCH_TRIALS:
+    # 2**width <= MAX_BATCH_TRIALS, without building 2**width for a long row
+    if width < MAX_BATCH_TRIALS.bit_length():
         # int64 is numpy's index type, so take() indexes without a conversion
         low_bits = bit_generator.random_raw(count).view(np.int64) & ((1 << width) - 1)
         return int(np.count_nonzero(_violation_table(rounds, threshold).take(low_bits)))

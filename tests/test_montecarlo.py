@@ -136,6 +136,18 @@ class TestSimulateExperiment:
                 assert _batch_hits(rounds, 13, 0, 4096, threshold) == expected, (rounds, threshold)
             assert shapes == counted * 2, rounds
 
+    def test_a_huge_row_goes_straight_to_counting(self, monkeypatch):
+        # the width test must not build 2**width: here that is 10**12 bits
+        class Counted(Exception):
+            pass
+
+        def counted(*args):
+            raise Counted
+
+        monkeypatch.setattr(montecarlo, "_count_ones", counted)
+        with pytest.raises(Counted):
+            _batch_hits((1, 1, 1, 10**12), 13, 0, 1, STRICT)
+
     def test_table_is_built_once_per_rounds_and_threshold(self, monkeypatch):
         calls = []
         count_ones = montecarlo._count_ones
