@@ -356,7 +356,7 @@ class TestEstimate:
                 result = estimate_violation_probability(config, trials, seed, threshold, workers=workers)
                 assert result.hits == hits, (rounds, threshold)
 
-    def test_batches_are_made_one_at_a_time(self, monkeypatch, capsys):
+    def test_batches_are_made_one_at_a_time(self, monkeypatch):
         # 10**9 trials are 15259 batches; nothing per batch may exist before
         # the first one is drawn
         def first_batch(*args):
