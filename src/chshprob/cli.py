@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CorruptRecordError, InvalidConfigError, LimitError
@@ -25,6 +23,7 @@ from .model import (
     STRICT,
     TSIRELSON_BOUND,
     ExperimentConfig,
+    _Record,
     analytic_violation_probability,
     chsh_correlation,
     exact_violation_probability,
@@ -64,20 +63,22 @@ SWEEP_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class SweepRequest:
+class SweepRequest(_Record):
     """One sweep: a variant, its totals, and which columns to fill."""
 
-    variant: str
-    n_values: tuple[int, ...]
-    include_exact_intervals: bool = False
-    continuous: bool = False
+    __slots__ = ("variant", "n_values", "include_exact_intervals", "continuous")
 
-    def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
-            raise InvalidConfigError(f"unknown variant {self.variant!r}")
-        values = tuple(sorted(set(int(n) for n in self.n_values)))
-        object.__setattr__(self, "n_values", values)
+    def __init__(
+        self,
+        variant: str,
+        n_values: tuple[int, ...],
+        include_exact_intervals: bool = False,
+        continuous: bool = False,
+    ) -> None:
+        if variant not in VARIANTS:
+            raise InvalidConfigError(f"unknown variant {variant!r}")
+        values = tuple(sorted(set(int(n) for n in n_values)))
+        super().__init__(variant, values, include_exact_intervals, continuous)
         if not values:
             raise InvalidConfigError("sweep needs at least one total round count")
         if values[0] < 1:
@@ -133,6 +134,9 @@ def _write_rows(rows: list[dict], fieldnames: tuple[str, ...], fmt: str, out) ->
         writer.writeheader()
         writer.writerows(rows)
         return
+    # imported here so that CSV and text output never load json
+    import json
+
     out.write("[\n")
     for index, row in enumerate(rows):
         tail = "," if index + 1 < len(rows) else ""
@@ -174,6 +178,8 @@ def cmd_toy(args: argparse.Namespace) -> int:
                 "non-strict_decimal": float(nonstrict_p),
             },
         }
+        import json
+
         json.dump(payload, sys.stdout, indent=2)
         sys.stdout.write("\n")
         return 0

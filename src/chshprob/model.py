@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
-from typing import Iterable, Sequence
 
 from .errors import CorruptRecordError, InvalidConfigError, LimitError
 from .walks import binomial_row
@@ -55,15 +54,51 @@ def _check_threshold(threshold: str) -> None:
         raise InvalidConfigError(f"threshold must be one of {THRESHOLDS}, got {threshold!r}")
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class _Record:
+    """An immutable value: its fields are its ``__slots__``, set once by
+    ``__init__``, and equality, hashing, repr, pickling and copying go by
+    the field values."""
+
+    __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # rebuilt through __init__, so an unpickled record is validated too
+        return type(self), self._values()
+
+
+class ExperimentConfig(_Record):
     """Round counts (n1, n2, n3, n4) for the four channels, each >= 1."""
 
-    rounds: tuple[int, int, int, int]
+    __slots__ = ("rounds",)
 
-    def __post_init__(self) -> None:
-        rounds = tuple(self.rounds)
-        object.__setattr__(self, "rounds", rounds)
+    def __init__(self, rounds: tuple[int, int, int, int]) -> None:
+        rounds = tuple(rounds)
+        super().__init__(rounds)
         if len(rounds) != 4:
             raise InvalidConfigError(f"exactly four round counts required, got {len(rounds)}")
         for n in rounds:
@@ -76,20 +111,19 @@ class ExperimentConfig:
         return sum(self.rounds)
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
+class MeasurementRecord(_Record):
     """One measurement row: outcomes a, b, their product c, and the
     polarizer pair (i, j) active at that time step."""
 
-    time_index: int
-    a: int
-    b: int
-    c: int
-    i: int
-    j: int
+    __slots__ = ("time_index", "a", "b", "c", "i", "j")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.time_index, int) or self.time_index < 1:
+    def __init__(self, time_index: int, a: int, b: int, c: int, i: int, j: int) -> None:
+        super().__init__(time_index, a, b, c, i, j)
+        for name in self.__slots__:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise CorruptRecordError(f"{name} must be an integer, got {value!r}")
+        if self.time_index < 1:
             raise CorruptRecordError(f"time_index must be a positive integer, got {self.time_index!r}")
         if self.a not in (-1, 1) or self.b not in (-1, 1):
             raise CorruptRecordError(f"outcomes must be -1 or +1, got a={self.a!r} b={self.b!r}")
@@ -114,24 +148,24 @@ MAXIMAL_VIOLATION_RECORDS = (
 )
 
 
-@dataclass(frozen=True)
-class RoundTally:
+class RoundTally(_Record):
     """Aggregated per-channel counts: m = sum of c outcomes, n = rounds.
 
     Tuples follow the channel order of ``CHANNELS``.  Channels may be empty
     (m=0, n=0); correlation computation rejects those later.
     """
 
-    m: tuple[int, int, int, int]
-    n: tuple[int, int, int, int]
+    __slots__ = ("m", "n")
 
-    def __post_init__(self) -> None:
-        m = tuple(self.m)
-        n = tuple(self.n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
+    def __init__(self, m: tuple[int, int, int, int], n: tuple[int, int, int, int]) -> None:
+        m = tuple(m)
+        n = tuple(n)
+        super().__init__(m, n)
         if len(m) != 4 or len(n) != 4:
             raise InvalidConfigError("tally needs four (m, n) channel entries")
+        for count in m + n:
+            if not isinstance(count, int) or isinstance(count, bool):
+                raise InvalidConfigError(f"tally entries must be integers, got m={m} n={n}")
         for mk, nk in zip(m, n):
             if nk < 0:
                 raise InvalidConfigError(f"round count cannot be negative, got {nk}")
@@ -181,20 +215,19 @@ def is_violation(correlation, threshold: str = STRICT) -> bool:
     return magnitude >= CLASSICAL_BOUND
 
 
-@dataclass(frozen=True)
-class ViolationProbability:
+class ViolationProbability(_Record):
     """A violation probability tagged with how it was computed.
 
     ``value`` is an exact Fraction for method "exact" and a float for the
     analytic and Monte Carlo methods.
     """
 
-    value: Fraction | float
-    method: str
-    threshold: str
-    config: ExperimentConfig
+    __slots__ = ("value", "method", "threshold", "config")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, value: Fraction | float, method: str, threshold: str, config: ExperimentConfig
+    ) -> None:
+        super().__init__(value, method, threshold, config)
         _check_threshold(self.threshold)
         if not 0 <= self.value <= 1:
             raise InvalidConfigError(f"probability out of range: {self.value!r}")

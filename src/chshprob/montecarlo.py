@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import accumulate
 
@@ -43,6 +42,7 @@ from .model import (
     STRICT,
     ExperimentConfig,
     _check_threshold,
+    _Record,
 )
 
 # Fixed batching rule: batch b of a run draws from the child stream
@@ -61,21 +61,26 @@ STREAM_VERSION = 2
 _Z95 = 1.9599639845400536
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(_Record):
     """Violation-frequency estimate with its 95% Wilson interval."""
 
-    trials: int
-    hits: int
-    estimate: float
-    ci_low: float
-    ci_high: float
-    seed: int
-    threshold: str
-    config: ExperimentConfig
-    stream: int = STREAM_VERSION
+    __slots__ = (
+        "trials", "hits", "estimate", "ci_low", "ci_high", "seed", "threshold", "config", "stream"
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        trials: int,
+        hits: int,
+        estimate: float,
+        ci_low: float,
+        ci_high: float,
+        seed: int,
+        threshold: str,
+        config: ExperimentConfig,
+        stream: int = STREAM_VERSION,
+    ) -> None:
+        super().__init__(trials, hits, estimate, ci_low, ci_high, seed, threshold, config, stream)
         if not 0 <= self.hits <= self.trials:
             raise InvalidConfigError(f"hits {self.hits} outside 0..{self.trials}")
         if not (0.0 <= self.ci_low <= self.estimate <= self.ci_high <= 1.0):

@@ -73,6 +73,13 @@ class TestRecordsAndTally:
         with pytest.raises(CorruptRecordError):
             MeasurementRecord(**kwargs)
 
+    @pytest.mark.parametrize("value", [True, 1.0], ids=["bool", "float"])
+    @pytest.mark.parametrize("field", ["time_index", "a", "b", "c", "i", "j"])
+    def test_record_rejects_non_integer_fields(self, field, value):
+        # True and 1.0 equal 1, so only the type check catches them
+        with pytest.raises(CorruptRecordError, match=field):
+            MeasurementRecord(**{**dict(time_index=1, a=1, b=1, c=1, i=1, j=1), field: value})
+
     def test_builtin_rows_tally(self):
         counts = tally(MAXIMAL_VIOLATION_RECORDS)
         assert counts.m == (1, -1, 1, 1)
@@ -101,6 +108,20 @@ class TestRecordsAndTally:
     @pytest.mark.parametrize("m,n", [((2, 0, 0, 0), (1, 1, 1, 1)), ((1, 0, 0, 0), (2, 1, 1, 1))])
     def test_tally_invariants_enforced(self, m, n):
         with pytest.raises(InvalidConfigError):
+            RoundTally(m=m, n=n)
+
+    @pytest.mark.parametrize(
+        "m,n",
+        [
+            ((1.0, -1, 1, 1), (1, 1, 1, 1)),
+            ((True, -1, 1, 1), (1, 1, 1, 1)),
+            ((1, -1, 1, 1), (1.0, 1, 1, 1)),
+            ((1, -1, 1, 1), (True, 1, 1, 1)),
+        ],
+        ids=["float-m", "bool-m", "float-n", "bool-n"],
+    )
+    def test_tally_rejects_non_integer_entries(self, m, n):
+        with pytest.raises(InvalidConfigError, match="integers"):
             RoundTally(m=m, n=n)
 
 
