@@ -77,7 +77,11 @@ class SweepRequest(_Record):
     ) -> None:
         if variant not in VARIANTS:
             raise InvalidConfigError(f"unknown variant {variant!r}")
-        values = tuple(sorted(set(int(n) for n in n_values)))
+        values = tuple(n_values)
+        for n in values:
+            if not isinstance(n, int) or isinstance(n, bool):
+                raise InvalidConfigError(f"total round counts must be integers, got {n!r}")
+        values = tuple(sorted(set(values)))
         super().__init__(variant, values, include_exact_intervals, continuous)
         if not values:
             raise InvalidConfigError("sweep needs at least one total round count")
@@ -407,7 +411,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format_flag(mc)
     mc.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help="experiments to simulate")
     mc.add_argument("--seed", type=int, default=DEFAULT_SEED, help="stream seed (default %(default)s)")
-    mc.add_argument("--workers", type=int, default=1, help="parallel batch workers")
+    mc.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="batch workers: this process plus WORKERS - 1 forked children on Linux, "
+        "serial elsewhere; the hits do not depend on it",
+    )
     mc.set_defaults(func=cmd_mc)
 
     sweep = sub.add_parser("sweep", help="probability-vs-N dataset for plotting")

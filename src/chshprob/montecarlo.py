@@ -20,10 +20,11 @@ of its word index a table of which rows violate.  The table is built once
 per process per (rounds, threshold) by the same counting and comparison
 that long rows run, so both read the same stream and give the same hits.
 
-The process pool is imported only when a run asks for ``workers > 1`` and
-has more than one batch, and it starts at most min(workers, batches, CPU
-count) processes, each summing every pool-size-th batch; the worker count
-never changes the hits.  Batches are made one at a time, so memory does not
+With k = min(workers, batches, CPU count) workers, worker i sums batches
+i, i + k, i + 2k, ...; the calling process is worker 0 and the other k - 1
+are children started with ``os.fork``, each writing its count to a pipe.
+Off Linux the run is serial, which gives the same hits: the worker count
+never changes them.  Batches are made one at a time, so memory does not
 grow with the trial count.
 """
 
@@ -31,6 +32,8 @@ from __future__ import annotations
 
 import math
 import os
+import sys
+from collections.abc import Callable
 from functools import lru_cache, partial
 from itertools import accumulate
 
@@ -247,6 +250,67 @@ def _strided_hits(
     )
 
 
+def _fork_share(share: Callable[[], int]) -> Callable[[], int | None]:
+    """Run ``share()`` in a forked child, which writes the count to a pipe.
+
+    Returns a function that reads the pipe, reaps the child and gives the
+    count, or None when the child exited nonzero or wrote nothing.  The
+    child leaves through ``os._exit``, so it runs none of the parent's
+    cleanup and flushes none of the stdio buffers it inherited.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            os.write(write_fd, str(share()).encode("ascii"))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+
+    def collect() -> int | None:
+        try:
+            with open(read_fd, "rb") as pipe:
+                text = pipe.read()
+        finally:
+            _, status = os.waitpid(pid, 0)
+        return int(text) if status == 0 and text else None
+
+    return collect
+
+
+def _pooled_hits(
+    rounds: tuple[int, ...], seed: int, trials: int, threshold: str, pool_size: int
+) -> int:
+    """Hits of a ``trials``-trial run split into ``pool_size`` strided shares.
+
+    This process runs share 0 and forks a child for each other share.  Every
+    child is reaped, also when this process's own share raises; that error
+    is the one raised.  A failed child fails the run: no partial sum is
+    returned.
+    """
+    collectors = []
+    try:
+        for first in range(1, pool_size):
+            share = partial(_strided_hits, rounds, seed, trials, threshold, pool_size, first)
+            collectors.append(_fork_share(share))
+        hits = _strided_hits(rounds, seed, trials, threshold, stride=pool_size, first=0)
+    finally:
+        counts = [collect() for collect in collectors]
+    if None in counts:
+        raise RuntimeError(
+            f"{counts.count(None)} of {len(counts)} Monte Carlo worker processes failed"
+        )
+    return hits + sum(counts)
+
+
 def estimate_violation_probability(
     config: ExperimentConfig,
     trials: int,
@@ -267,17 +331,10 @@ def estimate_violation_probability(
     if workers < 1:
         raise InvalidConfigError(f"workers must be >= 1, got {workers}")
     batches = -(-trials // _batch_trials(config.rounds))
-    if workers > 1 and batches > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # more processes than batches or cores only cost start-up time; each
-        # process sums every pool_size-th batch
-        pool_size = min(workers, batches, os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            task = partial(_strided_hits, config.rounds, seed, trials, threshold, pool_size)
-            hits = sum(pool.map(task, range(pool_size)))
-    else:
-        hits = _strided_hits(config.rounds, seed, trials, threshold, stride=1, first=0)
+    # more workers than batches or cores only cost start-up time; forking is
+    # the start method CPython's own multiprocessing used on Linux through 3.13
+    pool_size = min(workers, batches, os.cpu_count() or 1) if sys.platform == "linux" else 1
+    hits = _pooled_hits(config.rounds, seed, trials, threshold, pool_size)
 
     low, high = wilson_interval(hits, trials)
     return McEstimate(

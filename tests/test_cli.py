@@ -291,6 +291,12 @@ class TestSweep:
         with pytest.raises(InvalidConfigError):
             SweepRequest("equal", (largest + 1,), continuous=True)
 
+    @pytest.mark.parametrize("total", [4.9, True, 8.0, "8"])
+    def test_request_rejects_non_integer_totals(self, total):
+        # int() would have made 4.9 a total of 4 and True a total of 1
+        with pytest.raises(InvalidConfigError, match="integers"):
+            SweepRequest("equal", (total, 8))
+
     def test_variant_ordering_on_a_common_grid(self):
         grids = {
             variant: {

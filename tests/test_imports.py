@@ -1,5 +1,6 @@
-"""Only ``mc`` imports numpy, only a multi-worker run imports the process pool,
-no command loads dataclasses, inspect or typing, and only JSON output loads json."""
+"""Only ``mc`` imports numpy, no run imports a process pool (a multi-worker run
+forks its workers directly), no command loads dataclasses, inspect or typing,
+and only JSON output loads json."""
 
 import json
 import os
@@ -87,6 +88,15 @@ def test_single_worker_mc_does_not_import_the_pool():
     assert report["numpy"]
     assert "concurrent.futures" not in report["modules"]
     assert "dataclasses" not in report["modules"]
+
+
+def test_two_worker_mc_forks_without_the_pool_modules():
+    # 32-word rows make 16384-trial batches, so 40000 trials are three batches
+    argv = ["mc", "1", "1", "1000", "1000", "--trials", "40000"]
+    report = run_child("open", [*argv, "--workers", "2"])
+    assert report["code"] == 0
+    assert not {"concurrent.futures", "multiprocessing"} & set(report["modules"])
+    assert report["stdout"] == run_child("open", [*argv, "--workers", "1"])["stdout"]
 
 
 def test_mc_without_numpy_exits_1_with_one_error_line():

@@ -1,6 +1,7 @@
-import concurrent.futures
 import itertools
 import math
+import os
+import sys
 import tracemalloc
 from fractions import Fraction
 from statistics import NormalDist
@@ -31,6 +32,10 @@ from chshprob.montecarlo import (
     wilson_interval,
 )
 from chshprob.walks import walk_pmf
+
+
+class ShareFailed(Exception):
+    pass
 
 
 def replay_channel_sums(rounds, seed, batch_index, count):
@@ -278,40 +283,64 @@ class TestEstimate:
             assert sequential.stream == STREAM_VERSION == 2
 
     def test_pool_never_outgrows_the_batches_or_the_cores(self, monkeypatch):
-        # a stand-in pool that records its size and maps in this process, so
-        # no worker is ever started whatever workers= asks for
-        sizes = []
+        # a stand-in for the helper that forks a child: it runs the share in
+        # this process, so no child is ever started whatever workers= asks for
+        started = []
 
-        class InProcessPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        def in_process(share):
+            started.append(share)
+            count = share()
+            return lambda: count
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(montecarlo, "_fork_share", in_process)
         config = ExperimentConfig((1, 1, 1, 1))
         batch = _batch_trials(config.rounds)
-        for batches, workers, cpus, expected in (
-            (2, 5000, 64, 2),
-            (10, 5000, 3, 3),
-            (10, 5000, None, 1),
-            (10, 2, 64, 2),
+        # the calling process runs one share, so a pool of k starts k - 1 children
+        for batches, workers, cpus, platform, children in (
+            (2, 5000, 64, "linux", 1),
+            (10, 5000, 3, "linux", 2),
+            (10, 5000, None, "linux", 0),
+            (10, 2, 64, "linux", 1),
+            (10, 2, 64, "darwin", 0),
         ):
             monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
-            sizes.clear()
+            monkeypatch.setattr(montecarlo.sys, "platform", platform)
             sequential = estimate_violation_probability(config, batches * batch, seed=7)
+            started.clear()
             pooled = estimate_violation_probability(
                 config, batches * batch, seed=7, workers=workers
             )
-            assert sizes == [expected]
+            assert len(started) == children, (batches, workers, cpus, platform)
             assert pooled == sequential
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="runs are forked on Linux only")
+    @pytest.mark.parametrize(
+        "failing, error",
+        [(None, None), (0, ShareFailed), (1, RuntimeError)],
+        ids=["none", "parent", "child"],
+    )
+    def test_every_child_is_reaped(self, monkeypatch, failing, error):
+        # share 0 runs in this process and share 1 in a forked child; a failed
+        # child fails the run, and the parent's own error is the one raised
+        strided_hits = montecarlo._strided_hits
+
+        def share(rounds, seed, trials, threshold, stride, first):
+            if first == failing:
+                raise ShareFailed(first)
+            return strided_hits(rounds, seed, trials, threshold, stride, first)
+
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        config = ExperimentConfig((1, 1, 1, 1))
+        trials = 2 * _batch_trials(config.rounds)
+        sequential = estimate_violation_probability(config, trials, seed=7)
+        monkeypatch.setattr(montecarlo, "_strided_hits", share)
+        if error is None:
+            assert estimate_violation_probability(config, trials, seed=7, workers=2) == sequential
+        else:
+            with pytest.raises(error):
+                estimate_violation_probability(config, trials, seed=7, workers=2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_strict_hits_never_exceed_nonstrict(self):
         config = ExperimentConfig((3, 2, 2, 3))
