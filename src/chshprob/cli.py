@@ -1,8 +1,8 @@
 """Command line surface.
 
 Data goes to stdout as text, CSV, or JSON; diagnostics and warnings go to
-stderr.  Exit codes: 0 success, 1 usage or validation error, 2 enumeration
-budget exceeded.
+stderr.  Exit codes: 0 success, 1 usage or validation error or a failed
+Monte Carlo worker, 2 enumeration budget exceeded.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import csv
 import sys
 from fractions import Fraction
 
-from .errors import CorruptRecordError, InvalidConfigError, LimitError
+from .errors import CorruptRecordError, InvalidConfigError, LimitError, WorkerError
 from .model import (
     CHANNEL_SIGNS,
     CHANNELS,
@@ -148,10 +148,6 @@ def _write_rows(rows: list[dict], fieldnames: tuple[str, ...], fmt: str, out) ->
     out.write("]\n")
 
 
-def _parse_config(values: list[int]) -> ExperimentConfig:
-    return ExperimentConfig(rounds=tuple(values))
-
-
 def cmd_toy(args: argparse.Namespace) -> int:
     records = MAXIMAL_VIOLATION_RECORDS
     counts = tally(records)
@@ -214,14 +210,8 @@ def cmd_toy(args: argparse.Namespace) -> int:
 
 
 def cmd_exact(args: argparse.Namespace) -> int:
-    config = _parse_config(args.rounds)
-    try:
-        result = exact_violation_probability(config, args.threshold, budget=args.budget)
-    except LimitError as exc:
-        rounds = " ".join(str(n) for n in config.rounds)
-        print(f"error: {exc}", file=sys.stderr)
-        print(f"hint: chshprob approx {rounds}", file=sys.stderr)
-        return 2
+    config = ExperimentConfig(rounds=tuple(args.rounds))
+    result = exact_violation_probability(config, args.threshold, budget=args.budget)
     # p = k / 2**N prints k in full: N*log10(2) digits, past the interpreter's
     # default 4300-digit int-to-str limit once N > 14284
     if hasattr(sys, "set_int_max_str_digits"):
@@ -232,7 +222,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
 
 
 def cmd_approx(args: argparse.Namespace) -> int:
-    config = _parse_config(args.rounds)
+    config = ExperimentConfig(rounds=tuple(args.rounds))
     result = analytic_violation_probability(config)
     row = _result_row(result.method, result.threshold, config, result.value)
     _write_rows([row], RESULT_FIELDS, args.format, sys.stdout)
@@ -247,7 +237,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
         print(f"error: mc needs numpy >= 2.0 ({exc})", file=sys.stderr)
         return 1
 
-    config = _parse_config(args.rounds)
+    config = ExperimentConfig(rounds=tuple(args.rounds))
     estimate = estimate_violation_probability(
         config, args.trials, args.seed, args.threshold, workers=args.workers
     )
@@ -272,50 +262,41 @@ def cmd_mc(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_row(variant: str, total: int, parts: tuple) -> dict:
-    return {
-        "variant": variant,
-        "N": total,
-        "n1": parts[0],
-        "n2": parts[1],
-        "n3": parts[2],
-        "n4": parts[3],
-        "p_analytic": gaussian_tail_probability(parts),
-    }
-
-
 def sweep_rows(request: SweepRequest) -> list[dict]:
-    """Dataset rows for one sweep, sorted by N; indivisible totals become
-    error rows instead of aborting the run."""
+    """Dataset rows for one sweep, sorted by N and built in one pass.
+
+    Indivisible totals become error rows instead of aborting the run.  With
+    exact intervals on the equal variant, the totals in INTERVAL_TOTALS join
+    the requested ones; each of them takes the integer split, also under
+    ``continuous``, and gets both exact bracket cells.
+    """
     weights = VARIANTS[request.variant]
     divisor = sum(weights)
-    rows: dict[int, dict] = {}
-    for total in request.n_values:
-        if request.continuous:
+    interval_totals = set()
+    if request.include_exact_intervals and request.variant == "equal":
+        interval_totals = set(INTERVAL_TOTALS)
+    rows = []
+    for total in sorted(set(request.n_values) | interval_totals):
+        if request.continuous and total not in interval_totals:
             parts = tuple(total * w / divisor for w in weights)
         else:
             parts = split_rounds(request.variant, total)
+        row = {"variant": request.variant, "N": total}
+        rows.append(row)
         if parts is None:
-            rows[total] = {
-                "variant": request.variant,
-                "N": total,
-                "error": f"N={total} not divisible by {divisor}; "
-                f"use a multiple of {divisor} or --continuous",
-            }
-        else:
-            rows[total] = _sweep_row(request.variant, total, parts)
-
-    if request.include_exact_intervals and request.variant == "equal":
-        for total in INTERVAL_TOTALS:
-            parts = split_rounds("equal", total)
-            row = rows[total] = _sweep_row(request.variant, total, parts)
+            row["error"] = (
+                f"N={total} not divisible by {divisor}; use a multiple of {divisor} or --continuous"
+            )
+            continue
+        row.update(n1=parts[0], n2=parts[1], n3=parts[2], n4=parts[3])
+        row["p_analytic"] = gaussian_tail_probability(parts)
+        if total in interval_totals:
             config = ExperimentConfig(rounds=parts)
             for threshold, key in ((STRICT, "p_exact_strict"), (NON_STRICT, "p_exact_nonstrict")):
                 value = exact_violation_probability(config, threshold).value
                 row[key] = str(value)
                 row[key + "_decimal"] = float(value)
-
-    return [rows[total] for total in sorted(rows)]
+    return rows
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -465,9 +446,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except LimitError as exc:
+        # only exact refuses work, and approx answers any size at once
         print(f"error: {exc}", file=sys.stderr)
+        print(f"hint: chshprob approx {' '.join(map(str, args.rounds))}", file=sys.stderr)
         return 2
-    except (InvalidConfigError, CorruptRecordError) as exc:
+    except (InvalidConfigError, CorruptRecordError, WorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -23,6 +23,8 @@ that long rows run, so both read the same stream and give the same hits.
 With k = min(workers, batches, CPU count) workers, worker i sums batches
 i, i + k, i + 2k, ...; the calling process is worker 0 and the other k - 1
 are children started with ``os.fork``, each writing its count to a pipe.
+A child that is killed or exits nonzero fails the run with ``WorkerError``,
+whose message gives its signal or exit status.
 Off Linux the run is serial, which gives the same hits: the worker count
 never changes them.  Batches are made one at a time, so memory does not
 grow with the trial count.
@@ -39,7 +41,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, WorkerError
 from .model import (
     CHANNEL_SIGNS,
     STRICT,
@@ -116,11 +118,6 @@ def _row_words(rounds: tuple[int, ...]) -> int:
 
 def _batch_trials(rounds: tuple[int, ...]) -> int:
     return max(1, min(MAX_BATCH_TRIALS, WORD_BUDGET // _row_words(rounds)))
-
-
-def _seed_entropy(seed: int) -> int:
-    # SeedSequence rejects negative entropy; keep the 64-bit pattern instead.
-    return int(seed) & 0xFFFFFFFFFFFFFFFF
 
 
 def _count_ones(bits: np.ndarray, first_word: int, offsets: list[int], ones: np.ndarray) -> None:
@@ -207,8 +204,9 @@ def _batch_hits(
     WORD_BUDGET, so no draw holds more than WORD_BUDGET words; sequential
     draws read the same stream as one.
     """
+    # SeedSequence rejects negative entropy; keep the 64-bit pattern instead.
     bit_generator = np.random.PCG64(
-        np.random.SeedSequence(entropy=_seed_entropy(seed), spawn_key=(batch_index,))
+        np.random.SeedSequence(entropy=int(seed) & 0xFFFFFFFFFFFFFFFF, spawn_key=(batch_index,))
     )
     width = sum(rounds)
     # 2**width <= MAX_BATCH_TRIALS, without building 2**width for a long row
@@ -250,13 +248,14 @@ def _strided_hits(
     )
 
 
-def _fork_share(share: Callable[[], int]) -> Callable[[], int | None]:
+def _fork_share(share: Callable[[], int]) -> Callable[[], int | WorkerError]:
     """Run ``share()`` in a forked child, which writes the count to a pipe.
 
     Returns a function that reads the pipe, reaps the child and gives the
-    count, or None when the child exited nonzero or wrote nothing.  The
-    child leaves through ``os._exit``, so it runs none of the parent's
-    cleanup and flushes none of the stdio buffers it inherited.
+    count, or a ``WorkerError`` naming the wait status when the child was
+    killed, exited nonzero or wrote nothing.  The child leaves through
+    ``os._exit``, so it runs none of the parent's cleanup and flushes none
+    of the stdio buffers it inherited.
     """
     read_fd, write_fd = os.pipe()
     try:
@@ -281,7 +280,11 @@ def _fork_share(share: Callable[[], int]) -> Callable[[], int | None]:
                 text = pipe.read()
         finally:
             _, status = os.waitpid(pid, 0)
-        return int(text) if status == 0 and text else None
+        code = os.waitstatus_to_exitcode(status)
+        if code == 0 and text:
+            return int(text)
+        how = f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        return WorkerError(f"Monte Carlo worker {how}")
 
     return collect
 
@@ -293,8 +296,8 @@ def _pooled_hits(
 
     This process runs share 0 and forks a child for each other share.  Every
     child is reaped, also when this process's own share raises; that error
-    is the one raised.  A failed child fails the run: no partial sum is
-    returned.
+    is the one raised.  Otherwise a failed child fails the run with its
+    ``WorkerError``: no partial sum is returned.
     """
     collectors = []
     try:
@@ -304,10 +307,9 @@ def _pooled_hits(
         hits = _strided_hits(rounds, seed, trials, threshold, stride=pool_size, first=0)
     finally:
         counts = [collect() for collect in collectors]
-    if None in counts:
-        raise RuntimeError(
-            f"{counts.count(None)} of {len(counts)} Monte Carlo worker processes failed"
-        )
+    for count in counts:
+        if isinstance(count, WorkerError):
+            raise count
     return hits + sum(counts)
 
 

@@ -4,9 +4,10 @@ Deliberately separate from the package and deliberately naive: raw
 enumeration over every possible sign sequence, a plain sum over every
 displacement tuple with exact-rational C, an exact-rational Maclaurin
 series for erfc, the continuous Gaussian density that approximates a long
-walk, and a Monte Carlo integral of the Gaussian measure outside the
-violation boundary.  Slow but first-principles; nothing in here shares code
-with the implementation paths it checks.
+walk, a Monte Carlo integral of the Gaussian measure outside the
+violation boundary, and Cramer's large-deviation exponent of the exact tail.
+Slow but first-principles; nothing in here shares code with the
+implementation paths it checks.
 """
 
 from __future__ import annotations
@@ -147,3 +148,30 @@ def gaussian_halfspace_oracle(rounds, samples: int, seed: int) -> float:
         hits += int(np.count_nonzero(np.abs(z @ coefficients) > 2.0))
         remaining -= chunk
     return hits / samples
+
+
+def large_deviation_exponent(rounds) -> float:
+    """Cramer's exponent R*N of the violation probability, p ~ exp(-R*N).
+
+    R*N is the least sum_k n_k*I(x_k) over channel means with
+    sum_k |x_k| = 2, where I(x) = ((1+x)ln(1+x) + (1-x)ln(1-x))/2 is the
+    rate of the mean of n fair +-1 steps.  As I'(x) = atanh(x), the
+    minimiser is x_k = tanh(lam/n_k), with lam solving
+    sum_k tanh(lam/n_k) = 2 by bisection.  By Bahadur-Rao, -ln p - R*N
+    grows like a multiple of ln N.
+    """
+    def excess(lam: float) -> float:
+        return sum(math.tanh(lam / n) for n in rounds) - 2
+
+    low, high = 0.0, 1.0
+    while excess(high) < 0:
+        high *= 2
+    for _ in range(100):
+        middle = (low + high) / 2
+        low, high = (middle, high) if excess(middle) < 0 else (low, middle)
+    exponent = 0.0
+    for n in rounds:
+        t = high / n
+        # I(tanh t), written without the 0*log(0) of a mean that rounds to 1
+        exponent += n * (t * math.tanh(t) - math.log(math.cosh(t)))
+    return exponent

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chshprob.cli import default_totals, split_rounds
 from chshprob.errors import CorruptRecordError, InvalidConfigError, LimitError
 from chshprob.model import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -27,6 +28,7 @@ from chshprob.model import (
 from oracles import (
     brute_force_violation_probability,
     gaussian_halfspace_oracle,
+    large_deviation_exponent,
     lattice_violation_probability,
 )
 
@@ -381,13 +383,61 @@ class TestAnalyticProbability:
 
 
 class TestInterlockingRoutes:
-    @pytest.mark.parametrize("total", [4, 8, 12, 16, 20])
+    @pytest.mark.parametrize("total", range(4, 97, 4))
     def test_exact_brackets_analytic_for_equal_splits(self, total):
         config = ExperimentConfig((total // 4,) * 4)
         strict = exact_violation_probability(config, STRICT).value
         nonstrict = exact_violation_probability(config, NON_STRICT).value
         analytic = analytic_violation_probability(config).value
         assert float(strict) <= analytic <= float(nonstrict)
+
+    def test_analytic_leaves_the_equal_split_bracket_at_100(self):
+        # past N = 96 the Gaussian exponent undershoots the large-deviation rate
+        config = ExperimentConfig((25,) * 4)
+        nonstrict = exact_violation_probability(config, NON_STRICT).value
+        assert analytic_violation_probability(config).value > float(nonstrict)
+
+    @pytest.mark.parametrize("variant", ["equal", "ratio10", "ratio100"])
+    def test_analytic_over_exact_grows_along_the_default_grid(self, variant):
+        # compared in logarithms: exact p reaches 1e-234 on the equal grid
+        log_ratios = []
+        for total in default_totals(variant):
+            config = ExperimentConfig(split_rounds(variant, total))
+            exact = exact_violation_probability(config, NON_STRICT).value
+            analytic = analytic_violation_probability(config).value
+            log_ratios.append(
+                math.log(analytic) - math.log(exact.numerator) + math.log(exact.denominator)
+            )
+        assert all(a < b for a, b in zip(log_ratios, log_ratios[1:])), log_ratios
+
+    def test_large_deviation_exponent_of_equal_split(self):
+        # every channel mean is 1/2, so R is the rate I(1/2) per round
+        rate = (1.5 * math.log(1.5) + 0.5 * math.log(0.5)) / 2
+        assert large_deviation_exponent((256,) * 4) == pytest.approx(1024 * rate, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "variant, threshold, low, high",
+        [
+            ("equal", STRICT, 0.510, 0.571),
+            ("equal", NON_STRICT, 0.224, 0.378),
+            ("ratio10", STRICT, 0.407, 0.436),
+            ("ratio10", NON_STRICT, 0.180, 0.352),
+            ("ratio100", STRICT, 0.414, 0.433),
+            ("ratio100", NON_STRICT, 0.289, 0.344),
+        ],
+    )
+    def test_exact_follows_the_large_deviation_rate(self, variant, threshold, low, high):
+        # p ~ N**-c * exp(-R*N) with c near 1/2 checks exact at N in the
+        # thousands, where brute force cannot reach; an error in the kernel's
+        # exponent would move c by far more than the 0.03 allowed here
+        for total in default_totals(variant):
+            if total < 31:
+                continue
+            rounds = split_rounds(variant, total)
+            p = exact_violation_probability(ExperimentConfig(rounds), threshold).value
+            log_p = math.log(p.numerator) - math.log(p.denominator)
+            c = (-log_p - large_deviation_exponent(rounds)) / math.log(total)
+            assert low - 0.03 <= c <= high + 0.03, (rounds, c)
 
     def test_halfspace_oracle_single_round(self):
         config = ExperimentConfig((1, 1, 1, 1))

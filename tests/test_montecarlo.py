@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import signal
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -339,6 +340,26 @@ class TestEstimate:
         else:
             with pytest.raises(error):
                 estimate_violation_probability(config, trials, seed=7, workers=2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="runs are forked on Linux only")
+    def test_killed_worker_gives_one_error_line(self, monkeypatch, capsys):
+        # share 1 runs in a forked child that kills itself; the run fails
+        # with the wait status on one error line, and the child is reaped
+        strided_hits = montecarlo._strided_hits
+
+        def share(rounds, seed, trials, threshold, stride, first):
+            if first == 1:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return strided_hits(rounds, seed, trials, threshold, stride, first)
+
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_strided_hits", share)
+        trials = 2 * _batch_trials((1, 1, 1, 1))
+        code = main(["mc", "1", "1", "1", "1", "--trials", str(trials), "--workers", "2"])
+        assert code == 1
+        assert capsys.readouterr() == ("", "error: Monte Carlo worker killed by signal 9\n")
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
