@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import sys
 from fractions import Fraction
 
@@ -456,4 +457,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """Run the command line and exit the process with its code.
+
+    Before exiting, every object left is moved out of the collector's reach
+    (``gc.freeze``): interpreter shutdown otherwise runs full collections
+    over them, about a tenth of a short command's time.  Under ``-X dev``
+    the full teardown stays, so that finalizers still report unclosed
+    resources.
+    """
+    code = main()
+    if not sys.flags.dev_mode:
+        gc.freeze()
+    sys.exit(code)

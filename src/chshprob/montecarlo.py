@@ -24,7 +24,8 @@ With k = min(workers, batches, CPU count) workers, worker i sums batches
 i, i + k, i + 2k, ...; the calling process is worker 0 and the other k - 1
 are children started with ``os.fork``, each writing its count to a pipe.
 A child that is killed or exits nonzero fails the run with ``WorkerError``,
-whose message gives its signal or exit status.
+whose message gives its signal or exit status; the calling process polls
+its children between its own batches, so the run stops soon after.
 Off Linux the run is serial, which gives the same hits: the worker count
 never changes them.  Batches are made one at a time, so memory does not
 grow with the trial count.
@@ -198,7 +199,10 @@ def _batch_hits(
 
     A row of w = sum(n_k) bits with 2**w <= MAX_BATCH_TRIALS is looked up:
     the low w bits of its word index ``_violation_table``, which holds the
-    verdict on every such row.  Longer rows are counted channel by channel
+    verdict on every such row.  The mask is applied to the drawn words in
+    place: a second batch-sized array (512 KiB) would take the heap past
+    glibc's trim threshold, so every batch would give its pages back and
+    fault them in again.  Longer rows are counted channel by channel
     by ``_count_ones`` and compared by ``_violations``.  They are drawn a
     group of trials at a time, or a row in pieces when it is longer than
     WORD_BUDGET, so no draw holds more than WORD_BUDGET words; sequential
@@ -212,7 +216,8 @@ def _batch_hits(
     # 2**width <= MAX_BATCH_TRIALS, without building 2**width for a long row
     if width < MAX_BATCH_TRIALS.bit_length():
         # int64 is numpy's index type, so take() indexes without a conversion
-        low_bits = bit_generator.random_raw(count).view(np.int64) & ((1 << width) - 1)
+        low_bits = bit_generator.random_raw(count).view(np.int64)
+        np.bitwise_and(low_bits, (1 << width) - 1, out=low_bits)
         return int(np.count_nonzero(_violation_table(rounds, threshold).take(low_bits)))
 
     offsets = list(accumulate(rounds, initial=0))
@@ -239,23 +244,53 @@ def _strided_hits(
     """Hits summed over batches first, first + stride, ... of a ``trials``-trial run.
 
     Batches are made one at a time, so no input makes the run hold a
-    per-batch list; the last batch takes the trials left over.
+    per-batch list; the last batch takes the trials left over.  After each
+    batch the children of a pooled run are polled, so a dead one stops it.
     """
     batch = _batch_trials(rounds)
-    return sum(
-        _batch_hits(rounds, seed, index, min(batch, trials - index * batch), threshold)
-        for index in range(first, -(-trials // batch), stride)
-    )
+    hits = 0
+    for index in range(first, -(-trials // batch), stride):
+        hits += _batch_hits(rounds, seed, index, min(batch, trials - index * batch), threshold)
+        _poll_children()
+    return hits
+
+
+# The children this process has forked for the run in progress: pid to exit
+# code once reaped, None while running.  Like the kernel's own table of
+# children it belongs to the process, so _strided_hits can poll it without a
+# parameter that only the calling process's share would use.  A run empties
+# it, and a forked child starts with it empty.
+_children: dict[int, int | None] = {}
+
+
+def _reap(pid: int, options: int) -> int | None:
+    """Exit code of child ``pid`` once reaped, negative for a signal; None if still running."""
+    reaped, status = os.waitpid(pid, options)
+    return os.waitstatus_to_exitcode(status) if reaped else None
+
+
+def _worker_error(code: int) -> WorkerError:
+    how = f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
+    return WorkerError(f"Monte Carlo worker {how}")
+
+
+def _poll_children() -> None:
+    """Reap every child that has ended; raise ``WorkerError`` if one failed."""
+    for pid, code in _children.items():
+        if code is None:
+            code = _children[pid] = _reap(pid, os.WNOHANG)
+            if code:
+                raise _worker_error(code)
 
 
 def _fork_share(share: Callable[[], int]) -> Callable[[], int | WorkerError]:
     """Run ``share()`` in a forked child, which writes the count to a pipe.
 
-    Returns a function that reads the pipe, reaps the child and gives the
-    count, or a ``WorkerError`` naming the wait status when the child was
-    killed, exited nonzero or wrote nothing.  The child leaves through
-    ``os._exit``, so it runs none of the parent's cleanup and flushes none
-    of the stdio buffers it inherited.
+    Returns a function that reads the pipe, reaps the child unless a poll
+    already has, and gives the count, or a ``WorkerError`` naming the wait
+    status when the child was killed, exited nonzero or wrote nothing.  The
+    child leaves through ``os._exit``, so it runs none of the parent's
+    cleanup and flushes none of the stdio buffers it inherited.
     """
     read_fd, write_fd = os.pipe()
     try:
@@ -267,24 +302,26 @@ def _fork_share(share: Callable[[], int]) -> Callable[[], int | WorkerError]:
     if pid == 0:
         status = 1
         try:
+            _children.clear()
             os.close(read_fd)
             os.write(write_fd, str(share()).encode("ascii"))
             status = 0
         finally:
             os._exit(status)
+    _children[pid] = None
     os.close(write_fd)
 
-    def collect() -> int | None:
+    def collect() -> int | WorkerError:
         try:
             with open(read_fd, "rb") as pipe:
                 text = pipe.read()
         finally:
-            _, status = os.waitpid(pid, 0)
-        code = os.waitstatus_to_exitcode(status)
+            code = _children.pop(pid)
+            if code is None:
+                code = _reap(pid, 0)
         if code == 0 and text:
             return int(text)
-        how = f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
-        return WorkerError(f"Monte Carlo worker {how}")
+        return _worker_error(code)
 
     return collect
 
@@ -294,10 +331,12 @@ def _pooled_hits(
 ) -> int:
     """Hits of a ``trials``-trial run split into ``pool_size`` strided shares.
 
-    This process runs share 0 and forks a child for each other share.  Every
-    child is reaped, also when this process's own share raises; that error
-    is the one raised.  Otherwise a failed child fails the run with its
-    ``WorkerError``: no partial sum is returned.
+    This process runs share 0 and forks a child for each other share.  A
+    child that dies fails the run with its ``WorkerError`` at the next poll
+    between this process's batches, or when it is collected; no partial sum
+    is returned.  When this process's share raises, that error is the one
+    raised, and the children still drawing are killed first.  Every child
+    is reaped.
     """
     collectors = []
     try:
@@ -305,6 +344,15 @@ def _pooled_hits(
             share = partial(_strided_hits, rounds, seed, trials, threshold, pool_size, first)
             collectors.append(_fork_share(share))
         hits = _strided_hits(rounds, seed, trials, threshold, stride=pool_size, first=0)
+    except BaseException:
+        # the run has failed, so stop the children still drawing rather than
+        # wait for them; signal (about 1 ms to import) loads only on this path
+        import signal
+
+        for pid, code in _children.items():
+            if code is None:
+                os.kill(pid, signal.SIGKILL)
+        raise
     finally:
         counts = [collect() for collect in collectors]
     for count in counts:

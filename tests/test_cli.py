@@ -1,12 +1,15 @@
 import csv
+import gc
 import io
 import json
 import subprocess
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from chshprob import cli
 from chshprob.cli import MC_FIELDS, SweepRequest, default_totals, main, split_rounds, sweep_rows
 from chshprob.errors import InvalidConfigError
 from chshprob.model import (
@@ -363,3 +366,45 @@ class TestModuleExecution:
         )
         assert result.returncode == 0
         assert "C = 4" in result.stdout
+
+
+class TestEntry:
+    """``entry`` is the process's way out: it exits with ``main``'s code and,
+    outside dev mode, freezes the collector once ``main`` has returned."""
+
+    def run_entry(self, monkeypatch, argv, dev_mode):
+        events = []
+        run_main = cli.main
+
+        def recorded_main():
+            code = run_main()
+            events.append(("main", code))
+            return code
+
+        monkeypatch.setattr(sys, "argv", ["chshprob", *argv])
+        monkeypatch.setattr(sys, "flags", SimpleNamespace(dev_mode=dev_mode))
+        monkeypatch.setattr(cli, "main", recorded_main)
+        monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+        with pytest.raises(SystemExit) as exit_info:
+            cli.entry()
+        return exit_info.value.code, events
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["toy"], 0),
+            (["--help"], 0),
+            (["exact", "1", "1", "1", "1000000"], 2),
+            (["exact", "0", "1", "1", "1"], 1),
+        ],
+    )
+    def test_freezes_once_after_main_and_exits_with_its_code(
+        self, monkeypatch, capsys, argv, code
+    ):
+        assert self.run_entry(monkeypatch, argv, dev_mode=False) == (
+            code,
+            [("main", code), "freeze"],
+        )
+
+    def test_dev_mode_keeps_the_full_teardown(self, monkeypatch, capsys):
+        assert self.run_entry(monkeypatch, ["toy"], dev_mode=True) == (0, [("main", 0)])

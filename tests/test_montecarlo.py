@@ -2,7 +2,9 @@ import itertools
 import math
 import os
 import signal
+import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from statistics import NormalDist
@@ -363,6 +365,44 @@ class TestEstimate:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="runs are forked on Linux only")
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_dead_worker_stops_the_run_between_batches(self, monkeypatch, capsys, workers):
+        # share 1's child kills itself at once, and share 2's (at 3 workers)
+        # sleeps; this process's first batch waits until a child has died,
+        # without reaping it, so the poll after that batch must see the
+        # death, and the sleeping child must be stopped rather than waited for
+        strided_hits = montecarlo._strided_hits
+        batch_hits = montecarlo._batch_hits
+        ran = []
+
+        def share(rounds, seed, trials, threshold, stride, first):
+            if first == 1:
+                os.kill(os.getpid(), signal.SIGKILL)
+            if first == 2:
+                time.sleep(60)
+            return strided_hits(rounds, seed, trials, threshold, stride, first)
+
+        def counted_batch(*args):
+            if not ran:
+                os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
+            ran.append(args)
+            return batch_hits(*args)
+
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: workers)
+        monkeypatch.setattr(montecarlo, "_strided_hits", share)
+        monkeypatch.setattr(montecarlo, "_batch_hits", counted_batch)
+        # share 0 has at least 40 of the 120 batches
+        trials = 120 * _batch_trials((1, 1, 1, 1))
+        started = time.monotonic()
+        code = main(["mc", "1", "1", "1", "1", "--trials", str(trials), "--workers", str(workers)])
+        assert time.monotonic() - started < 30
+        assert code == 1
+        assert capsys.readouterr() == ("", "error: Monte Carlo worker killed by signal 9\n")
+        assert len(ran) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_strict_hits_never_exceed_nonstrict(self):
         config = ExperimentConfig((3, 2, 2, 3))
         strict = estimate_violation_probability(config, 100_000, seed=9, threshold=STRICT)
@@ -405,6 +445,28 @@ class TestEstimate:
             for threshold, hits in ((STRICT, strict), (NON_STRICT, nonstrict)):
                 result = estimate_violation_probability(config, trials, seed, threshold, workers=workers)
                 assert result.hits == hits, (rounds, threshold)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="minor fault counts as Linux reports them")
+    def test_short_rows_fault_in_no_pages_once_warm(self):
+        # a second batch-sized temporary per short-row batch made glibc trim
+        # the heap and fault it back in on every batch: about 13.6k minor
+        # faults per run of this size, where masking in place takes none
+        probe = (
+            "import resource\n"
+            "from chshprob.model import ExperimentConfig\n"
+            "from chshprob.montecarlo import estimate_violation_probability\n"
+            "config = ExperimentConfig((2, 2, 2, 2))\n"
+            "warm = estimate_violation_probability(config, 4_000_000, seed=42).hits\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "hits = estimate_violation_probability(config, 4_000_000, seed=42).hits\n"
+            "print(warm, hits, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        )
+        warm, hits, faults = map(int, result.stdout.split())
+        assert warm == hits == 280805
+        assert faults < 1000
 
     def test_batches_are_made_one_at_a_time(self, monkeypatch):
         # 10**9 trials are 15259 batches; nothing per batch may exist before
