@@ -213,10 +213,6 @@ def cmd_toy(args: argparse.Namespace) -> int:
 def cmd_exact(args: argparse.Namespace) -> int:
     config = ExperimentConfig(rounds=tuple(args.rounds))
     result = exact_violation_probability(config, args.threshold, budget=args.budget)
-    # p = k / 2**N prints k in full: N*log10(2) digits, past the interpreter's
-    # default 4300-digit int-to-str limit once N > 14284
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     row = _result_row(result.method, result.threshold, config, result.value)
     _write_rows([row], RESULT_FIELDS, args.format, sys.stdout)
     return 0
@@ -267,21 +263,24 @@ def sweep_rows(request: SweepRequest) -> list[dict]:
     """Dataset rows for one sweep, sorted by N and built in one pass.
 
     Indivisible totals become error rows instead of aborting the run.  With
-    exact intervals on the equal variant, the totals in INTERVAL_TOTALS join
-    the requested ones; each of them takes the integer split, also under
-    ``continuous``, and gets both exact bracket cells.
+    exact intervals, every row with an integer split gets both exact bracket
+    cells, whatever the variant; a row whose exact plan is over the
+    enumeration budget keeps them empty.  The totals in INTERVAL_TOTALS that
+    the variant divides (only the equal variant's) join the requested ones,
+    and take the integer split also under ``continuous``.
     """
     weights = VARIANTS[request.variant]
     divisor = sum(weights)
     interval_totals = set()
-    if request.include_exact_intervals and request.variant == "equal":
-        interval_totals = set(INTERVAL_TOTALS)
+    if request.include_exact_intervals:
+        interval_totals = {n for n in INTERVAL_TOTALS if n % divisor == 0}
     rows = []
     for total in sorted(set(request.n_values) | interval_totals):
-        if request.continuous and total not in interval_totals:
-            parts = tuple(total * w / divisor for w in weights)
-        else:
+        integer = not request.continuous or total in interval_totals
+        if integer:
             parts = split_rounds(request.variant, total)
+        else:
+            parts = tuple(total * w / divisor for w in weights)
         row = {"variant": request.variant, "N": total}
         rows.append(row)
         if parts is None:
@@ -291,21 +290,21 @@ def sweep_rows(request: SweepRequest) -> list[dict]:
             continue
         row.update(n1=parts[0], n2=parts[1], n3=parts[2], n4=parts[3])
         row["p_analytic"] = gaussian_tail_probability(parts)
-        if total in interval_totals:
+        if request.include_exact_intervals and integer:
             config = ExperimentConfig(rounds=parts)
-            for threshold, key in ((STRICT, "p_exact_strict"), (NON_STRICT, "p_exact_nonstrict")):
-                value = exact_violation_probability(config, threshold).value
+            try:
+                strict, nonstrict = (
+                    exact_violation_probability(config, t).value for t in (STRICT, NON_STRICT)
+                )
+            except LimitError:
+                continue
+            for key, value in (("p_exact_strict", strict), ("p_exact_nonstrict", nonstrict)):
                 row[key] = str(value)
                 row[key + "_decimal"] = float(value)
     return rows
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.intervals and args.variant != "equal":
-        print(
-            "note: exact intervals are defined for the equal variant only; ignoring --intervals",
-            file=sys.stderr,
-        )
     request = SweepRequest(
         variant=args.variant,
         n_values=tuple(args.n_values) if args.n_values else default_totals(args.variant),
@@ -421,9 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--intervals",
         action="store_true",
-        help="add exact strict/non-strict bracket columns at N in "
-        + ",".join(str(n) for n in INTERVAL_TOTALS)
-        + " (equal variant)",
+        help="add exact strict/non-strict bracket columns on every integer row the "
+        "enumeration budget admits; the equal variant also gains rows N in "
+        + ",".join(str(n) for n in INTERVAL_TOTALS),
     )
     sweep.add_argument(
         "--continuous",
@@ -444,6 +443,11 @@ def main(argv: list[str] | None = None) -> int:
         # argparse already printed usage; fold its exit codes into the 0/1 contract
         code = exc.code if isinstance(exc.code, int) else 1
         return 0 if code == 0 else 1
+    # exact, and sweep with intervals, print p = k / 2**N with k in full:
+    # N*log10(2) digits, past the interpreter's default 4300-digit
+    # int-to-str limit once N > 14284
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except LimitError as exc:

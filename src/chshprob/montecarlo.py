@@ -373,13 +373,19 @@ def estimate_violation_probability(
 
     Deterministic in (seed, trials, config, threshold): trials are cut into
     fixed-size batches with per-batch substreams and hits are summed, so any
-    worker count reproduces the sequential result exactly.
+    worker count reproduces the sequential result exactly.  The streams
+    read the seed's 64-bit two's-complement pattern, so a negative seed s
+    draws the stream of s + 2**64; a seed outside -2**63 .. 2**64 - 1 would
+    have its higher bits dropped, and is refused with InvalidConfigError
+    before any draw.
     """
     _check_threshold(threshold)
     if trials < 1:
         raise InvalidConfigError(f"trials must be >= 1, got {trials}")
     if workers < 1:
         raise InvalidConfigError(f"workers must be >= 1, got {workers}")
+    if not -(1 << 63) <= seed < 1 << 64:
+        raise InvalidConfigError(f"seed must be in -2**63 .. 2**64 - 1, got {seed}")
     batches = -(-trials // _batch_trials(config.rounds))
     # more workers than batches or cores only cost start-up time; forking is
     # the start method CPython's own multiprocessing used on Linux through 3.13

@@ -22,14 +22,16 @@ def binomial_row(n: int) -> list[int]:
     """Path counts [C(n, 0), ..., C(n, n)] of the n-step fair walk.
 
     Entry i counts the paths ending at displacement 2*i - n; the row sums
-    to 2**n.  Raises InvalidConfigError for n < 1.
+    to 2**n.  Only C(n, 0..n//2) are computed; the rest mirror them
+    (C(n, i) = C(n, n - i)) and share their int objects.  Raises
+    InvalidConfigError for n < 1.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InvalidConfigError(f"walk length must be a positive integer, got {n!r}")
     row = [1]
-    for i in range(n):
+    for i in range(n // 2):
         row.append(row[-1] * (n - i) // (i + 1))
-    return row
+    return row + row[n - n // 2 - 1 :: -1]
 
 
 def walk_pmf(n: int) -> dict[int, Fraction]:

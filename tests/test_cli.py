@@ -177,6 +177,9 @@ class TestProbabilityCommands:
             ("mc", "1", "1", "1", "1", "--trials", "0"),
             ("mc", "1", "1", "1", "1", "--trials", "-5"),
             ("exact", "1", "1", "1", "1", "--budget", "-1"),
+            # 2**64 + 42 and 42 - 2**64 have seed 42's 64-bit pattern
+            ("mc", "2", "2", "2", "2", "--seed", str(2**64 + 42)),
+            ("mc", "2", "2", "2", "2", "--seed", str(42 - 2**64)),
         ],
     )
     def test_invalid_run_settings_exit_1_before_any_work(self, capsys, argv):
@@ -240,7 +243,11 @@ class TestSweep:
         )
         totals = [row["N"] for row in rows]
         assert totals == [4, 8, 12, 16, 20, 64]
-        assert "p_exact_strict" not in rows[-1]
+        config = ExperimentConfig((16, 16, 16, 16))
+        for threshold, key in ((STRICT, "p_exact_strict"), (NON_STRICT, "p_exact_nonstrict")):
+            value = exact_violation_probability(config, threshold).value
+            assert rows[-1][key] == str(value)
+            assert rows[-1][key + "_decimal"] == float(value)
 
     def test_continuous_interval_rows_use_integer_splits(self, capsys):
         code, out, _ = run_cli(
@@ -328,20 +335,24 @@ class TestSweep:
         assert [int(r["N"]) for r in rows] == sorted(int(r["N"]) for r in rows)
 
     def test_csv_round_trip_at_full_precision(self, capsys):
-        _, out, _ = run_cli(capsys, "sweep", "--n-values", "4", "8", "--intervals")
-        for row in parse_csv(out):
-            config = ExperimentConfig(tuple(int(row[k]) for k in ("n1", "n2", "n3", "n4")))
-            # floats print shortest-round-trip, rationals as exact strings
-            assert float(row["p_analytic"]) == analytic_violation_probability(config).value
-            assert repr(float(row["p_analytic"])) == row["p_analytic"]
-            assert (
-                Fraction(row["p_exact_strict"])
-                == exact_violation_probability(config, STRICT).value
-            )
-            assert (
-                Fraction(row["p_exact_nonstrict"])
-                == exact_violation_probability(config, NON_STRICT).value
-            )
+        sweeps = [("--n-values", "4", "8")]
+        # every row of each variant's default grid has an integer split
+        sweeps += [("--variant", variant) for variant in ("equal", "ratio10", "ratio100")]
+        for argv in sweeps:
+            code, out, err = run_cli(capsys, "sweep", *argv, "--intervals")
+            assert (code, err) == (0, "")
+            for row in parse_csv(out):
+                config = ExperimentConfig(tuple(int(row[k]) for k in ("n1", "n2", "n3", "n4")))
+                # floats print shortest-round-trip, rationals as exact strings
+                assert float(row["p_analytic"]) == analytic_violation_probability(config).value
+                assert repr(float(row["p_analytic"])) == row["p_analytic"]
+                for threshold, key in (
+                    (STRICT, "p_exact_strict"),
+                    (NON_STRICT, "p_exact_nonstrict"),
+                ):
+                    value = exact_violation_probability(config, threshold).value
+                    assert Fraction(row[key]) == value
+                    assert float(row[key + "_decimal"]) == float(value)
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--n-values", "4", "8", "--format", "json")
@@ -352,11 +363,42 @@ class TestSweep:
         assert rows[0]["N"] == 4
 
     def test_intervals_ignored_for_ratio_variants(self, capsys):
+        # the id is older than the rule: ratio rows now get exact brackets too
         code, out, err = run_cli(capsys, "sweep", "--variant", "ratio10", "--n-values", "31", "--intervals")
-        assert code == 0
-        assert "equal variant only" in err
+        assert (code, err) == (0, "")
         (row,) = parse_csv(out)
-        assert row["p_exact_strict"] == ""
+        config = ExperimentConfig((1, 10, 10, 10))
+        assert Fraction(row["p_exact_strict"]) == exact_violation_probability(config, STRICT).value
+        assert (
+            Fraction(row["p_exact_nonstrict"])
+            == exact_violation_probability(config, NON_STRICT).value
+        )
+
+    def test_intervals_past_the_int_digit_limit_and_the_budget(self, capsys):
+        # N = 16000 prints 2**16000 (4817 digits) in full; (25000,)*4 is
+        # over the enumeration budget, so its row keeps the formula alone
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if hasattr(sys, "set_int_max_str_digits"):
+            # the interpreter's default; main lifts it
+            sys.set_int_max_str_digits(4300)
+        try:
+            code, out, err = run_cli(capsys, "sweep", "--intervals", "--n-values", "16000", "100000")
+            assert (code, err) == (0, "")
+            # the equal variant's interval rows N = 4..20 come first
+            *_, small, large = parse_csv(out)
+            assert (small["N"], large["N"]) == ("16000", "100000")
+            config = ExperimentConfig((4000, 4000, 4000, 4000))
+            for threshold, key in ((STRICT, "p_exact_strict"), (NON_STRICT, "p_exact_nonstrict")):
+                assert len(small[key]) > 4300
+                assert Fraction(small[key]) == exact_violation_probability(config, threshold).value
+                assert large[key] == large[key + "_decimal"] == ""
+        finally:
+            if hasattr(sys, "set_int_max_str_digits"):
+                sys.set_int_max_str_digits(limit)
+        assert large["error"] == ""
+        assert float(large["p_analytic"]) == analytic_violation_probability(
+            ExperimentConfig((25000,) * 4)
+        ).value
 
 
 class TestModuleExecution:

@@ -424,6 +424,21 @@ class TestEstimate:
         with pytest.raises(InvalidConfigError):
             estimate_violation_probability(ExperimentConfig((1, 1, 1, 1)), 10, seed=1, workers=workers)
 
+    @pytest.mark.parametrize("seed", [2**64 + 42, 42 - 2**64, -(2**63) - 1, 2**64])
+    def test_rejects_seeds_past_64_bits_before_any_draw(self, monkeypatch, seed):
+        # each of these has the 64-bit pattern of a seed in range
+        def no_draws(*args):
+            raise AssertionError("drew before checking the seed")
+
+        monkeypatch.setattr(montecarlo, "_batch_hits", no_draws)
+        with pytest.raises(InvalidConfigError, match="seed"):
+            estimate_violation_probability(ExperimentConfig((2, 2, 2, 2)), 100, seed=seed)
+
+    @pytest.mark.parametrize("seed", [2**64 - 1, -(2**63)])
+    def test_accepts_seeds_at_the_range_ends(self, seed):
+        result = estimate_violation_probability(ExperimentConfig((2, 2, 2, 2)), 1000, seed=seed)
+        assert result.seed == seed
+
     def test_negative_seed_accepted_and_stable(self):
         config = ExperimentConfig((1, 1, 1, 1))
         a = estimate_violation_probability(config, 50_000, seed=-1)

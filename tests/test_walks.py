@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chshprob import model
@@ -87,6 +87,12 @@ class TestWalkPmf:
         assert value == Fraction(2**n - 1, 2 ** (n + 2))
 
     @given(n=st.integers(min_value=1, max_value=4096))
+    # the row mirrors its first half: odd and even lengths, the shortest first
+    @example(n=1)
+    @example(n=2)
+    @example(n=3)
+    @example(n=4)
+    @example(n=4095)
     @settings(max_examples=10, deadline=None)
     def test_binomial_row_matches_comb(self, n):
         row = binomial_row(n)
