@@ -1,8 +1,8 @@
 """Command line surface.
 
 Data goes to stdout as text, CSV, or JSON; diagnostics and warnings go to
-stderr.  Exit codes: 0 success, 1 usage or validation error or a failed
-Monte Carlo worker, 2 enumeration budget exceeded.
+stderr.  Exit codes: 0 success, 1 usage or validation error, 2 enumeration
+budget exceeded.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import gc
 import sys
 from fractions import Fraction
 
-from .errors import CorruptRecordError, InvalidConfigError, LimitError, WorkerError
+from .errors import CorruptRecordError, InvalidConfigError, LimitError
 from .model import (
     CHANNEL_SIGNS,
     CHANNELS,
@@ -396,8 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="batch workers: this process plus WORKERS - 1 forked children on Linux, "
-        "serial elsewhere; the hits do not depend on it",
+        help="batch workers: the calling thread plus up to WORKERS - 1 threads, no more "
+        "than the batches or the CPUs; the hits do not depend on it",
     )
     mc.set_defaults(func=cmd_mc)
 
@@ -455,7 +455,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print(f"hint: chshprob approx {' '.join(map(str, args.rounds))}", file=sys.stderr)
         return 2
-    except (InvalidConfigError, CorruptRecordError, WorkerError) as exc:
+    except (InvalidConfigError, CorruptRecordError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

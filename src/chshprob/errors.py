@@ -11,7 +11,3 @@ class CorruptRecordError(ValueError):
 
 class LimitError(RuntimeError):
     """A computation was refused because it exceeds a configured work budget."""
-
-
-class WorkerError(RuntimeError):
-    """A forked Monte Carlo worker died or exited without reporting its count."""

@@ -21,28 +21,24 @@ per process per (rounds, threshold) by the same counting and comparison
 that long rows run, so both read the same stream and give the same hits.
 
 With k = min(workers, batches, CPU count) workers, worker i sums batches
-i, i + k, i + 2k, ...; the calling process is worker 0 and the other k - 1
-are children started with ``os.fork``, each writing its count to a pipe.
-A child that is killed or exits nonzero fails the run with ``WorkerError``,
-whose message gives its signal or exit status; the calling process polls
-its children between its own batches, so the run stops soon after.
-Off Linux the run is serial, which gives the same hits: the worker count
-never changes them.  Batches are made one at a time, so memory does not
-grow with the trial count.
+i, i + k, i + 2k, ...; the calling thread is worker 0 and the other k - 1
+are threads, each writing its count into a list slot.  A worker that
+raises stops the others between batches, and the run raises its error.
+The worker count never changes the hits.  Batches are made one at a time,
+so memory does not grow with the trial count.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import sys
-from collections.abc import Callable
-from functools import lru_cache, partial
+import threading
+from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
 
-from .errors import InvalidConfigError, WorkerError
+from .errors import InvalidConfigError
 from .model import (
     CHANNEL_SIGNS,
     STRICT,
@@ -53,10 +49,10 @@ from .model import (
 
 # Fixed batching rule: batch b of a run draws from the child stream
 # SeedSequence(seed, spawn_key=(b,)).  Batch size depends only on the
-# config (bounding the packed draw matrix to WORD_BUDGET uint64 words,
+# config (bounding a batch's packed rows to WORD_BUDGET uint64 words,
 # 4 MiB), never on the worker count, which is what makes 1-worker and
-# k-worker runs bit-identical.  A row longer than WORD_BUDGET is drawn in
-# pieces of at most WORD_BUDGET words.
+# k-worker runs bit-identical.  Long rows are drawn WORD_BUDGET // 4 words
+# (1 MiB) at a time, a row longer than that in pieces.
 WORD_BUDGET = 1 << 19
 MAX_BATCH_TRIALS = 1 << 16
 # The same budget in bytes; benchmarks/tracing.py still reads this name.
@@ -205,8 +201,9 @@ def _batch_hits(
     fault them in again.  Longer rows are counted channel by channel
     by ``_count_ones`` and compared by ``_violations``.  They are drawn a
     group of trials at a time, or a row in pieces when it is longer than
-    WORD_BUDGET, so no draw holds more than WORD_BUDGET words; sequential
-    draws read the same stream as one.
+    WORD_BUDGET // 4 words: the threads of a pooled run draw in one
+    process, so their buffers add up.  Sequential draws read the same
+    stream as one.
     """
     # SeedSequence rejects negative entropy; keep the 64-bit pattern instead.
     bit_generator = np.random.PCG64(
@@ -222,8 +219,8 @@ def _batch_hits(
 
     offsets = list(accumulate(rounds, initial=0))
     words = _row_words(rounds)
-    rows = max(1, WORD_BUDGET // words)
-    piece = min(words, WORD_BUDGET)
+    rows = max(1, WORD_BUDGET // 4 // words)
+    piece = min(words, WORD_BUDGET // 4)
     ones = np.zeros((len(rounds), count), dtype=np.int64)
     for first_trial in range(0, count, rows):
         group = ones[:, first_trial : first_trial + rows]
@@ -240,90 +237,22 @@ def _strided_hits(
     threshold: str,
     stride: int,
     first: int,
+    stop: threading.Event,
 ) -> int:
     """Hits summed over batches first, first + stride, ... of a ``trials``-trial run.
 
     Batches are made one at a time, so no input makes the run hold a
-    per-batch list; the last batch takes the trials left over.  After each
-    batch the children of a pooled run are polled, so a dead one stops it.
+    per-batch list; the last batch takes the trials left over.  Once
+    ``stop`` is set, because another share of the run has failed, no
+    further batch is drawn and the partial sum is returned.
     """
     batch = _batch_trials(rounds)
     hits = 0
     for index in range(first, -(-trials // batch), stride):
+        if stop.is_set():
+            break
         hits += _batch_hits(rounds, seed, index, min(batch, trials - index * batch), threshold)
-        _poll_children()
     return hits
-
-
-# The children this process has forked for the run in progress: pid to exit
-# code once reaped, None while running.  Like the kernel's own table of
-# children it belongs to the process, so _strided_hits can poll it without a
-# parameter that only the calling process's share would use.  A run empties
-# it, and a forked child starts with it empty.
-_children: dict[int, int | None] = {}
-
-
-def _reap(pid: int, options: int) -> int | None:
-    """Exit code of child ``pid`` once reaped, negative for a signal; None if still running."""
-    reaped, status = os.waitpid(pid, options)
-    return os.waitstatus_to_exitcode(status) if reaped else None
-
-
-def _worker_error(code: int) -> WorkerError:
-    how = f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
-    return WorkerError(f"Monte Carlo worker {how}")
-
-
-def _poll_children() -> None:
-    """Reap every child that has ended; raise ``WorkerError`` if one failed."""
-    for pid, code in _children.items():
-        if code is None:
-            code = _children[pid] = _reap(pid, os.WNOHANG)
-            if code:
-                raise _worker_error(code)
-
-
-def _fork_share(share: Callable[[], int]) -> Callable[[], int | WorkerError]:
-    """Run ``share()`` in a forked child, which writes the count to a pipe.
-
-    Returns a function that reads the pipe, reaps the child unless a poll
-    already has, and gives the count, or a ``WorkerError`` naming the wait
-    status when the child was killed, exited nonzero or wrote nothing.  The
-    child leaves through ``os._exit``, so it runs none of the parent's
-    cleanup and flushes none of the stdio buffers it inherited.
-    """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            _children.clear()
-            os.close(read_fd)
-            os.write(write_fd, str(share()).encode("ascii"))
-            status = 0
-        finally:
-            os._exit(status)
-    _children[pid] = None
-    os.close(write_fd)
-
-    def collect() -> int | WorkerError:
-        try:
-            with open(read_fd, "rb") as pipe:
-                text = pipe.read()
-        finally:
-            code = _children.pop(pid)
-            if code is None:
-                code = _reap(pid, 0)
-        if code == 0 and text:
-            return int(text)
-        return _worker_error(code)
-
-    return collect
 
 
 def _pooled_hits(
@@ -331,34 +260,41 @@ def _pooled_hits(
 ) -> int:
     """Hits of a ``trials``-trial run split into ``pool_size`` strided shares.
 
-    This process runs share 0 and forks a child for each other share.  A
-    child that dies fails the run with its ``WorkerError`` at the next poll
-    between this process's batches, or when it is collected; no partial sum
-    is returned.  When this process's share raises, that error is the one
-    raised, and the children still drawing are killed first.  Every child
-    is reaped.
+    The calling thread runs share 0 and starts a thread for each other
+    share; numpy draws and counts with the GIL released, so the shares run
+    in parallel.  A share that raises, the calling thread's
+    ``KeyboardInterrupt`` included, stops the others between batches, and
+    the first error is raised once every thread has been joined; no
+    partial sum is returned.
     """
-    collectors = []
-    try:
-        for first in range(1, pool_size):
-            share = partial(_strided_hits, rounds, seed, trials, threshold, pool_size, first)
-            collectors.append(_fork_share(share))
-        hits = _strided_hits(rounds, seed, trials, threshold, stride=pool_size, first=0)
-    except BaseException:
-        # the run has failed, so stop the children still drawing rather than
-        # wait for them; signal (about 1 ms to import) loads only on this path
-        import signal
+    counts = [0] * pool_size
+    errors: list[BaseException] = []
+    stop = threading.Event()
 
-        for pid, code in _children.items():
-            if code is None:
-                os.kill(pid, signal.SIGKILL)
+    def share(first: int) -> None:
+        try:
+            counts[first] = _strided_hits(rounds, seed, trials, threshold, pool_size, first, stop)
+        except BaseException as exc:
+            errors.append(exc)
+            stop.set()
+
+    threads = [threading.Thread(target=share, args=(first,)) for first in range(1, pool_size)]
+    try:
+        for thread in threads:
+            thread.start()
+        share(0)
+        for thread in threads:
+            thread.join()
+    except BaseException:
+        # a thread that could not start, or an interrupt while joining
+        stop.set()
+        for thread in threads:
+            if thread.is_alive():
+                thread.join()
         raise
-    finally:
-        counts = [collect() for collect in collectors]
-    for count in counts:
-        if isinstance(count, WorkerError):
-            raise count
-    return hits + sum(counts)
+    if errors:
+        raise errors[0]
+    return sum(counts)
 
 
 def estimate_violation_probability(
@@ -373,23 +309,22 @@ def estimate_violation_probability(
 
     Deterministic in (seed, trials, config, threshold): trials are cut into
     fixed-size batches with per-batch substreams and hits are summed, so any
-    worker count reproduces the sequential result exactly.  The streams
-    read the seed's 64-bit two's-complement pattern, so a negative seed s
-    draws the stream of s + 2**64; a seed outside -2**63 .. 2**64 - 1 would
-    have its higher bits dropped, and is refused with InvalidConfigError
-    before any draw.
+    worker count reproduces the sequential result exactly.  The seed is a
+    signed 64-bit integer, -2**63 .. 2**63 - 1, and the streams read its
+    two's-complement pattern, so a negative seed s draws the stream of
+    s + 2**64, which no accepted seed shares.  A seed outside that range
+    is refused with InvalidConfigError before any draw.
     """
     _check_threshold(threshold)
     if trials < 1:
         raise InvalidConfigError(f"trials must be >= 1, got {trials}")
     if workers < 1:
         raise InvalidConfigError(f"workers must be >= 1, got {workers}")
-    if not -(1 << 63) <= seed < 1 << 64:
-        raise InvalidConfigError(f"seed must be in -2**63 .. 2**64 - 1, got {seed}")
+    if not -(1 << 63) <= seed < 1 << 63:
+        raise InvalidConfigError(f"seed must be in -2**63 .. 2**63 - 1, got {seed}")
     batches = -(-trials // _batch_trials(config.rounds))
-    # more workers than batches or cores only cost start-up time; forking is
-    # the start method CPython's own multiprocessing used on Linux through 3.13
-    pool_size = min(workers, batches, os.cpu_count() or 1) if sys.platform == "linux" else 1
+    # more workers than batches or cores only cost start-up time
+    pool_size = min(workers, batches, os.cpu_count() or 1)
     hits = _pooled_hits(config.rounds, seed, trials, threshold, pool_size)
 
     low, high = wilson_interval(hits, trials)

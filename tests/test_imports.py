@@ -1,6 +1,6 @@
 """Only ``mc`` imports numpy, no run imports a process pool (a multi-worker run
-forks its workers directly), no command loads dataclasses, inspect or typing,
-and only JSON output loads json."""
+starts plain threads), no command loads dataclasses, inspect or typing, and
+only JSON output loads json."""
 
 import json
 import os

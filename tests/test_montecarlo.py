@@ -1,9 +1,8 @@
 import itertools
 import math
-import os
-import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from fractions import Fraction
@@ -113,16 +112,27 @@ class TestSimulateExperiment:
                     assert got == expected, (rounds, threshold, index)
 
     def test_rows_past_the_word_budget_are_drawn_in_pieces(self, monkeypatch):
-        # a 32-word row under a 5-word budget: one trial per draw, each row in
-        # 5-word pieces; sequential draws read the same stream as one draw
+        # a 32-word row under a 20-word budget: one trial per batch and per
+        # draw, each row in 5-word pieces (a quarter of the budget);
+        # sequential draws read the same stream as one draw
         rounds = (1, 1, 1000, 1000)
         assert _row_words(rounds) == 32
         whole = {th: _batch_hits(rounds, 13, 0, 64, th) for th in (STRICT, NON_STRICT)}
-        monkeypatch.setattr(montecarlo, "WORD_BUDGET", 5)
+        shapes = []
+        count_ones = montecarlo._count_ones
+
+        def recording(bits, *args):
+            shapes.append(bits.shape)
+            count_ones(bits, *args)
+
+        monkeypatch.setattr(montecarlo, "_count_ones", recording)
+        monkeypatch.setattr(montecarlo, "WORD_BUDGET", 20)
         assert _batch_trials(rounds) == 1
         for threshold in (STRICT, NON_STRICT):
+            shapes.clear()
             expected = replay_hits(rounds, 13, 0, 64, threshold)
             assert _batch_hits(rounds, 13, 0, 64, threshold) == expected == whole[threshold]
+            assert shapes == ([(1, 5)] * 6 + [(1, 2)]) * 64
 
     def test_short_rows_are_looked_up_and_longer_rows_counted(self, monkeypatch):
         # 2**16 possible rows fill one batch, so (4,4,4,4) builds its table
@@ -286,122 +296,157 @@ class TestEstimate:
             assert sequential.stream == STREAM_VERSION == 2
 
     def test_pool_never_outgrows_the_batches_or_the_cores(self, monkeypatch):
-        # a stand-in for the helper that forks a child: it runs the share in
-        # this process, so no child is ever started whatever workers= asks for
+        # a stand-in for threading.Thread that records every thread started;
+        # the pool is the same on every platform
         started = []
 
-        def in_process(share):
-            started.append(share)
-            count = share()
-            return lambda: count
+        class RecordedThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
 
-        monkeypatch.setattr(montecarlo, "_fork_share", in_process)
+        monkeypatch.setattr(montecarlo.threading, "Thread", RecordedThread)
         config = ExperimentConfig((1, 1, 1, 1))
         batch = _batch_trials(config.rounds)
-        # the calling process runs one share, so a pool of k starts k - 1 children
-        for batches, workers, cpus, platform, children in (
-            (2, 5000, 64, "linux", 1),
-            (10, 5000, 3, "linux", 2),
-            (10, 5000, None, "linux", 0),
-            (10, 2, 64, "linux", 1),
-            (10, 2, 64, "darwin", 0),
+        # the calling thread runs one share, so a pool of k starts k - 1 threads
+        for batches, workers, cpus, threads in (
+            (2, 5000, 64, 1),
+            (10, 5000, 3, 2),
+            (10, 5000, None, 0),
+            (10, 2, 64, 1),
         ):
             monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
-            monkeypatch.setattr(montecarlo.sys, "platform", platform)
             sequential = estimate_violation_probability(config, batches * batch, seed=7)
             started.clear()
             pooled = estimate_violation_probability(
                 config, batches * batch, seed=7, workers=workers
             )
-            assert len(started) == children, (batches, workers, cpus, platform)
+            assert len(started) == threads, (batches, workers, cpus)
+            assert not any(thread.is_alive() for thread in started)
             assert pooled == sequential
 
-    @pytest.mark.skipif(sys.platform != "linux", reason="runs are forked on Linux only")
     @pytest.mark.parametrize(
         "failing, error",
-        [(None, None), (0, ShareFailed), (1, RuntimeError)],
+        [(None, None), (0, ShareFailed), (1, ShareFailed)],
         ids=["none", "parent", "child"],
     )
     def test_every_child_is_reaped(self, monkeypatch, failing, error):
-        # share 0 runs in this process and share 1 in a forked child; a failed
-        # child fails the run, and the parent's own error is the one raised
+        # share 0 runs in the calling thread and share 1 in a pool thread; a
+        # share that raises fails the run with its own exception, and every
+        # pool thread has ended when the run returns or raises
         strided_hits = montecarlo._strided_hits
 
-        def share(rounds, seed, trials, threshold, stride, first):
+        def share(rounds, seed, trials, threshold, stride, first, stop):
             if first == failing:
                 raise ShareFailed(first)
-            return strided_hits(rounds, seed, trials, threshold, stride, first)
+            return strided_hits(rounds, seed, trials, threshold, stride, first, stop)
 
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
         config = ExperimentConfig((1, 1, 1, 1))
         trials = 2 * _batch_trials(config.rounds)
         sequential = estimate_violation_probability(config, trials, seed=7)
         monkeypatch.setattr(montecarlo, "_strided_hits", share)
+        before = set(threading.enumerate())
         if error is None:
             assert estimate_violation_probability(config, trials, seed=7, workers=2) == sequential
         else:
-            with pytest.raises(error):
+            with pytest.raises(error, match=str(failing)):
                 estimate_violation_probability(config, trials, seed=7, workers=2)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        assert set(threading.enumerate()) == before
 
-    @pytest.mark.skipif(sys.platform != "linux", reason="runs are forked on Linux only")
     def test_killed_worker_gives_one_error_line(self, monkeypatch, capsys):
-        # share 1 runs in a forked child that kills itself; the run fails
-        # with the wait status on one error line, and the child is reaped
+        # share 1 raises in its pool thread; the run fails with that error on
+        # one error line and exit 1, and the thread has ended
         strided_hits = montecarlo._strided_hits
 
-        def share(rounds, seed, trials, threshold, stride, first):
+        def share(rounds, seed, trials, threshold, stride, first, stop):
             if first == 1:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return strided_hits(rounds, seed, trials, threshold, stride, first)
+                raise InvalidConfigError("share 1 failed")
+            return strided_hits(rounds, seed, trials, threshold, stride, first, stop)
 
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(montecarlo, "_strided_hits", share)
         trials = 2 * _batch_trials((1, 1, 1, 1))
+        before = set(threading.enumerate())
         code = main(["mc", "1", "1", "1", "1", "--trials", str(trials), "--workers", "2"])
         assert code == 1
-        assert capsys.readouterr() == ("", "error: Monte Carlo worker killed by signal 9\n")
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        assert capsys.readouterr() == ("", "error: share 1 failed\n")
+        assert set(threading.enumerate()) == before
 
-    @pytest.mark.skipif(sys.platform != "linux", reason="runs are forked on Linux only")
     @pytest.mark.parametrize("workers", [2, 3])
     def test_dead_worker_stops_the_run_between_batches(self, monkeypatch, capsys, workers):
-        # share 1's child kills itself at once, and share 2's (at 3 workers)
-        # sleeps; this process's first batch waits until a child has died,
-        # without reaping it, so the poll after that batch must see the
-        # death, and the sleeping child must be stopped rather than waited for
+        # share 1 raises as soon as share 0 is inside its first batch, and
+        # every batch waits until the run's stop event is set; so share 0
+        # must stop after that batch and share 2 (at 3 workers) by its next
+        # one, rather than draw the 40 or more of the 120 batches each has
         strided_hits = montecarlo._strided_hits
         batch_hits = montecarlo._batch_hits
+        drawing = threading.Event()
+        stops = []
         ran = []
 
-        def share(rounds, seed, trials, threshold, stride, first):
+        def share(rounds, seed, trials, threshold, stride, first, stop):
+            stops.append(stop)
             if first == 1:
-                os.kill(os.getpid(), signal.SIGKILL)
-            if first == 2:
-                time.sleep(60)
-            return strided_hits(rounds, seed, trials, threshold, stride, first)
+                assert drawing.wait(timeout=30)
+                raise InvalidConfigError("share 1 failed")
+            return strided_hits(rounds, seed, trials, threshold, stride, first, stop)
 
-        def counted_batch(*args):
-            if not ran:
-                os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
-            ran.append(args)
-            return batch_hits(*args)
+        def counted_batch(rounds, seed, index, count, threshold):
+            ran.append(index % workers)
+            if index == 0:
+                drawing.set()
+            assert stops[0].wait(timeout=30)
+            return batch_hits(rounds, seed, index, count, threshold)
 
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: workers)
         monkeypatch.setattr(montecarlo, "_strided_hits", share)
         monkeypatch.setattr(montecarlo, "_batch_hits", counted_batch)
-        # share 0 has at least 40 of the 120 batches
         trials = 120 * _batch_trials((1, 1, 1, 1))
+        before = set(threading.enumerate())
         started = time.monotonic()
         code = main(["mc", "1", "1", "1", "1", "--trials", str(trials), "--workers", str(workers)])
         assert time.monotonic() - started < 30
         assert code == 1
-        assert capsys.readouterr() == ("", "error: Monte Carlo worker killed by signal 9\n")
-        assert len(ran) == 1
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        assert capsys.readouterr() == ("", "error: share 1 failed\n")
+        assert ran.count(0) == 1 and ran.count(2) <= 1 and len(ran) == ran.count(0) + ran.count(2)
+        assert set(threading.enumerate()) == before
+
+    def test_concurrent_pooled_runs_match_their_serial_results(self, monkeypatch):
+        # two pooled runs at once, each from its own thread, share no state:
+        # each gives the hits it gives alone and serially
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+        runs = {
+            (1, 1, 1, 1): (4 * MAX_BATCH_TRIALS + 5, 11),
+            (1, 1, 1000, 1000): (3 * _batch_trials((1, 1, 1000, 1000)) + 7, 12),
+        }
+        serial = {
+            rounds: estimate_violation_probability(ExperimentConfig(rounds), trials, seed=seed)
+            for rounds, (trials, seed) in runs.items()
+        }
+        results = {}
+        barrier = threading.Barrier(len(runs))
+
+        def run(rounds, trials, seed):
+            barrier.wait(timeout=30)
+            results[rounds] = estimate_violation_probability(
+                ExperimentConfig(rounds), trials, seed=seed, workers=3
+            )
+
+        threads = [
+            threading.Thread(target=run, args=(rounds, *args)) for rounds, args in runs.items()
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == serial
 
     def test_strict_hits_never_exceed_nonstrict(self):
         config = ExperimentConfig((3, 2, 2, 3))
@@ -424,7 +469,9 @@ class TestEstimate:
         with pytest.raises(InvalidConfigError):
             estimate_violation_probability(ExperimentConfig((1, 1, 1, 1)), 10, seed=1, workers=workers)
 
-    @pytest.mark.parametrize("seed", [2**64 + 42, 42 - 2**64, -(2**63) - 1, 2**64])
+    @pytest.mark.parametrize(
+        "seed", [2**64 + 42, 42 - 2**64, -(2**63) - 1, 2**64, 2**63, 2**64 - 1]
+    )
     def test_rejects_seeds_past_64_bits_before_any_draw(self, monkeypatch, seed):
         # each of these has the 64-bit pattern of a seed in range
         def no_draws(*args):
@@ -434,7 +481,7 @@ class TestEstimate:
         with pytest.raises(InvalidConfigError, match="seed"):
             estimate_violation_probability(ExperimentConfig((2, 2, 2, 2)), 100, seed=seed)
 
-    @pytest.mark.parametrize("seed", [2**64 - 1, -(2**63)])
+    @pytest.mark.parametrize("seed", [2**63 - 1, -(2**63)])
     def test_accepts_seeds_at_the_range_ends(self, seed):
         result = estimate_violation_probability(ExperimentConfig((2, 2, 2, 2)), 1000, seed=seed)
         assert result.seed == seed
