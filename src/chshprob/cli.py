@@ -1,8 +1,8 @@
 """Command line surface.
 
 Data goes to stdout as text, CSV, or JSON; diagnostics and warnings go to
-stderr.  Exit codes: 0 success, 1 usage or validation error, 2 enumeration
-budget exceeded.
+stderr.  Exit codes: 0 success, 1 usage or validation error, 2 work budget
+exceeded (exact's enumeration or mc's word count).
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import gc
+import os
 import sys
 from fractions import Fraction
 
@@ -390,7 +391,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_rounds_argument(mc)
     _add_threshold_flags(mc)
     _add_format_flag(mc)
-    mc.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help="experiments to simulate")
+    mc.add_argument(
+        "--trials",
+        type=int,
+        default=DEFAULT_TRIALS,
+        help="experiments to simulate, ceil(N/64) drawn words each; a run over the "
+        "word budget is refused before any draw",
+    )
     mc.add_argument("--seed", type=int, default=DEFAULT_SEED, help="stream seed (default %(default)s)")
     mc.add_argument(
         "--workers",
@@ -451,7 +458,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except LimitError as exc:
-        # only exact refuses work, and approx answers any size at once
+        # exact and mc refuse work over their budgets; approx answers any size at once
         print(f"error: {exc}", file=sys.stderr)
         print(f"hint: chshprob approx {' '.join(map(str, args.rounds))}", file=sys.stderr)
         return 2
@@ -468,7 +475,14 @@ def entry() -> None:
     over them, about a tenth of a short command's time.  Under ``-X dev``
     the full teardown stays, so that finalizers still report unclosed
     resources.
+
+    Before ``main`` runs, OpenBLAS is capped at one thread unless
+    ``OPENBLAS_NUM_THREADS`` is already set.  numpy loads OpenBLAS, which
+    otherwise starts a thread per CPU during ``import numpy``; nothing in
+    the package calls BLAS, and starting that pool costs an ``mc`` process
+    60-75 ms of CPU time.  ``main`` itself never touches the environment.
     """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     code = main()
     if not sys.flags.dev_mode:
         gc.freeze()

@@ -25,7 +25,9 @@ i, i + k, i + 2k, ...; the calling thread is worker 0 and the other k - 1
 are threads, each writing its count into a list slot.  A worker that
 raises stops the others between batches, and the run raises its error.
 The worker count never changes the hits.  Batches are made one at a time,
-so memory does not grow with the trial count.
+so memory does not grow with the trial count.  A run is priced at
+trials * ceil(sum(n_k) / 64) words before any draw, and a run over
+RUN_WORD_BUDGET is refused with LimitError.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, LimitError
 from .model import (
     CHANNEL_SIGNS,
     STRICT,
@@ -58,6 +60,10 @@ MAX_BATCH_TRIALS = 1 << 16
 # The same budget in bytes; benchmarks/tracing.py still reads this name.
 BATCH_ELEMENT_BUDGET = 8 * WORD_BUDGET
 STREAM_VERSION = 2
+# Words one run may draw: about a minute at one worker for long rows, which
+# draw and count 1.3e8-2.3e8 words/s on a 2-core test machine.  One-word rows
+# of 17-64 rounds run at 4e7-6e7 words/s, so theirs takes up to 3.5 minutes.
+RUN_WORD_BUDGET = 1 << 33
 
 # statistics.NormalDist().inv_cdf(0.975), written out so importing costs nothing
 _Z95 = 1.9599639845400536
@@ -313,7 +319,8 @@ def estimate_violation_probability(
     signed 64-bit integer, -2**63 .. 2**63 - 1, and the streams read its
     two's-complement pattern, so a negative seed s draws the stream of
     s + 2**64, which no accepted seed shares.  A seed outside that range
-    is refused with InvalidConfigError before any draw.
+    is refused with InvalidConfigError before any draw, and a run of more
+    than RUN_WORD_BUDGET words with LimitError.
     """
     _check_threshold(threshold)
     if trials < 1:
@@ -322,6 +329,12 @@ def estimate_violation_probability(
         raise InvalidConfigError(f"workers must be >= 1, got {workers}")
     if not -(1 << 63) <= seed < 1 << 63:
         raise InvalidConfigError(f"seed must be in -2**63 .. 2**63 - 1, got {seed}")
+    words = trials * _row_words(config.rounds)
+    if words > RUN_WORD_BUDGET:
+        raise LimitError(
+            f"Monte Carlo run draws {words} words, over the budget {RUN_WORD_BUDGET}; "
+            "the analytic method has no such limit"
+        )
     batches = -(-trials // _batch_trials(config.rounds))
     # more workers than batches or cores only cost start-up time
     pool_size = min(workers, batches, os.cpu_count() or 1)

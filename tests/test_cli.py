@@ -2,6 +2,7 @@ import csv
 import gc
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -78,6 +79,23 @@ class TestProbabilityCommands:
         assert code == 2
         assert out == ""
         assert "approx" in err
+
+    def test_mc_over_the_word_budget_exits_2_before_any_draw(self, monkeypatch, capsys):
+        # 10**12 rounds are 15625000001 words a trial, past the 2**33 budget
+        from chshprob import montecarlo
+
+        def no_draws(*args):
+            raise AssertionError("drew before pricing the run")
+
+        monkeypatch.setattr(montecarlo, "_batch_hits", no_draws)
+        code, out, err = run_cli(capsys, "mc", "1", "1", "1", str(10**12), "--trials", "1")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "error: Monte Carlo run draws 15625000001 words, over the budget 8589934592; "
+            "the analytic method has no such limit",
+            f"hint: chshprob approx 1 1 1 {10**12}",
+        ]
 
     def test_exact_step_limit_exits_2(self, capsys):
         # no separate step limit: the budget prices the long row
@@ -410,11 +428,21 @@ class TestModuleExecution:
         assert "C = 4" in result.stdout
 
 
+def unset_blas_threads(monkeypatch):
+    """Remove OPENBLAS_NUM_THREADS for one test; setting it first makes
+    monkeypatch restore the pytest process's own value, or its absence, even
+    after the code under test sets it."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+
+
 class TestEntry:
-    """``entry`` is the process's way out: it exits with ``main``'s code and,
-    outside dev mode, freezes the collector once ``main`` has returned."""
+    """``entry`` is the process's way out: it caps OpenBLAS at one thread
+    unless the caller chose a count, exits with ``main``'s code and, outside
+    dev mode, freezes the collector once ``main`` has returned."""
 
     def run_entry(self, monkeypatch, argv, dev_mode):
+        unset_blas_threads(monkeypatch)
         events = []
         run_main = cli.main
 
@@ -450,3 +478,29 @@ class TestEntry:
 
     def test_dev_mode_keeps_the_full_teardown(self, monkeypatch, capsys):
         assert self.run_entry(monkeypatch, ["toy"], dev_mode=True) == (0, [("main", 0)])
+
+    @pytest.mark.parametrize("preset, threads", [(None, "1"), ("3", "3")])
+    def test_caps_openblas_threads_before_main_unless_preset(
+        self, monkeypatch, preset, threads
+    ):
+        unset_blas_threads(monkeypatch)
+        if preset is not None:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+        seen = []
+
+        def recorded_main():
+            seen.append(os.environ["OPENBLAS_NUM_THREADS"])
+            return 0
+
+        monkeypatch.setattr(cli, "main", recorded_main)
+        monkeypatch.setattr(gc, "freeze", lambda: None)
+        with pytest.raises(SystemExit):
+            cli.entry()
+        assert seen == [threads]
+        assert os.environ["OPENBLAS_NUM_THREADS"] == threads
+
+    def test_main_leaves_the_environment_alone(self, monkeypatch, capsys):
+        unset_blas_threads(monkeypatch)
+        before = dict(os.environ)
+        assert main(["mc", "2", "2", "2", "2", "--trials", "1000"]) == 0
+        assert dict(os.environ) == before

@@ -46,15 +46,20 @@ NON_MC_COMMANDS = [
 ]
 
 
-def run_child(mode, argv, *, site=True):
-    env = dict(os.environ, COLUMNS="80")
+def child_env(**overrides):
+    """This environment with the package's source first on PYTHONPATH."""
+    env = dict(os.environ, **overrides)
     src = str(Path(chshprob.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_child(mode, argv, *, site=True):
     result = subprocess.run(
         [sys.executable, *([] if site else ["-S"]), "-c", CHILD, mode, *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(COLUMNS="80"),
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
@@ -91,6 +96,9 @@ def test_single_worker_mc_does_not_import_the_pool():
 
 
 def test_two_worker_mc_forks_without_the_pool_modules():
+    """A two-worker run starts a thread for its second share and never
+    forks, so it loads neither concurrent.futures nor multiprocessing; the
+    id is kept from when the shares ran in forked children."""
     # 32-word rows make 16384-trial batches, so 40000 trials are three batches
     argv = ["mc", "1", "1", "1000", "1000", "--trials", "40000"]
     report = run_child("open", [*argv, "--workers", "2"])
@@ -106,3 +114,38 @@ def test_mc_without_numpy_exits_1_with_one_error_line():
     lines = report["stderr"].splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: mc needs numpy >= 2.0")
     assert "Traceback" not in report["stderr"]
+
+
+# Runs ``python -m chshprob`` through runpy and prints, from an atexit hook
+# that runs after entry() has exited, the number of native threads left.
+THREAD_PROBE = """
+import atexit, os, runpy, sys
+atexit.register(lambda: print("tasks", len(os.listdir("/proc/self/task")), file=sys.stderr))
+sys.argv[0] = "chshprob"
+runpy.run_module("chshprob", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts threads in /proc/self/task")
+@pytest.mark.parametrize("preset, tasks", [(None, 1), ("2", 2)], ids=["unset", "preset-2"])
+def test_mc_process_runs_on_one_native_thread(preset, tasks):
+    # numpy loads OpenBLAS, which starts a thread per CPU during the import
+    # unless OPENBLAS_NUM_THREADS says otherwise; entry() caps it at one,
+    # and a count the caller set wins
+    if tasks > 1 and len(os.sched_getaffinity(0)) < tasks:
+        pytest.skip(f"OpenBLAS starts at most one thread per CPU; {tasks} needed")
+    env = child_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    argv = ["mc", "2", "2", "2", "2", "--trials", "1000"]
+    result = subprocess.run(
+        [sys.executable, "-c", THREAD_PROBE, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("method,")
+    assert result.stderr.splitlines() == [f"tasks {tasks}"]

@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chshprob.cli import main
-from chshprob.errors import InvalidConfigError
+from chshprob.errors import InvalidConfigError, LimitError
 from chshprob.model import (
     NON_STRICT,
     STRICT,
@@ -25,6 +25,7 @@ from chshprob.model import (
 from chshprob import montecarlo
 from chshprob.montecarlo import (
     MAX_BATCH_TRIALS,
+    RUN_WORD_BUDGET,
     STREAM_VERSION,
     _batch_hits,
     _batch_trials,
@@ -546,6 +547,30 @@ class TestEstimate:
         finally:
             tracemalloc.stop()
         assert peak < 100 * 1024
+
+    @pytest.mark.parametrize(
+        "rounds, trials",
+        [
+            ((1, 1, 1, 1), RUN_WORD_BUDGET),
+            ((1, 1, 1, 61), RUN_WORD_BUDGET),
+            ((1, 1, 1, 62), RUN_WORD_BUDGET // 2),
+        ],
+        ids=["short", "one-word", "two-word"],
+    )
+    def test_word_budget_refuses_before_any_draw(self, monkeypatch, rounds, trials):
+        # a row of up to 64 rounds is one word and of 65 two, so each run
+        # here costs exactly the budget: it reaches its first draw, and one
+        # trial more is refused before that draw
+        def first_batch(*args):
+            raise RuntimeError("first batch reached")
+
+        monkeypatch.setattr(montecarlo, "_batch_hits", first_batch)
+        config = ExperimentConfig(rounds)
+        assert trials * _row_words(rounds) == RUN_WORD_BUDGET == 2**33
+        with pytest.raises(RuntimeError, match="first batch reached"):
+            estimate_violation_probability(config, trials, seed=1, workers=2)
+        with pytest.raises(LimitError, match=f"draws {RUN_WORD_BUDGET + _row_words(rounds)} words"):
+            estimate_violation_probability(config, trials + 1, seed=1, workers=2)
 
     def test_bigint_accumulator_matches_replay(self):
         # 4*lcm >= 2**62 here, so sums past int64 accumulate as Python integers
