@@ -376,8 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=DEFAULT_ENUMERATION_BUDGET,
-        help="max work of the exact plan to accept: table entries, streamed pairs and "
-        "row entries, weighted by integer width; the default accepts what runs in "
+        help="max price of the exact plan to accept: the larger of its time (entries "
+        "visited, integer products, the walk along the longest row, and printing the "
+        "result) and its memory (the middle table); the default accepts what runs in "
         "about a second or less (default %(default)s)",
     )
     exact.set_defaults(func=cmd_exact)

@@ -25,7 +25,6 @@ from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import accumulate
-from operator import mul
 
 from .errors import CorruptRecordError, InvalidConfigError, LimitError
 from .walks import binomial_row
@@ -43,10 +42,11 @@ STRICT = "strict"
 NON_STRICT = "non-strict"
 THRESHOLDS = (STRICT, NON_STRICT)
 
-# Default ceiling on ``enumeration_cost``, the work of the exact kernel:
-# every configuration it accepts runs in about a second or less at about
-# 130 MiB peak RSS or less (measured on a 2-core x86 host, Python 3.11).
-DEFAULT_ENUMERATION_BUDGET = 4 * 10**7
+# Default ceiling on ``enumeration_cost``, the price of an exact run: on a
+# 2-core x86 host (Python 3.11), every configuration tried that it accepts
+# ran in about a second or less at 170 MiB peak RSS or less, end to end with
+# printing; the longest accepted result, (1, 1, 1, 757117), took 1.2 s.
+DEFAULT_ENUMERATION_BUDGET = 7 * 10**7
 
 
 def _check_threshold(threshold: str) -> None:
@@ -233,37 +233,182 @@ class ViolationProbability(_Record):
             raise InvalidConfigError(f"probability out of range: {self.value!r}")
 
 
-def _plan(rounds: Sequence[int]) -> tuple[list, list, tuple[int, int]]:
-    """Split the channels into the exact kernel's three parts.
+# The two sides ``_plan`` can pick for the exact kernel's double sum over
+# (middle sum, longest-group step): suffix sums of the middle table with one
+# bisection per step, or upper-tail sums of the longest group's row.
+STEP_SIDE = "steps"
+TAIL_SIDE = "tails"
+
+# Weights of the price, in units of about 10 ns of work on that host,
+# fitted on timings of both sides on every plan shape.
+# A unit is one 64-bit word of linear integer work: a row step multiplies
+# and divides a path count by small ints, and a table word held costs about
+# as much again in cache misses.  Besides those: a fixed cost per call, a
+# loop step or dict update per entry visited, and a fifth of a unit per
+# word-by-word product of two wide integers.
+_BASE_COST = 2000
+_ENTRY_COST = 12
+_PRODUCTS_PER_UNIT = 5
+# Peak memory is priced apart, at 5 units per 12 bytes: each middle-table
+# sum holds its count, 8 bytes per 64-bit word, and about 200 bytes of dict,
+# key and suffix-sum slots (fitted on peak RSS).
+_TABLE_SUM_BYTES = 200
+
+# The plan finds the walk's reach exactly by enumerating the sums of the
+# groups other than the longest, up to this many; past it the walk is priced
+# at its longest, half the row.
+_REACH_ENUMERATION_LIMIT = 4096
+
+
+def _price(entries: int, products: int, linear: int) -> int:
+    """Time units of entries visited, word-by-word products and words of
+    linear integer work."""
+    return _ENTRY_COST * entries + products // _PRODUCTS_PER_UNIT + linear
+
+
+def _words(bits: int) -> int:
+    """64-bit words of a typical path count below 2**bits, at least one.
+
+    C(n, i) has n * H(i/n) bits, n / (2 ln 2) or about 0.72 n on average
+    over i; taken as three quarters of the bound.
+    """
+    return max(1, -(-3 * bits // 256))
+
+
+def _product(a: int, b: int) -> int:
+    """Word-by-word work of multiplying integers of a and b 64-bit words:
+    a*b, less a quarter per halving of the shorter one past 32 words, where
+    CPython's Karatsuba multiplication does three half-size products
+    instead of four."""
+    shorter, work = min(a, b), a * b
+    while shorter > 32:
+        shorter, work = shorter // 2, work * 3 // 4
+    return work
+
+
+def _distinct_sums(groups: Sequence[tuple[int, int]]) -> int:
+    """Number of distinct sums of the joint walks of at most two groups.
+
+    Two groups (a, q_a) and (b, q_b) reach equal sums exactly when their
+    step counts differ by a multiple of (q_b/g, -q_a/g), g = gcd(q_a, q_b);
+    the pairs with a partner one such move away are the repeats.
+    """
+    if len(groups) < 2:
+        return math.prod(n + 1 for n, _ in groups)
+    (a, q_a), (b, q_b) = groups
+    g = math.gcd(q_a, q_b)
+    return (a + 1) * (b + 1) - max(0, a + 1 - q_b // g) * max(0, b + 1 - q_a // g)
+
+
+def _walk_reach(rest: Sequence[tuple[int, int]], longest: tuple[int, int], scale: int) -> int:
+    """Steps the tail side walks along the longest group's row.
+
+    The walk goes up from C(L, 0) to the deepest prefix that a threshold
+    k in 1..L needs, min(k - 1, L - k), over every sum u of the other
+    groups and both thresholds.  Past ``_REACH_ENUMERATION_LIMIT`` sums it
+    is priced at its longest, half the row.
+    """
+    length, q = longest
+    if math.prod(n + 1 for n, _ in rest) > _REACH_ENUMERATION_LIMIT:
+        return (length - 1) // 2
+    sums = {0}
+    for n, r in rest:
+        sums = {s + r * (2 * i - n) for s in sums for i in range(n + 1)}
+    reach = 0
+    for u in sums:
+        for offset in (2 * scale, 2 * scale + 1):
+            k = -((u - offset - q * length) // (2 * q))
+            if 1 <= k <= length:
+                reach = max(reach, min(k - 1, length - k))
+    return reach
+
+
+def _plan(rounds: Sequence[int]) -> tuple[list, list, tuple[int, int], str, int]:
+    """Split the channels into the exact kernel's parts and pick its side.
 
     Channels with equal counts share the coefficient q = lcm/n, so they
     add up to one fair walk of their combined length (Vandermonde's
     identity).  The 1 to 4 groups, as (length, q) sorted by length, split
-    into the streamed outer part (the shortest group when there are four),
-    the tabulated middle part, and the longest group, whose row is streamed.
+    into the outer part (the shortest group when there are four), the
+    tabulated middle part, and the longest group.
+
+    The kernel's double sum over (middle sum, longest-group step) can be
+    suffix-summed on either side, and both are priced here from the counts
+    alone, before any row is built:
+
+    * ``STEP_SIDE``: the middle table's suffix sums, one bisection and one
+      product per (outer sum, row step) pair, and the longest row built;
+    * ``TAIL_SIDE``: one product per (outer sum, middle sum) pair, merged
+      by threshold, then a walk along the longest row from its nearer end
+      (``_walk_reach``) and one product per distinct threshold.
+
+    Both share the tables.  Returns (outer, middle, longest, side, cost).
+    side is the cheaper one; cost, the run's price, is the larger of two:
+    time (that side's work, a fixed cost per call, and the result's
+    reduction and printing, quadratic in its N/64 words) and peak memory
+    (the middle table).  One price covers both thresholds; it is at least 1.
     """
     scale = math.lcm(*rounds)
     *rest, longest = sorted((n * rounds.count(n), scale // n) for n in set(rounds))
-    # len(rest) // 3 is 1 only when there are four groups
-    return rest[: len(rest) // 3], rest[len(rest) // 3 :], longest
+    outer, middle = rest[: len(rest) // 3], rest[len(rest) // 3 :]
+    length = longest[0]
+    entries = products = 0
+    for part in (outer, middle):
+        size, bits = 1, 0
+        for n, _ in part:
+            entries += size * (n + 1)
+            products += size * (n + 1) * _product(_words(bits), _words(n))
+            size *= n + 1
+            bits += n
+    outer_sums, middle_sums = _distinct_sums(outer), _distinct_sums(middle)
+    outer_words = _words(sum(n for n, _ in outer))
+    middle_words = _words(sum(n for n, _ in middle))
+    row_words = _words(length)
+    held = middle_sums * middle_words
+
+    pairs = outer_sums * (length + 1)
+    steps = _price(
+        entries + middle_sums + length + 1 + pairs,
+        products + pairs * _product(middle_words, row_words),
+        held + length // 2 * row_words,
+    )
+    pairs = outer_sums * middle_sums
+    thresholds = min(pairs, length)
+    tails = _price(
+        entries + pairs + thresholds,
+        products
+        + pairs * _product(outer_words, middle_words)
+        + thresholds * _product(outer_words + middle_words, row_words),
+        held,
+    )
+    side = STEP_SIDE
+    if tails < steps:
+        reach = _walk_reach(rest, longest, scale)
+        tails += _price(reach, 0, reach * row_words)
+        if tails < steps:
+            side = TAIL_SIDE
+    # the result k / 2**N is reduced and printed in time quadratic in its
+    # N/64 words: about 11 ns per square word on Python 3.10 and 3.11 (3.12
+    # prints long ints faster), priced at half a unit
+    time = min(steps, tails) + _BASE_COST + (-(-sum(rounds) // 64)) ** 2 // 2
+    held_bytes = middle_sums * (8 * -(-sum(n for n, _ in middle) // 64) + _TABLE_SUM_BYTES)
+    memory = held_bytes * 5 // 12
+    return outer, middle, longest, side, max(time, memory)
 
 
 def enumeration_cost(config: ExperimentConfig) -> int:
-    """Work of the exact kernel's plan, the unit the enumeration budget caps.
+    """Price of an exact run, the unit the enumeration budget caps.
 
-    Counts the entries the outer and middle sums are built from, the
-    streamed (outer sum, longest-group step) pairs and the binomial row
-    entries (about N).  Each is weighted by the width of the kernel's
-    integers, ceil(N/64) words, plus a constant for the interpreter work
-    per entry, so the price tracks both time and memory.  Computed from the
-    counts alone, before any row is built.
+    The larger of a time price and a memory price for the kernel side that
+    ``_plan`` picks.  Time counts the entries the kernel visits, its
+    word-by-word products and its linear integer work along the longest
+    row, plus a fixed cost per call and the result's reduction and
+    printing, quadratic in its N/64 words; a unit is about 10 ns on the
+    host the weights were fitted on.  Memory counts the bytes the middle
+    table holds, 5 units per 12 bytes.  Computed from the counts alone,
+    before any row is built.
     """
-    outer, middle, (longest, _) = _plan(config.rounds)
-    work = sum(sum(accumulate((n + 1 for n, _ in part), mul)) for part in (outer, middle))
-    work += math.prod(n + 1 for n, _ in outer) * (longest + 1) + config.total
-    # 60 words: the interpreter work of one entry (dict update, bisection,
-    # loop step), fitted on timings of every plan shape
-    return work * (-(-config.total // 64) + 60)
+    return _plan(config.rounds)[-1]
 
 
 def _walk_sums(groups: Sequence[tuple[int, int]]) -> dict[int, int]:
@@ -281,7 +426,30 @@ def _walk_sums(groups: Sequence[tuple[int, int]]) -> dict[int, int]:
     return sums
 
 
-def _violation_numerator(rounds: Sequence[int], threshold: str) -> int:
+def _row_tails(length: int, thresholds: Iterable[int]) -> dict[int, int]:
+    """Upper-tail sums sum_{i >= k} C(length, i) for thresholds k in 1..length.
+
+    Each tail is read off a prefix sum of the row from the nearer end: by
+    symmetry sum_{i >= k} C(L, i) is the prefix up to L - k, and for k in
+    the lower half it is 2**L minus the prefix up to k - 1.  One walk up
+    from C(L, 0) serves them all, holding two integers, not a row.
+    """
+    wanted = sorted(
+        (k - 1, k, True) if k - 1 <= length - k else (length - k, k, False) for k in thresholds
+    )
+    tails = {}
+    entry = prefix = 1
+    i = 0
+    for j, k, lower in wanted:
+        while i < j:
+            entry = entry * (length - i) // (i + 1)
+            i += 1
+            prefix += entry
+        tails[k] = (1 << length) - prefix if lower else prefix
+    return tails
+
+
+def _violation_numerator(rounds: Sequence[int], threshold: str, plan: tuple) -> int:
     """Number of the 2**N sign patterns whose correlation violates.
 
     Works in integer units of lcm(n1..n4): C compares to 2 exactly as
@@ -290,26 +458,44 @@ def _violation_numerator(rounds: Sequence[int], threshold: str) -> int:
     channel leaves the distribution of S unchanged and S is symmetric about
     0: the lower half-space holds as many patterns as the upper one.
 
-    Meet in the middle over the equal-count groups of ``_plan``: the middle
-    part's sums are sorted with suffix sums of their path counts, so for
-    each outer sum s and each step of the longest group the violating
-    middle sums, >= 2*lcm - s - step (+1 when strict), are one bisection
-    away.  The outer part and the longest row are streamed rather than
-    tabulated, which keeps memory at one binomial row when a group is long.
+    The upper half-space is one double sum over the groups of ``_plan``:
+    for each outer sum s (count c_s), middle sum t (count c_t) and step i of
+    the longest group (length L, coefficient q), the pattern violates when
+    s + t + q*(2i - L) >= 2*lcm (+1 when strict).  ``_plan`` picks the side
+    to suffix-sum:
+
+    * steps: the middle sums are sorted with suffix sums of their counts,
+      so for each s and each row entry C(L, i) the violating middle sums
+      are one bisection away;
+    * tails: step i violates exactly when i >= k(s, t) =
+      ceil((offset - s - t + q*L) / 2q), so the weights c_s * c_t merge per
+      distinct k, each then times the row's upper tail at k
+      (``_row_tails``), without building the row.
     """
-    outer, middle, (length, q) = _plan(rounds)
+    outer, middle, (length, q), side, _ = plan
     sums = _walk_sums(middle)
-    keys = sorted(sums)
-    # pop frees each count once it is in the suffix sums
-    tail = list(accumulate((sums.pop(t) for t in reversed(keys)), initial=0))[::-1]
     offset = 2 * math.lcm(*rounds) + int(threshold == STRICT)
-    # (r, path count) per step of the longest group: a middle sum t
-    # violates with outer sum s exactly when t >= r - s
-    row = [(offset - q * (2 * i - length), w) for i, w in enumerate(binomial_row(length))]
-    upper = 0
+    if side == STEP_SIDE:
+        keys = sorted(sums)
+        # pop frees each count once it is in the suffix sums
+        tail = list(accumulate((sums.pop(t) for t in reversed(keys)), initial=0))[::-1]
+        # (r, path count) per step of the longest group: a middle sum t
+        # violates with outer sum s exactly when t >= r - s
+        row = [(offset - q * (2 * i - length), w) for i, w in enumerate(binomial_row(length))]
+        return 2 * sum(
+            count * sum(w * tail[bisect_left(keys, r - s)] for r, w in row)
+            for s, count in _walk_sums(outer).items()
+        )
+    weights: dict[int, int] = {}
     for s, count in _walk_sums(outer).items():
-        upper += count * sum(w * tail[bisect_left(keys, r - s)] for r, w in row)
-    return 2 * upper
+        for t, w in sums.items():
+            # k <= 0: every step violates; k > L: none does
+            k = min(max(-((s + t - offset - q * length) // (2 * q)), 0), length + 1)
+            weights[k] = weights.get(k, 0) + count * w
+    upper = weights.pop(0, 0) << length
+    weights.pop(length + 1, None)
+    tails = _row_tails(length, weights)
+    return 2 * (upper + sum(w * tails[k] for k, w in weights.items()))
 
 
 def exact_violation_probability(
@@ -329,14 +515,15 @@ def exact_violation_probability(
     _check_threshold(threshold)
     if budget < 0:
         raise InvalidConfigError(f"enumeration budget must be non-negative, got {budget}")
-    cost = enumeration_cost(config)
+    plan = _plan(config.rounds)
+    cost = plan[-1]
     if cost > budget:
         raise LimitError(
             f"exact enumeration costs {cost} work units, over the budget {budget}; "
             "the analytic method has no such limit"
         )
     return ViolationProbability(
-        value=Fraction(_violation_numerator(config.rounds, threshold), 1 << config.total),
+        value=Fraction(_violation_numerator(config.rounds, threshold, plan), 1 << config.total),
         method="exact",
         threshold=threshold,
         config=config,

@@ -5,7 +5,8 @@ enumeration over every possible sign sequence, a plain sum over every
 displacement tuple with exact-rational C, an exact-rational Maclaurin
 series for erfc, the continuous Gaussian density that approximates a long
 walk, a Monte Carlo integral of the Gaussian measure outside the
-violation boundary, and Cramer's large-deviation exponent of the exact tail.
+violation boundary, Cramer's large-deviation exponent of the exact tail,
+and the closed form of one long channel beside three single rounds.
 Slow but first-principles; nothing in here shares code with the
 implementation paths it checks.
 """
@@ -97,6 +98,20 @@ def lattice_violation_probability(rounds, threshold: str) -> Fraction:
         if (magnitude > 2) if threshold == "strict" else (magnitude >= 2):
             hits += math.prod(math.comb(n, i) for n, i in zip(rounds, (i1, i2, i3, i4)))
     return Fraction(hits, 2 ** sum(rounds))
+
+
+def one_long_channel_probability(n: int, threshold: str) -> Fraction:
+    """Violation probability of the counts (1, 1, 1, n) in closed form.
+
+    C = m1 - m2 + m3 + m4/n with |m4/n| <= 1.  |C| > 2 needs
+    |m1 - m2 + m3| = 3 (2 of the 8 sign patterns) and then every m4 but
+    the one that cancels it, so p = (2**n - 1) / 2**(n + 2).  With the
+    boundary, |m1 - m2 + m3| = 3 always violates and |m1 - m2 + m3| = 1
+    (6 of 8) does when m4 = +-n has its sign, so p = 1/4 + (3/4) / 2**n.
+    """
+    if threshold == "strict":
+        return Fraction(2**n - 1, 2 ** (n + 2))
+    return Fraction(1, 4) + Fraction(3, 2 ** (n + 2))
 
 
 def brute_force_walk_distribution(n: int) -> dict[int, Fraction]:

@@ -393,18 +393,18 @@ class TestSweep:
         )
 
     def test_intervals_past_the_int_digit_limit_and_the_budget(self, capsys):
-        # N = 16000 prints 2**16000 (4817 digits) in full; (25000,)*4 is
+        # N = 16000 prints 2**16000 (4817 digits) in full; (50000,)*4 is
         # over the enumeration budget, so its row keeps the formula alone
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if hasattr(sys, "set_int_max_str_digits"):
             # the interpreter's default; main lifts it
             sys.set_int_max_str_digits(4300)
         try:
-            code, out, err = run_cli(capsys, "sweep", "--intervals", "--n-values", "16000", "100000")
+            code, out, err = run_cli(capsys, "sweep", "--intervals", "--n-values", "16000", "200000")
             assert (code, err) == (0, "")
             # the equal variant's interval rows N = 4..20 come first
             *_, small, large = parse_csv(out)
-            assert (small["N"], large["N"]) == ("16000", "100000")
+            assert (small["N"], large["N"]) == ("16000", "200000")
             config = ExperimentConfig((4000, 4000, 4000, 4000))
             for threshold, key in ((STRICT, "p_exact_strict"), (NON_STRICT, "p_exact_nonstrict")):
                 assert len(small[key]) > 4300
@@ -415,7 +415,7 @@ class TestSweep:
                 sys.set_int_max_str_digits(limit)
         assert large["error"] == ""
         assert float(large["p_analytic"]) == analytic_violation_probability(
-            ExperimentConfig((25000,) * 4)
+            ExperimentConfig((50000,) * 4)
         ).value
 
 

@@ -95,10 +95,9 @@ def test_single_worker_mc_does_not_import_the_pool():
     assert "dataclasses" not in report["modules"]
 
 
-def test_two_worker_mc_forks_without_the_pool_modules():
+def test_two_worker_mc_starts_a_thread_and_loads_no_pool_module():
     """A two-worker run starts a thread for its second share and never
-    forks, so it loads neither concurrent.futures nor multiprocessing; the
-    id is kept from when the shares ran in forked children."""
+    forks, so it loads neither concurrent.futures nor multiprocessing."""
     # 32-word rows make 16384-trial batches, so 40000 trials are three batches
     argv = ["mc", "1", "1", "1000", "1000", "--trials", "40000"]
     report = run_child("open", [*argv, "--workers", "2"])

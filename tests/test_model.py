@@ -13,7 +13,9 @@ from chshprob.model import (
     DEFAULT_ENUMERATION_BUDGET,
     MAXIMAL_VIOLATION_RECORDS,
     NON_STRICT,
+    STEP_SIDE,
     STRICT,
+    TAIL_SIDE,
     ExperimentConfig,
     MeasurementRecord,
     RoundTally,
@@ -24,12 +26,15 @@ from chshprob.model import (
     gaussian_tail_probability,
     is_violation,
     tally,
+    _plan,
+    _violation_numerator,
 )
 from oracles import (
     brute_force_violation_probability,
     gaussian_halfspace_oracle,
     large_deviation_exponent,
     lattice_violation_probability,
+    one_long_channel_probability,
 )
 
 small_rounds = st.tuples(*[st.integers(min_value=1, max_value=4)] * 4)
@@ -206,6 +211,34 @@ class TestExactProbability:
         assert value == expected
         assert lattice_violation_probability(rounds, threshold) == expected
 
+    @pytest.mark.parametrize("threshold", [STRICT, NON_STRICT])
+    @pytest.mark.parametrize(
+        "rounds, side",
+        [
+            ((1, 2, 3, 4), STEP_SIDE),
+            ((2, 3, 4, 5), STEP_SIDE),
+            ((2, 4, 6, 8), STEP_SIDE),
+            ((3, 5, 7, 9), STEP_SIDE),
+            ((6, 7, 8, 9), STEP_SIDE),
+            ((1, 1, 1, 30), TAIL_SIDE),
+            ((4, 4, 4, 4), TAIL_SIDE),
+            ((2, 5, 5, 9), TAIL_SIDE),
+            ((7, 7, 8, 8), TAIL_SIDE),
+            ((2, 3, 5, 20), TAIL_SIDE),
+        ],
+    )
+    def test_each_kernel_side_matches_lattice_sum(self, rounds, side, threshold):
+        # four distinct counts make a middle table longer than the longest
+        # row, so the plan suffix-sums the table; one to three groups, or a
+        # long row, sum row tails.  The side not picked counts the same.
+        plan = _plan(rounds)
+        assert plan[3] == side
+        expected = lattice_violation_probability(rounds, threshold)
+        assert exact_violation_probability(ExperimentConfig(rounds), threshold).value == expected
+        other = TAIL_SIDE if side == STEP_SIDE else STEP_SIDE
+        count = _violation_numerator(rounds, threshold, plan[:3] + (other,) + plan[4:])
+        assert Fraction(count, 2 ** sum(rounds)) == expected
+
     @given(
         rounds=st.tuples(
             *[st.integers(min_value=1, max_value=8)] * 3, st.integers(min_value=1, max_value=24)
@@ -213,6 +246,9 @@ class TestExactProbability:
         .flatmap(st.permutations)
         .map(tuple)
     )
+    # one plan of each side: a middle table past the row, and a long row
+    @example(rounds=(5, 6, 7, 8))
+    @example(rounds=(1, 2, 3, 24))
     @settings(max_examples=25, deadline=None)
     def test_matches_lattice_sum(self, rounds):
         # beyond the brute force's N <= 16: one channel up to 24 rounds
@@ -223,6 +259,7 @@ class TestExactProbability:
 
     @given(rounds=grouped_rounds())
     @example(rounds=(3, 3, 3, 3))
+    @example(rounds=(4, 6, 8, 10))
     @example(rounds=(2, 7, 7, 7))
     @example(rounds=(5, 1, 5, 2))
     @example(rounds=(4, 1, 6, 9))
@@ -290,11 +327,22 @@ class TestExactProbability:
         )
         with pytest.raises(LimitError):
             exact_violation_probability(config, budget=cost - 1)
-        # the price counts integer width: one 65536-step row (seconds and
-        # hundreds of MiB) is over the default budget, the 16384-step walk
-        # of (4096,)*4 (about 0.1 s) within it
-        assert enumeration_cost(ExperimentConfig((1, 1, 1, 65536))) > DEFAULT_ENUMERATION_BUDGET
+        # the price counts printing the result, quadratic in its width: the
+        # 10**6-bit result of (1, 1, 1, 10**6) (seconds to print) is over
+        # the default budget, though its kernel sums two row tails; the
+        # 16384-step walk of (4096,)*4 (about 0.01 s) is within it
+        assert enumeration_cost(ExperimentConfig((1, 1, 1, 10**6))) > DEFAULT_ENUMERATION_BUDGET
         assert enumeration_cost(ExperimentConfig((4096,) * 4)) <= DEFAULT_ENUMERATION_BUDGET
+
+    def test_one_long_channel_closed_form(self):
+        # the tail side sums two row tails for (1, 1, 1, n), also at 10**5
+        # rounds, where the step side would build and walk the whole row
+        for n in (*range(1, 1001), 10**5):
+            config = ExperimentConfig((1, 1, 1, n))
+            for threshold in (STRICT, NON_STRICT):
+                value = exact_violation_probability(config, threshold).value
+                assert value == one_long_channel_probability(n, threshold), (n, threshold)
+        assert _plan((1, 1, 1, 10**5))[3] == TAIL_SIDE
 
     def test_step_limit_rejection(self):
         # no separate step limit: one very long channel is refused by the
@@ -438,6 +486,24 @@ class TestInterlockingRoutes:
             log_p = math.log(p.numerator) - math.log(p.denominator)
             c = (-log_p - large_deviation_exponent(rounds)) / math.log(total)
             assert low - 0.03 <= c <= high + 0.03, (rounds, c)
+
+    def test_exact_follows_the_large_deviation_rate_past_the_grid(self):
+        # equal splits at N = 16384 and 65536, which only the tail side's
+        # price admits: the strict c stays in the equal split's band above,
+        # and the non-strict c, the boundary's mass added, keeps climbing
+        # from its N = 4096 value towards the strict one
+        def c(total, threshold):
+            rounds = (total // 4,) * 4
+            p = exact_violation_probability(ExperimentConfig(rounds), threshold).value
+            log_p = math.log(p.numerator) - math.log(p.denominator)
+            return (-log_p - large_deviation_exponent(rounds)) / math.log(total)
+
+        nonstrict = [c(total, NON_STRICT) for total in (4096, 16384, 65536)]
+        assert nonstrict == sorted(nonstrict), nonstrict
+        for total, with_boundary in zip((16384, 65536), nonstrict[1:]):
+            strict = c(total, STRICT)
+            assert 0.510 - 0.03 <= strict <= 0.571 + 0.03, (total, strict)
+            assert with_boundary < strict
 
     def test_halfspace_oracle_single_round(self):
         config = ExperimentConfig((1, 1, 1, 1))

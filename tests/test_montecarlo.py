@@ -35,6 +35,7 @@ from chshprob.montecarlo import (
     wilson_interval,
 )
 from chshprob.walks import walk_pmf
+from oracles import one_long_channel_probability
 
 
 class ShareFailed(Exception):
@@ -198,6 +199,41 @@ class TestSimulateExperiment:
                 assert abs(frequency - p) <= 3 * sigma, (m, k)
 
 
+class TestPathsAgainstExact:
+    """Each way the sampler reads rows, checked against the exact
+    probability within |z| <= 5, the benchmark's bound, at fixed seeds."""
+
+    @pytest.mark.parametrize("threshold", [STRICT, NON_STRICT])
+    @pytest.mark.parametrize(
+        "rounds, trials, seed",
+        [
+            pytest.param((1, 1, 1, 61), 200_000, 61, id="one-word-64-rounds"),
+            pytest.param((3, 5, 7, 40), 200_000, 55, id="one-word-55-rounds"),
+            pytest.param((3, 5, 61, 70), 100_000, 139, id="three-words"),
+            pytest.param((1, 1, 1000, 1000), 50_000, 2002, id="thirty-two-words"),
+            pytest.param((1, 1, 1, 8_388_928), 64, 8, id="pieces"),
+        ],
+    )
+    def test_hits_lie_within_five_sigma_of_exact(self, rounds, trials, seed, threshold):
+        words = _row_words(rounds)
+        bounds = list(itertools.accumulate(rounds[:-1]))
+        if words == 1:
+            # counted channel by channel, not looked up in the short-row table
+            assert sum(rounds) > 16
+        elif words <= montecarlo.WORD_BUDGET // 4:
+            assert any(bound % 64 for bound in bounds)
+        else:
+            # one row is longer than a piece, so it is drawn in pieces
+            assert words > montecarlo.WORD_BUDGET // 4
+        if rounds[:3] == (1, 1, 1):
+            p = one_long_channel_probability(rounds[3], threshold)
+        else:
+            p = exact_violation_probability(ExperimentConfig(rounds), threshold).value
+        hits = estimate_violation_probability(ExperimentConfig(rounds), trials, seed, threshold).hits
+        z = (hits - trials * p) / math.sqrt(trials * p * (1 - p))
+        assert abs(z) <= 5, (hits, float(trials * p), z)
+
+
 class TestViolationTable:
     """``_violation_table`` against the correlation of each row, decoded bit by bit."""
 
@@ -329,9 +365,9 @@ class TestEstimate:
     @pytest.mark.parametrize(
         "failing, error",
         [(None, None), (0, ShareFailed), (1, ShareFailed)],
-        ids=["none", "parent", "child"],
+        ids=["none", "calling-thread", "pool-thread"],
     )
-    def test_every_child_is_reaped(self, monkeypatch, failing, error):
+    def test_a_failed_share_fails_the_run_and_every_thread_ends(self, monkeypatch, failing, error):
         # share 0 runs in the calling thread and share 1 in a pool thread; a
         # share that raises fails the run with its own exception, and every
         # pool thread has ended when the run returns or raises
@@ -355,7 +391,7 @@ class TestEstimate:
                 estimate_violation_probability(config, trials, seed=7, workers=2)
         assert set(threading.enumerate()) == before
 
-    def test_killed_worker_gives_one_error_line(self, monkeypatch, capsys):
+    def test_failed_pool_thread_gives_one_error_line(self, monkeypatch, capsys):
         # share 1 raises in its pool thread; the run fails with that error on
         # one error line and exit 1, and the thread has ended
         strided_hits = montecarlo._strided_hits
@@ -375,7 +411,7 @@ class TestEstimate:
         assert set(threading.enumerate()) == before
 
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_dead_worker_stops_the_run_between_batches(self, monkeypatch, capsys, workers):
+    def test_failed_share_stops_the_other_shares_between_batches(self, monkeypatch, capsys, workers):
         # share 1 raises as soon as share 0 is inside its first batch, and
         # every batch waits until the run's stop event is set; so share 0
         # must stop after that batch and share 2 (at 3 workers) by its next

@@ -9,7 +9,12 @@ from chshprob import model
 from chshprob.errors import InvalidConfigError, LimitError
 from chshprob.model import gaussian_tail_probability
 from chshprob.walks import binomial_row, walk_pmf
-from oracles import brute_force_walk_distribution, erfc_series, gaussian_density
+from oracles import (
+    brute_force_walk_distribution,
+    erfc_series,
+    gaussian_density,
+    one_long_channel_probability,
+)
 
 
 def _rounds_for_plane(coefficients, offset):
@@ -84,7 +89,7 @@ class TestWalkPmf:
         # (2 of 8 patterns) and then every m1 but the one that cancels it
         n = 4097
         value = model.exact_violation_probability(model.ExperimentConfig((n, 1, 1, 1))).value
-        assert value == Fraction(2**n - 1, 2 ** (n + 2))
+        assert value == one_long_channel_probability(n, model.STRICT)
 
     @given(n=st.integers(min_value=1, max_value=4096))
     # the row mirrors its first half: odd and even lengths, the shortest first
