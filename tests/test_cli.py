@@ -23,6 +23,7 @@ from chshprob.model import (
     exact_violation_probability,
     tally,
 )
+from oracles import one_long_channel_probability
 
 
 def run_cli(capsys, *argv):
@@ -105,13 +106,13 @@ class TestProbabilityCommands:
 
     def test_exact_prints_fractions_past_the_int_digit_limit(self, capsys):
         # 2**14303 has 4306 digits; (1,1,1,L) violates strictly with
-        # p = (2**L - 1) / 2**(L + 2)
+        # p = (2**L - 1) / 2**(L + 2), its closed form
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         try:
             code, out, _ = run_cli(capsys, "exact", "1", "1", "1", "14300")
             assert code == 0
             (row,) = parse_csv(out)
-            assert Fraction(row["value"]) == Fraction(2**14300 - 1, 2**14302)
+            assert Fraction(row["value"]) == one_long_channel_probability(14300, STRICT)
         finally:
             if limit:
                 sys.set_int_max_str_digits(limit)
