@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import accumulate
@@ -43,9 +44,10 @@ NON_STRICT = "non-strict"
 THRESHOLDS = (STRICT, NON_STRICT)
 
 # Default ceiling on ``enumeration_cost``, the price of an exact run: on a
-# 2-core x86 host (Python 3.11), every configuration tried that it accepts
-# ran in about a second or less at 170 MiB peak RSS or less, end to end with
-# printing; the longest accepted result, (1, 1, 1, 757117), took 1.2 s.
+# 2-core x86 host (Python 3.11) where a pure-Python loop of 10**6
+# ``t += i*i`` takes 0.2 s, the largest configurations it accepts in 16 plan
+# shapes ran in 1 to 2.6 s end to end with printing, at 185 MiB peak RSS or
+# less, all but (1, 1, 16639, 16640), which took 4 s.
 DEFAULT_ENUMERATION_BUDGET = 7 * 10**7
 
 
@@ -233,14 +235,7 @@ class ViolationProbability(_Record):
             raise InvalidConfigError(f"probability out of range: {self.value!r}")
 
 
-# The two sides ``_plan`` can pick for the exact kernel's double sum over
-# (middle sum, longest-group step): suffix sums of the middle table with one
-# bisection per step, or upper-tail sums of the longest group's row.
-STEP_SIDE = "steps"
-TAIL_SIDE = "tails"
-
-# Weights of the price, in units of about 10 ns of work on that host,
-# fitted on timings of both sides on every plan shape.
+# Weights of the price, in units of about 10 ns of work on that host.
 # A unit is one 64-bit word of linear integer work: a row step multiplies
 # and divides a path count by small ints, and a table word held costs about
 # as much again in cache misses.  Besides those: a fixed cost per call, a
@@ -258,12 +253,6 @@ _TABLE_SUM_BYTES = 200
 # groups other than the longest, up to this many; past it the walk is priced
 # at its longest, half the row.
 _REACH_ENUMERATION_LIMIT = 4096
-
-
-def _price(entries: int, products: int, linear: int) -> int:
-    """Time units of entries visited, word-by-word products and words of
-    linear integer work."""
-    return _ENTRY_COST * entries + products // _PRODUCTS_PER_UNIT + linear
 
 
 def _words(bits: int) -> int:
@@ -301,7 +290,7 @@ def _distinct_sums(groups: Sequence[tuple[int, int]]) -> int:
 
 
 def _walk_reach(rest: Sequence[tuple[int, int]], longest: tuple[int, int], scale: int) -> int:
-    """Steps the tail side walks along the longest group's row.
+    """Steps the kernel walks along the longest group's row (``_row_tails``).
 
     The walk goes up from C(L, 0) to the deepest prefix that a threshold
     k in 1..L needs, min(k - 1, L - k), over every sum u of the other
@@ -323,8 +312,8 @@ def _walk_reach(rest: Sequence[tuple[int, int]], longest: tuple[int, int], scale
     return reach
 
 
-def _plan(rounds: Sequence[int]) -> tuple[list, list, tuple[int, int], str, int]:
-    """Split the channels into the exact kernel's parts and pick its side.
+def _plan(rounds: Sequence[int]) -> tuple[list, list, tuple[int, int], int]:
+    """Split the channels into the exact kernel's parts and price the run.
 
     Channels with equal counts share the coefficient q = lcm/n, so they
     add up to one fair walk of their combined length (Vandermonde's
@@ -332,21 +321,17 @@ def _plan(rounds: Sequence[int]) -> tuple[list, list, tuple[int, int], str, int]
     into the outer part (the shortest group when there are four), the
     tabulated middle part, and the longest group.
 
-    The kernel's double sum over (middle sum, longest-group step) can be
-    suffix-summed on either side, and both are priced here from the counts
-    alone, before any row is built:
+    The price follows the kernel's work, counted before any row is built:
+    the tables and the middle table's suffix sums; per outer sum, at most
+    min(middle sums, L + 2) visits, each a bisection into the sorted table
+    and one product; one product per distinct threshold; and the walk
+    along the longest row to the deepest threshold (``_walk_reach``).
 
-    * ``STEP_SIDE``: the middle table's suffix sums, one bisection and one
-      product per (outer sum, row step) pair, and the longest row built;
-    * ``TAIL_SIDE``: one product per (outer sum, middle sum) pair, merged
-      by threshold, then a walk along the longest row from its nearer end
-      (``_walk_reach``) and one product per distinct threshold.
-
-    Both share the tables.  Returns (outer, middle, longest, side, cost).
-    side is the cheaper one; cost, the run's price, is the larger of two:
-    time (that side's work, a fixed cost per call, and the result's
-    reduction and printing, quadratic in its N/64 words) and peak memory
-    (the middle table).  One price covers both thresholds; it is at least 1.
+    Returns (outer, middle, longest, cost).  cost, the run's price, is the
+    larger of two: time (that work, a fixed cost per call, and the
+    result's reduction and printing, quadratic in its N/64 words) and peak
+    memory (the middle table).  One price covers both thresholds; it is at
+    least 1.
     """
     scale = math.lcm(*rounds)
     *rest, longest = sorted((n * rounds.count(n), scale // n) for n in set(rounds))
@@ -364,44 +349,29 @@ def _plan(rounds: Sequence[int]) -> tuple[list, list, tuple[int, int], str, int]
     outer_words = _words(sum(n for n, _ in outer))
     middle_words = _words(sum(n for n, _ in middle))
     row_words = _words(length)
-    held = middle_sums * middle_words
-
-    pairs = outer_sums * (length + 1)
-    steps = _price(
-        entries + middle_sums + length + 1 + pairs,
-        products + pairs * _product(middle_words, row_words),
-        held + length // 2 * row_words,
-    )
-    pairs = outer_sums * middle_sums
-    thresholds = min(pairs, length)
-    tails = _price(
-        entries + pairs + thresholds,
-        products
-        + pairs * _product(outer_words, middle_words)
-        + thresholds * _product(outer_words + middle_words, row_words),
-        held,
-    )
-    side = STEP_SIDE
-    if tails < steps:
-        reach = _walk_reach(rest, longest, scale)
-        tails += _price(reach, 0, reach * row_words)
-        if tails < steps:
-            side = TAIL_SIDE
+    visits = outer_sums * min(middle_sums, length + 2)
+    thresholds = min(visits, length)
+    reach = _walk_reach(rest, longest, scale)
+    entries += middle_sums + visits + thresholds + reach
+    products += visits * _product(outer_words, middle_words)
+    products += thresholds * _product(outer_words + middle_words, row_words)
+    linear = middle_sums * middle_words + reach * row_words
+    time = _ENTRY_COST * entries + products // _PRODUCTS_PER_UNIT + linear
     # the result k / 2**N is reduced and printed in time quadratic in its
     # N/64 words: about 11 ns per square word on Python 3.10 and 3.11 (3.12
     # prints long ints faster), priced at half a unit
-    time = min(steps, tails) + _BASE_COST + (-(-sum(rounds) // 64)) ** 2 // 2
+    time += _BASE_COST + (-(-sum(rounds) // 64)) ** 2 // 2
     held_bytes = middle_sums * (8 * -(-sum(n for n, _ in middle) // 64) + _TABLE_SUM_BYTES)
     memory = held_bytes * 5 // 12
-    return outer, middle, longest, side, max(time, memory)
+    return outer, middle, longest, max(time, memory)
 
 
 def enumeration_cost(config: ExperimentConfig) -> int:
     """Price of an exact run, the unit the enumeration budget caps.
 
-    The larger of a time price and a memory price for the kernel side that
-    ``_plan`` picks.  Time counts the entries the kernel visits, its
-    word-by-word products and its linear integer work along the longest
+    The larger of a time price and a memory price (``_plan``).  Time
+    counts the entries the kernel visits, its word-by-word products and
+    its linear integer work on the middle table and along the longest
     row, plus a fixed cost per call and the result's reduction and
     printing, quadratic in its N/64 words; a unit is about 10 ns on the
     host the weights were fitted on.  Memory counts the bytes the middle
@@ -461,39 +431,35 @@ def _violation_numerator(rounds: Sequence[int], threshold: str, plan: tuple) -> 
     The upper half-space is one double sum over the groups of ``_plan``:
     for each outer sum s (count c_s), middle sum t (count c_t) and step i of
     the longest group (length L, coefficient q), the pattern violates when
-    s + t + q*(2i - L) >= 2*lcm (+1 when strict).  ``_plan`` picks the side
-    to suffix-sum:
-
-    * steps: the middle sums are sorted with suffix sums of their counts,
-      so for each s and each row entry C(L, i) the violating middle sums
-      are one bisection away;
-    * tails: step i violates exactly when i >= k(s, t) =
-      ceil((offset - s - t + q*L) / 2q), so the weights c_s * c_t merge per
-      distinct k, each then times the row's upper tail at k
-      (``_row_tails``), without building the row.
+    s + t + q*(2i - L) >= 2*lcm (+1 when strict), that is when i >= k(s, t)
+    = ceil((base - t) / 2q) with base = 2*lcm (+1) - s + q*L.  k falls as t
+    grows, so the middle sums sharing one k are a run of the sorted table,
+    found by bisection, and the run's count is a difference of suffix sums.
+    The weights c_s times that count merge per distinct k, each then times
+    the row's upper tail at k (``_row_tails``); the row is never built.
     """
-    outer, middle, (length, q), side, _ = plan
+    outer, middle, (length, q), _ = plan
     sums = _walk_sums(middle)
+    keys = sorted(sums)
+    # pop frees each count once it is in the suffix sums
+    suffix = list(accumulate((sums.pop(t) for t in reversed(keys)), initial=0))[::-1]
     offset = 2 * math.lcm(*rounds) + int(threshold == STRICT)
-    if side == STEP_SIDE:
-        keys = sorted(sums)
-        # pop frees each count once it is in the suffix sums
-        tail = list(accumulate((sums.pop(t) for t in reversed(keys)), initial=0))[::-1]
-        # (r, path count) per step of the longest group: a middle sum t
-        # violates with outer sum s exactly when t >= r - s
-        row = [(offset - q * (2 * i - length), w) for i, w in enumerate(binomial_row(length))]
-        return 2 * sum(
-            count * sum(w * tail[bisect_left(keys, r - s)] for r, w in row)
-            for s, count in _walk_sums(outer).items()
-        )
-    weights: dict[int, int] = {}
+    step, size = 2 * q, len(keys)
+    weights: defaultdict[int, int] = defaultdict(int)
     for s, count in _walk_sums(outer).items():
-        for t, w in sums.items():
-            # k <= 0: every step violates; k > L: none does
-            k = min(max(-((s + t - offset - q * length) // (2 * q)), 0), length + 1)
-            weights[k] = weights.get(k, 0) + count * w
+        base = offset - s + q * length
+        # middle sums below base - 2qL violate at no step (k > L)
+        j = bisect_left(keys, base - step * length)
+        while j < size:
+            k = -((keys[j] - base) // step)
+            if k <= 0:
+                # every step violates, with this sum and all larger ones
+                weights[0] += count * suffix[j]
+                break
+            end = bisect_left(keys, base - step * (k - 1), j)
+            weights[k] += count * (suffix[j] - suffix[end])
+            j = end
     upper = weights.pop(0, 0) << length
-    weights.pop(length + 1, None)
     tails = _row_tails(length, weights)
     return 2 * (upper + sum(w * tails[k] for k, w in weights.items()))
 

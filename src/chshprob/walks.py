@@ -2,8 +2,10 @@
 
 The binomial row counts the paths of an n-step fair +-1 walk in plain
 integers, so downstream probabilities stay bit-exact; the exact kernel in
-:mod:`chshprob.model` reads it directly.  ``walk_pmf`` is a dyadic-rational
-view of the same row as the walk's endpoint distribution.
+:mod:`chshprob.model` reads it for its tables of the shorter groups only,
+never for the longest group, whose row tails it sums without the row.
+``walk_pmf`` is a dyadic-rational view of the same row as the walk's
+endpoint distribution.
 
 Lengths are not limited here: :mod:`chshprob.model` prices the rows of
 its plan in the enumeration budget and refuses over-budget work before any

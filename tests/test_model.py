@@ -1,5 +1,6 @@
 import itertools
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -7,15 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chshprob import model
 from chshprob.cli import default_totals, split_rounds
 from chshprob.errors import CorruptRecordError, InvalidConfigError, LimitError
 from chshprob.model import (
     DEFAULT_ENUMERATION_BUDGET,
     MAXIMAL_VIOLATION_RECORDS,
     NON_STRICT,
-    STEP_SIDE,
     STRICT,
-    TAIL_SIDE,
     ExperimentConfig,
     MeasurementRecord,
     RoundTally,
@@ -26,9 +26,10 @@ from chshprob.model import (
     gaussian_tail_probability,
     is_violation,
     tally,
+    _distinct_sums,
     _plan,
-    _violation_numerator,
 )
+from chshprob.walks import binomial_row
 from oracles import (
     brute_force_violation_probability,
     gaussian_halfspace_oracle,
@@ -213,31 +214,48 @@ class TestExactProbability:
 
     @pytest.mark.parametrize("threshold", [STRICT, NON_STRICT])
     @pytest.mark.parametrize(
-        "rounds, side",
+        "rounds, label",
         [
-            ((1, 2, 3, 4), STEP_SIDE),
-            ((2, 3, 4, 5), STEP_SIDE),
-            ((2, 4, 6, 8), STEP_SIDE),
-            ((3, 5, 7, 9), STEP_SIDE),
-            ((6, 7, 8, 9), STEP_SIDE),
-            ((1, 1, 1, 30), TAIL_SIDE),
-            ((4, 4, 4, 4), TAIL_SIDE),
-            ((2, 5, 5, 9), TAIL_SIDE),
-            ((7, 7, 8, 8), TAIL_SIDE),
-            ((2, 3, 5, 20), TAIL_SIDE),
+            ((1, 2, 3, 4), "steps"),
+            ((2, 3, 4, 5), "steps"),
+            ((2, 4, 6, 8), "steps"),
+            ((3, 5, 7, 9), "steps"),
+            ((6, 7, 8, 9), "steps"),
+            ((1, 1, 1, 30), "tails"),
+            ((4, 4, 4, 4), "tails"),
+            ((2, 5, 5, 9), "tails"),
+            ((7, 7, 8, 8), "tails"),
+            ((2, 3, 5, 20), "tails"),
         ],
     )
-    def test_each_kernel_side_matches_lattice_sum(self, rounds, side, threshold):
-        # four distinct counts make a middle table longer than the longest
-        # row, so the plan suffix-sums the table; one to three groups, or a
-        # long row, sum row tails.  The side not picked counts the same.
-        plan = _plan(rounds)
-        assert plan[3] == side
+    def test_each_kernel_side_matches_lattice_sum(self, rounds, label, threshold):
+        # both regimes of the kernel's threshold runs: "steps", four
+        # distinct counts with an outer part and a middle table longer than
+        # the row, so a run spans many middle sums, about one run per row
+        # step; "tails", one to three groups or a long row beside short
+        # channels, where a run is often one middle sum
         expected = lattice_violation_probability(rounds, threshold)
         assert exact_violation_probability(ExperimentConfig(rounds), threshold).value == expected
-        other = TAIL_SIDE if side == STEP_SIDE else STEP_SIDE
-        count = _violation_numerator(rounds, threshold, plan[:3] + (other,) + plan[4:])
-        assert Fraction(count, 2 ** sum(rounds)) == expected
+
+    @pytest.mark.parametrize("threshold", [STRICT, NON_STRICT])
+    @pytest.mark.parametrize(
+        "rounds", [(1, 1, 1, 4096), (2, 3, 5, 2000), (4, 4, 4, 4), (60, 70, 80, 90), (626, 627, 627, 628)]
+    )
+    def test_bisections_stay_within_the_priced_visits(self, rounds, threshold, monkeypatch):
+        # the price's visits term: per outer sum one bisection to the first
+        # violating middle sum and at most one per threshold run, of which
+        # there are at most min(middle sums, L + 1)
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return bisect_left(*args)
+
+        monkeypatch.setattr(model, "bisect_left", counted)
+        outer, middle, (length, _), _ = _plan(rounds)
+        exact_violation_probability(ExperimentConfig(rounds), threshold)
+        runs = min(_distinct_sums(middle), length + 1)
+        assert 0 < len(calls) <= _distinct_sums(outer) * (runs + 1)
 
     @given(
         rounds=st.tuples(
@@ -246,7 +264,7 @@ class TestExactProbability:
         .flatmap(st.permutations)
         .map(tuple)
     )
-    # one plan of each side: a middle table past the row, and a long row
+    # one plan of each run regime: a middle table past the row, and a long row
     @example(rounds=(5, 6, 7, 8))
     @example(rounds=(1, 2, 3, 24))
     @settings(max_examples=25, deadline=None)
@@ -334,15 +352,22 @@ class TestExactProbability:
         assert enumeration_cost(ExperimentConfig((1, 1, 1, 10**6))) > DEFAULT_ENUMERATION_BUDGET
         assert enumeration_cost(ExperimentConfig((4096,) * 4)) <= DEFAULT_ENUMERATION_BUDGET
 
-    def test_one_long_channel_closed_form(self):
-        # the tail side sums two row tails for (1, 1, 1, n), also at 10**5
-        # rounds, where the step side would build and walk the whole row
+    def test_one_long_channel_closed_form(self, monkeypatch):
+        # the kernel sums two row tails for (1, 1, 1, n), also at 10**5
+        # rounds, and builds no row longer than the three short channels'
+        lengths = []
+
+        def recorded(n):
+            lengths.append(n)
+            return binomial_row(n)
+
+        monkeypatch.setattr(model, "binomial_row", recorded)
         for n in (*range(1, 1001), 10**5):
             config = ExperimentConfig((1, 1, 1, n))
             for threshold in (STRICT, NON_STRICT):
                 value = exact_violation_probability(config, threshold).value
                 assert value == one_long_channel_probability(n, threshold), (n, threshold)
-        assert _plan((1, 1, 1, 10**5))[3] == TAIL_SIDE
+        assert lengths and max(lengths) <= 3
 
     def test_step_limit_rejection(self):
         # no separate step limit: one very long channel is refused by the
@@ -488,10 +513,10 @@ class TestInterlockingRoutes:
             assert low - 0.03 <= c <= high + 0.03, (rounds, c)
 
     def test_exact_follows_the_large_deviation_rate_past_the_grid(self):
-        # equal splits at N = 16384 and 65536, which only the tail side's
-        # price admits: the strict c stays in the equal split's band above,
-        # and the non-strict c, the boundary's mass added, keeps climbing
-        # from its N = 4096 value towards the strict one
+        # equal splits at N = 16384 and 65536, past the default grid: the
+        # strict c stays in the equal split's band above, and the non-strict
+        # c, the boundary's mass added, keeps climbing from its N = 4096
+        # value towards the strict one
         def c(total, threshold):
             rounds = (total // 4,) * 4
             p = exact_violation_probability(ExperimentConfig(rounds), threshold).value
