@@ -46,8 +46,8 @@ THRESHOLDS = (STRICT, NON_STRICT)
 # Default ceiling on ``enumeration_cost``, the price of an exact run: on a
 # 2-core x86 host (Python 3.11) where a pure-Python loop of 10**6
 # ``t += i*i`` takes 0.2 s, the largest configurations it accepts in 16 plan
-# shapes ran in 1 to 2.6 s end to end with printing, at 185 MiB peak RSS or
-# less, all but (1, 1, 16639, 16640), which took 4 s.
+# shapes ran in 0.5 to 2.7 s end to end with printing, at 173 MiB peak RSS
+# or less; (1, 1, 16639, 16640) took 0.5 s.
 DEFAULT_ENUMERATION_BUDGET = 7 * 10**7
 
 
@@ -290,12 +290,12 @@ def _distinct_sums(groups: Sequence[tuple[int, int]]) -> int:
 
 
 def _walk_reach(rest: Sequence[tuple[int, int]], longest: tuple[int, int], scale: int) -> int:
-    """Steps the kernel walks along the longest group's row (``_row_tails``).
+    """Steps the kernel walks along the longest group's row.
 
-    The walk goes up from C(L, 0) to the deepest prefix that a threshold
-    k in 1..L needs, min(k - 1, L - k), over every sum u of the other
-    groups and both thresholds.  Past ``_REACH_ENUMERATION_LIMIT`` sums it
-    is priced at its longest, half the row.
+    The walk goes up from C(L, 0) to the deepest prefix point that a
+    threshold k in 1..L folds into, min(k - 1, L - k), over every sum u of
+    the other groups and both thresholds.  Past ``_REACH_ENUMERATION_LIMIT``
+    sums it is priced at its longest, half the row.
     """
     length, q = longest
     if math.prod(n + 1 for n, _ in rest) > _REACH_ENUMERATION_LIMIT:
@@ -324,8 +324,9 @@ def _plan(rounds: Sequence[int]) -> tuple[list, list, tuple[int, int], int]:
     The price follows the kernel's work, counted before any row is built:
     the tables and the middle table's suffix sums; per outer sum, at most
     min(middle sums, L + 2) visits, each a bisection into the sorted table
-    and one product; one product per distinct threshold; and the walk
-    along the longest row to the deepest threshold (``_walk_reach``).
+    and one product; one product per threshold, which bounds the kernel's
+    one product per prefix point; and the walk along the longest row to
+    the deepest prefix point (``_walk_reach``).
 
     Returns (outer, middle, longest, cost).  cost, the run's price, is the
     larger of two: time (that work, a fixed cost per call, and the
@@ -396,29 +397,6 @@ def _walk_sums(groups: Sequence[tuple[int, int]]) -> dict[int, int]:
     return sums
 
 
-def _row_tails(length: int, thresholds: Iterable[int]) -> dict[int, int]:
-    """Upper-tail sums sum_{i >= k} C(length, i) for thresholds k in 1..length.
-
-    Each tail is read off a prefix sum of the row from the nearer end: by
-    symmetry sum_{i >= k} C(L, i) is the prefix up to L - k, and for k in
-    the lower half it is 2**L minus the prefix up to k - 1.  One walk up
-    from C(L, 0) serves them all, holding two integers, not a row.
-    """
-    wanted = sorted(
-        (k - 1, k, True) if k - 1 <= length - k else (length - k, k, False) for k in thresholds
-    )
-    tails = {}
-    entry = prefix = 1
-    i = 0
-    for j, k, lower in wanted:
-        while i < j:
-            entry = entry * (length - i) // (i + 1)
-            i += 1
-            prefix += entry
-        tails[k] = (1 << length) - prefix if lower else prefix
-    return tails
-
-
 def _violation_numerator(rounds: Sequence[int], threshold: str, plan: tuple) -> int:
     """Number of the 2**N sign patterns whose correlation violates.
 
@@ -435,8 +413,15 @@ def _violation_numerator(rounds: Sequence[int], threshold: str, plan: tuple) -> 
     = ceil((base - t) / 2q) with base = 2*lcm (+1) - s + q*L.  k falls as t
     grows, so the middle sums sharing one k are a run of the sorted table,
     found by bisection, and the run's count is a difference of suffix sums.
-    The weights c_s times that count merge per distinct k, each then times
-    the row's upper tail at k (``_row_tails``); the row is never built.
+    The weights c_s times that count merge per distinct k, each to be
+    multiplied by the row's upper tail at k, sum_{i >= k} C(L, i).  With
+    prefix sums P(j) = sum_{i <= j} C(L, i), that tail is 2**L - P(k - 1)
+    in the lower half of the row (2k <= L + 1) and P(L - k) in the upper,
+    so the weights fold into 2**L times the lower half's weights plus one
+    signed coefficient per prefix point min(k - 1, L - k): mirrored
+    thresholds share a point, and their weights often nearly cancel.  k = 0
+    lands on P(-1) = 0 and drops.  One walk up from C(L, 0), holding two
+    integers, reads the points off in order; the row is never built.
     """
     outer, middle, (length, q), _ = plan
     sums = _walk_sums(middle)
@@ -459,9 +444,20 @@ def _violation_numerator(rounds: Sequence[int], threshold: str, plan: tuple) -> 
             end = bisect_left(keys, base - step * (k - 1), j)
             weights[k] += count * (suffix[j] - suffix[end])
             j = end
-    upper = weights.pop(0, 0) << length
-    tails = _row_tails(length, weights)
-    return 2 * (upper + sum(w * tails[k] for k, w in weights.items()))
+    total = sum(w for k, w in weights.items() if 2 * k <= length + 1) << length
+    at: defaultdict[int, int] = defaultdict(int)
+    for k, w in weights.items():
+        at[min(k - 1, length - k)] += -w if 2 * k <= length + 1 else w
+    at.pop(-1, None)
+    entry = prefix = 1
+    i = 0
+    for j in sorted(at):
+        while i < j:
+            entry = entry * (length - i) // (i + 1)
+            i += 1
+            prefix += entry
+        total += at[j] * prefix
+    return 2 * total
 
 
 def exact_violation_probability(

@@ -99,7 +99,8 @@ class TestProbabilityCommands:
         ]
 
     def test_exact_step_limit_exits_2(self, capsys):
-        # no separate step limit: the budget prices the long row
+        # no separate step limit: the kernel walks no step along the long
+        # row, and the budget refuses the printing of the 10**6-bit result
         code, _, err = run_cli(capsys, "exact", "1000000", "1", "1", "1")
         assert code == 2
         assert "approx" in err

@@ -226,6 +226,7 @@ class TestExactProbability:
             ((2, 5, 5, 9), "tails"),
             ((7, 7, 8, 8), "tails"),
             ((2, 3, 5, 20), "tails"),
+            ((1, 1, 20, 21), "tails"),
         ],
     )
     def test_each_kernel_side_matches_lattice_sum(self, rounds, label, threshold):
@@ -233,7 +234,10 @@ class TestExactProbability:
         # distinct counts with an outer part and a middle table longer than
         # the row, so a run spans many middle sums, about one run per row
         # step; "tails", one to three groups or a long row beside short
-        # channels, where a run is often one middle sum
+        # channels, where a run is often one middle sum; in (1, 1, 20, 21)
+        # the weights of every mirrored pair of thresholds cancel exactly at
+        # their shared prefix point, and at k = 11 the lower point k - 1 and
+        # the upper point L - k coincide
         expected = lattice_violation_probability(rounds, threshold)
         assert exact_violation_probability(ExperimentConfig(rounds), threshold).value == expected
 
@@ -370,8 +374,9 @@ class TestExactProbability:
         assert lengths and max(lengths) <= 3
 
     def test_step_limit_rejection(self):
-        # no separate step limit: one very long channel is refused by the
-        # price of its binomial row alone
+        # no separate step limit: the kernel walks no step along these rows
+        # (reach 0), and they are refused by the price of reducing and
+        # printing their result of 10**6 bits or more
         for rounds in ((10**6, 1, 1, 1), (1, 1, 1, 10**9)):
             with pytest.raises(LimitError, match="over the budget"):
                 exact_violation_probability(ExperimentConfig(rounds))
