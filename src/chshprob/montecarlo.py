@@ -10,15 +10,22 @@ workers execute the trial batches.
 Rounds are packed 64 to a word: one experiment is a row of
 ceil(sum(n_k) / 64) raw PCG64 outputs, bit j of the row (bit j % 64 of word
 j // 64) is round j, and bit 1 is a +1 round.  Channel k owns the n_k bits
-that follow channels 1..k-1, and its +1 count is a popcount over them.
-``STREAM_VERSION`` names this layout; version 1 was one int8 draw per round
-per channel.  Hit counts differ between versions for the same seed.
+that follow channels 1..k-1.  ``STREAM_VERSION`` names this layout;
+version 1 was one int8 draw per round per channel.  Hit counts differ
+between versions for the same seed.
 
-A short row, one whose 2**sum(n_k) possible values fit in one batch
-(sum(n_k) <= 16), is not counted channel by channel: the low sum(n_k) bits
-of its word index a table of which rows violate.  The table is built once
-per process per (rounds, threshold) by the same counting and comparison
-that long rows run, so both read the same stream and give the same hits.
+A row is weighed, not counted channel by channel: a +1 round of channel k
+weighs sign_k * lcm(n) / n_k, one pass of popcounts sums a row's weights W
+(a word that one channel owns entirely times that channel's weight, and a
+masked segment per channel of each word that channels share), and the row
+violates when |W - lcm| > lcm, or >= when non-strict.  Rows longer than
+16 rounds are drawn and weighed GROUP_WORDS words (128 KiB) at a time, so
+a worker holds about one group of draws, never a whole batch.  A short
+row, one whose 2**sum(n_k) possible values fit in one batch
+(sum(n_k) <= 16), is looked up instead: the low sum(n_k) bits of its word
+index a table of which rows violate, built once per process per
+(rounds, threshold) by the same weighing and comparison, so both read the
+same stream and give the same hits.
 
 With k = min(workers, batches, CPU count) workers, worker i sums batches
 i, i + k, i + 2k, ...; the calling thread is worker 0 and the other k - 1
@@ -53,16 +60,19 @@ from .model import (
 # SeedSequence(seed, spawn_key=(b,)).  Batch size depends only on the
 # config (bounding a batch's packed rows to WORD_BUDGET uint64 words,
 # 4 MiB), never on the worker count, which is what makes 1-worker and
-# k-worker runs bit-identical.  Long rows are drawn WORD_BUDGET // 4 words
-# (1 MiB) at a time, a row longer than that in pieces.
+# k-worker runs bit-identical.  Only short rows are drawn a batch at a
+# time; longer rows are drawn and weighed GROUP_WORDS words (128 KiB) at a
+# time, a row longer than that in pieces.
 WORD_BUDGET = 1 << 19
 MAX_BATCH_TRIALS = 1 << 16
+GROUP_WORDS = 1 << 14
 # The same budget in bytes; benchmarks/tracing.py still reads this name.
 BATCH_ELEMENT_BUDGET = 8 * WORD_BUDGET
 STREAM_VERSION = 2
-# Words one run may draw: about a minute at one worker for long rows, which
-# draw and count 1.3e8-2.3e8 words/s on a 2-core test machine.  One-word rows
-# of 17-64 rounds run at 4e7-6e7 words/s, so theirs takes up to 3.5 minutes.
+# Words one run may draw: 50-95 s at one worker for rows of two words or
+# more, which draw and weigh 9e7-1.7e8 words/s on a 2-core test machine, and
+# 35-55 s for short rows, looked up at 1.6e8-2.6e8.  One-word rows of 17-64
+# rounds run at 7e7-1e8 words/s, so theirs takes up to 2 minutes.
 RUN_WORD_BUDGET = 1 << 33
 
 # statistics.NormalDist().inv_cdf(0.975), written out so importing costs nothing
@@ -123,65 +133,77 @@ def _batch_trials(rounds: tuple[int, ...]) -> int:
     return max(1, min(MAX_BATCH_TRIALS, WORD_BUDGET // _row_words(rounds)))
 
 
-def _count_ones(bits: np.ndarray, first_word: int, offsets: list[int], ones: np.ndarray) -> None:
-    """Add each channel's +1 count within ``bits`` to ``ones`` (channels x trials).
+def _layout(rounds: tuple[int, ...], first_word: int, span: int) -> tuple:
+    """How ``_weigh`` weighs words ``first_word`` .. ``first_word + span - 1`` of a row.
 
-    ``bits`` holds words ``first_word`` onwards of each trial's row, and
-    channel k owns row bits offsets[k] <= j < offsets[k+1].  Its count is the
-    popcount of the whole words from offsets[k] // 64 up to offsets[k+1] // 64,
-    less the bits below offsets[k] in its first word, plus the bits below
-    offsets[k+1] in the word where it ends.
-    """
-    last_word = first_word + bits.shape[1]
-    per_word = np.bitwise_count(bits)
-    for channel in range(len(offsets) - 1):
-        lo = max(offsets[channel] // 64, first_word)
-        hi = min(offsets[channel + 1] // 64, last_word)
-        if lo < hi:
-            whole = per_word[:, lo - first_word : hi - first_word]
-            ones[channel] += whole.sum(axis=1, dtype=np.int64)
-    for boundary, offset in enumerate(offsets):
-        word, bit = divmod(offset, 64)
-        if bit and first_word <= word < last_word:
-            below = np.bitwise_count(bits[:, word - first_word] & np.uint64((1 << bit) - 1))
-            if boundary > 0:
-                ones[boundary - 1] += below
-            if boundary < len(offsets) - 1:
-                ones[boundary] -= below
-
-
-def _violations(rounds: tuple[int, ...], ones: np.ndarray, threshold: str) -> np.ndarray:
-    """Which trials violate, given each channel's +1 counts ``ones`` (channels x trials).
-
-    Compares the integer sum_k sign_k*q_k*m_k, with m_k = 2*ones_k - n_k and
-    q_k = lcm(rounds)/n_k, against 2*lcm(rounds): the correlation inequality
-    with denominators cleared.  int64 covers any |sum| up to 4*lcm, and
-    configurations beyond that accumulate Python integers.
+    A +1 round of channel k weighs sign_k * lcm(rounds) / n_k.  ``whole[w]``
+    is the weight of the channel that owns word w entirely, and 0 for a
+    split word, one that holds a channel edge or the row's unused tail
+    bits.  A split word is cut into one segment per channel in it: the
+    word, the channel's bits in it as a mask, and the channel's weight.
+    Built from the channel offsets in O(channels), whatever the row length.
+    Every partial sum of weights lies within 4*lcm, so the weights are
+    float64 (and exact) below 2**53, int64 below 2**62 and Python integers
+    beyond; popcounts are written as ``counts``, float64 or int64.  float64
+    lets numpy hand the products to BLAS, which weighs long rows faster.
     """
     scale = math.lcm(*rounds)
-    bound = 2 * scale
-    dtype = np.int64 if 4 * scale < 2**62 else object
-    acc = np.zeros(ones.shape[1], dtype=dtype)
-    for sign, n, plus in zip(CHANNEL_SIGNS, rounds, ones):
-        sums = 2 * plus - n
-        acc += sign * (scale // n) * sums.astype(dtype, copy=False)
-    magnitudes = np.abs(acc)
-    if threshold == STRICT:
-        return magnitudes > bound
-    return magnitudes >= bound
+    dtype = np.float64 if 4 * scale < 2**53 else np.int64 if 4 * scale < 2**62 else object
+    whole = np.zeros(span, dtype=dtype)
+    cut_words, masks, cut_weights = [], [], []
+    for sign, n, lo in zip(CHANNEL_SIGNS, rounds, accumulate(rounds, initial=0)):
+        weight = sign * (scale // n)
+        whole[max(-(-lo // 64) - first_word, 0) : max((lo + n) // 64 - first_word, 0)] = weight
+        for word in {lo // 64, (lo + n - 1) // 64}:
+            if 0 <= word - first_word < span and not lo <= 64 * word <= lo + n - 64:
+                cut_words.append(word - first_word)
+                masks.append((1 << min(lo + n - 64 * word, 64)) - (1 << max(lo - 64 * word, 0)))
+                cut_weights.append(weight)
+    counts = np.float64 if dtype is np.float64 else np.int64
+    masks = np.array(masks, dtype=np.uint64).reshape(-1, 1)
+    return counts, whole, np.array(cut_words, dtype=np.intp), masks, np.array(cut_weights, dtype=dtype)
+
+
+def _weigh(bits: np.ndarray, layout: tuple) -> np.ndarray:
+    """Each row's summed weight over its +1 rounds in ``bits`` (trials x words).
+
+    ``layout`` (from ``_layout``) says which row words ``bits`` holds.  The
+    split words' segments are copied out as segments x trials, masked,
+    popcounted in place and weighed; then, unless no word is whole, ``bits``
+    is popcounted in place and its whole words weighed by one matrix-vector
+    product.  ``bits`` is overwritten.
+    """
+    counts, whole, cut_words, masks, cut_weights = layout
+    cut = bits.T[cut_words]
+    cut &= masks
+    weight = np.dot(cut_weights, np.bitwise_count(cut, out=cut.view(counts)))
+    if whole.any():
+        weight += np.dot(np.bitwise_count(bits, out=bits.view(counts)), whole)
+    return weight
+
+
+def _violates(distance: np.ndarray, scale: int, threshold: str) -> np.ndarray:
+    """Which rows violate, given ``distance`` = W - lcm(rounds) for each.
+
+    W is a row's summed weight (see ``_layout``).  With m_k = 2*ones_k - n_k
+    and q_k = lcm/n_k, sum_k sign_k*q_k*m_k is 2W - 2*lcm, since
+    sum_k sign_k*q_k*n_k = lcm*(1 - 1 + 1 + 1).  So the correlation
+    inequality with denominators cleared, |2W - 2*lcm| > 2*lcm, is
+    |W - lcm| > lcm, and >= when non-strict.  ``scale`` is lcm(rounds).
+    """
+    return np.abs(distance) > scale if threshold == STRICT else np.abs(distance) >= scale
 
 
 @lru_cache
 def _violation_table(rounds: tuple[int, ...], threshold: str) -> np.ndarray:
     """``table[r]``: whether the one-word row ``r`` violates, for every r < 2**sum(rounds).
 
-    Counted by ``_count_ones`` and compared by ``_violations``, exactly as
+    Weighed by ``_weigh`` and compared by ``_violates``, exactly as
     ``_batch_hits`` treats drawn rows.  Read-only, since every caller shares it.
     """
+    scale = math.lcm(*rounds)
     rows = np.arange(1 << sum(rounds), dtype=np.uint64)[:, np.newaxis]
-    ones = np.zeros((len(rounds), len(rows)), dtype=np.int64)
-    _count_ones(rows, 0, list(accumulate(rounds, initial=0)), ones)
-    table = _violations(rounds, ones, threshold)
+    table = _violates(_weigh(rows, _layout(rounds, 0, 1)) - scale, scale, threshold)
     table.flags.writeable = False
     return table
 
@@ -204,12 +226,11 @@ def _batch_hits(
     verdict on every such row.  The mask is applied to the drawn words in
     place: a second batch-sized array (512 KiB) would take the heap past
     glibc's trim threshold, so every batch would give its pages back and
-    fault them in again.  Longer rows are counted channel by channel
-    by ``_count_ones`` and compared by ``_violations``.  They are drawn a
-    group of trials at a time, or a row in pieces when it is longer than
-    WORD_BUDGET // 4 words: the threads of a pooled run draw in one
-    process, so their buffers add up.  Sequential draws read the same
-    stream as one.
+    fault them in again.  Longer rows are drawn GROUP_WORDS words at a
+    time, as many whole rows as fit or one row in pieces, weighed by
+    ``_weigh`` and compared by ``_violates``, group by group: the threads
+    of a pooled run draw in one process, so their buffers add up.
+    Sequential draws read the same stream as one.
     """
     # SeedSequence rejects negative entropy; keep the 64-bit pattern instead.
     bit_generator = np.random.PCG64(
@@ -223,17 +244,21 @@ def _batch_hits(
         np.bitwise_and(low_bits, (1 << width) - 1, out=low_bits)
         return int(np.count_nonzero(_violation_table(rounds, threshold).take(low_bits)))
 
-    offsets = list(accumulate(rounds, initial=0))
+    scale = math.lcm(*rounds)
     words = _row_words(rounds)
-    rows = max(1, WORD_BUDGET // 4 // words)
-    piece = min(words, WORD_BUDGET // 4)
-    ones = np.zeros((len(rounds), count), dtype=np.int64)
-    for first_trial in range(0, count, rows):
-        group = ones[:, first_trial : first_trial + rows]
+    piece = min(words, GROUP_WORDS)
+    rows = max(1, GROUP_WORDS // words)
+    # a row that fits a group has one layout; a longer one gets one per piece
+    shared = _layout(rounds, 0, piece) if piece == words else None
+    hits = 0
+    for left in range(count, 0, -rows):
+        distance = -scale
         for first_word in range(0, words, piece):
-            shape = (group.shape[1], min(piece, words - first_word))
-            _count_ones(bit_generator.random_raw(shape), first_word, offsets, group)
-    return int(np.count_nonzero(_violations(rounds, ones, threshold)))
+            span = min(piece, words - first_word)
+            layout = shared or _layout(rounds, first_word, span)
+            distance += _weigh(bit_generator.random_raw((min(rows, left), span)), layout)
+        hits += int(np.count_nonzero(_violates(distance, scale, threshold)))
+    return hits
 
 
 def _strided_hits(

@@ -113,22 +113,43 @@ class TestSimulateExperiment:
                     got = _batch_hits(rounds, 13, index, 2048, threshold)
                     assert got == expected, (rounds, threshold, index)
 
+    @pytest.mark.parametrize(
+        "rounds",
+        [
+            pytest.param((2, 3, 5, 54), id="three-edges-in-one-full-word"),
+            pytest.param((1, 1, 1, 62), id="last-word-holds-one-bit"),
+            pytest.param((1, 1, 62, 64), id="edge-on-a-word-boundary"),
+            pytest.param((64, 1, 1, 62), id="first-channel-fills-a-word"),
+        ],
+    )
+    def test_split_words_are_weighed_as_the_replay_counts(self, rounds):
+        # rows past the short-row table whose words are split in each way
+        # the weighing cuts them: several edges in one word, a last word of
+        # one used bit, an edge on a word boundary, and a first whole word
+        assert sum(rounds) > 16
+        for threshold in (STRICT, NON_STRICT):
+            for index in (0, 1):
+                expected = replay_hits(rounds, 13, index, 2048, threshold)
+                got = _batch_hits(rounds, 13, index, 2048, threshold)
+                assert got == expected, (rounds, threshold, index)
+
     def test_rows_past_the_word_budget_are_drawn_in_pieces(self, monkeypatch):
-        # a 32-word row under a 20-word budget: one trial per batch and per
-        # draw, each row in 5-word pieces (a quarter of the budget);
-        # sequential draws read the same stream as one draw
+        # a 32-word row under a 20-word budget and 5-word groups: one trial
+        # per batch and per draw, each row in 5-word pieces; sequential
+        # draws read the same stream as one draw
         rounds = (1, 1, 1000, 1000)
         assert _row_words(rounds) == 32
         whole = {th: _batch_hits(rounds, 13, 0, 64, th) for th in (STRICT, NON_STRICT)}
         shapes = []
-        count_ones = montecarlo._count_ones
+        weigh = montecarlo._weigh
 
         def recording(bits, *args):
             shapes.append(bits.shape)
-            count_ones(bits, *args)
+            return weigh(bits, *args)
 
-        monkeypatch.setattr(montecarlo, "_count_ones", recording)
+        monkeypatch.setattr(montecarlo, "_weigh", recording)
         monkeypatch.setattr(montecarlo, "WORD_BUDGET", 20)
+        monkeypatch.setattr(montecarlo, "GROUP_WORDS", 5)
         assert _batch_trials(rounds) == 1
         for threshold in (STRICT, NON_STRICT):
             shapes.clear()
@@ -141,13 +162,13 @@ class TestSimulateExperiment:
         # from every one-word row; (4,4,4,5) counts its drawn rows directly
         assert MAX_BATCH_TRIALS == 1 << 16
         shapes = []
-        count_ones = montecarlo._count_ones
+        weigh = montecarlo._weigh
 
         def recording(bits, *args):
             shapes.append(bits.shape)
-            count_ones(bits, *args)
+            return weigh(bits, *args)
 
-        monkeypatch.setattr(montecarlo, "_count_ones", recording)
+        monkeypatch.setattr(montecarlo, "_weigh", recording)
         _violation_table.cache_clear()
         for rounds, counted in (((4, 4, 4, 4), [(1 << 16, 1)]), ((4, 4, 4, 5), [(4096, 1)])):
             shapes.clear()
@@ -164,19 +185,19 @@ class TestSimulateExperiment:
         def counted(*args):
             raise Counted
 
-        monkeypatch.setattr(montecarlo, "_count_ones", counted)
+        monkeypatch.setattr(montecarlo, "_weigh", counted)
         with pytest.raises(Counted):
             _batch_hits((1, 1, 1, 10**12), 13, 0, 1, STRICT)
 
     def test_table_is_built_once_per_rounds_and_threshold(self, monkeypatch):
         calls = []
-        count_ones = montecarlo._count_ones
+        weigh = montecarlo._weigh
 
         def counting(*args):
             calls.append(args[0].shape)
-            count_ones(*args)
+            return weigh(*args)
 
-        monkeypatch.setattr(montecarlo, "_count_ones", counting)
+        monkeypatch.setattr(montecarlo, "_weigh", counting)
         _violation_table.cache_clear()
         config = ExperimentConfig((2, 2, 2, 2))
         trials = 4 * _batch_trials(config.rounds)
@@ -220,11 +241,11 @@ class TestPathsAgainstExact:
         if words == 1:
             # counted channel by channel, not looked up in the short-row table
             assert sum(rounds) > 16
-        elif words <= montecarlo.WORD_BUDGET // 4:
+        elif words <= montecarlo.GROUP_WORDS:
             assert any(bound % 64 for bound in bounds)
         else:
-            # one row is longer than a piece, so it is drawn in pieces
-            assert words > montecarlo.WORD_BUDGET // 4
+            # one row is longer than a group, so it is drawn in pieces
+            assert words > montecarlo.GROUP_WORDS
         if rounds[:3] == (1, 1, 1):
             p = one_long_channel_probability(rounds[3], threshold)
         else:
@@ -583,6 +604,22 @@ class TestEstimate:
         finally:
             tracemalloc.stop()
         assert peak < 100 * 1024
+
+    @pytest.mark.parametrize("rounds", [(1, 1, 1000, 1000), (1, 1, 1, 8_388_928)], ids=["rows", "pieces"])
+    def test_a_long_row_batch_holds_one_group_of_draws(self, rounds):
+        # a batch of long rows is drawn and weighed a group of GROUP_WORDS
+        # words (128 KiB) at a time, so its peak stays near one group
+        # however many rows the batch has or however long one row is
+        assert montecarlo.GROUP_WORDS == 1 << 14
+        count = _batch_trials(rounds)
+        _batch_hits(rounds, 5, 0, count, STRICT)
+        tracemalloc.start()
+        try:
+            _batch_hits(rounds, 5, 0, count, STRICT)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 512 * 1024
 
     @pytest.mark.parametrize(
         "rounds, trials",
