@@ -159,7 +159,7 @@ class TestSimulateExperiment:
 
     def test_short_rows_are_looked_up_and_longer_rows_counted(self, monkeypatch):
         # 2**16 possible rows fill one batch, so (4,4,4,4) builds its table
-        # from every one-word row; (4,4,4,5) counts its drawn rows directly
+        # from every one-word row; (4,4,4,5) weighs its drawn rows directly
         assert MAX_BATCH_TRIALS == 1 << 16
         shapes = []
         weigh = montecarlo._weigh
@@ -239,7 +239,7 @@ class TestPathsAgainstExact:
         words = _row_words(rounds)
         bounds = list(itertools.accumulate(rounds[:-1]))
         if words == 1:
-            # counted channel by channel, not looked up in the short-row table
+            # weighed, not looked up in the short-row table
             assert sum(rounds) > 16
         elif words <= montecarlo.GROUP_WORDS:
             assert any(bound % 64 for bound in bounds)
