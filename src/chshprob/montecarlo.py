@@ -20,7 +20,10 @@ weighs sign_k * lcm(n) / n_k, one pass of popcounts sums a row's weights W
 masked segment per channel of each word that channels share), and the row
 violates when |W - lcm| > lcm, or >= when non-strict.  Rows longer than
 16 rounds are drawn and weighed GROUP_WORDS words (128 KiB) at a time, so
-a worker holds about one group of draws, never a whole batch.  A short
+a worker holds about one group of draws, never a whole batch, and the
+weights of a row's words are built once a batch: a weight per word for a
+row that fits a group or a piece that holds a channel edge, and one weight
+read through a zero stride for a piece inside one channel.  A short
 row, one whose 2**sum(n_k) possible values fit in one batch
 (sum(n_k) <= 16), is looked up instead: the low sum(n_k) bits of its word
 index a table of which rows violate, built once per process per
@@ -42,7 +45,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate
 
 import numpy as np
@@ -69,10 +72,11 @@ GROUP_WORDS = 1 << 14
 # The same budget in bytes; benchmarks/tracing.py still reads this name.
 BATCH_ELEMENT_BUDGET = 8 * WORD_BUDGET
 STREAM_VERSION = 2
-# Words one run may draw: 50-95 s at one worker for rows of two words or
-# more, which draw and weigh 9e7-1.7e8 words/s on a 2-core test machine, and
-# 35-55 s for short rows, looked up at 1.6e8-2.6e8.  One-word rows of 17-64
-# rounds run at 7e7-1e8 words/s, so theirs takes up to 2 minutes.
+# Words one run may draw: 40 s to 2 minutes at one worker for rows of two
+# words or more, which draw and weigh 7e7-2.3e8 words/s on a 2-core test
+# machine, and 30-50 s for short rows, looked up at 1.7e8-3e8.  One-word
+# rows of 17-64 rounds run at 4.4e7-6.6e7 words/s, so theirs takes up to
+# 3.5 minutes.
 RUN_WORD_BUDGET = 1 << 33
 
 # statistics.NormalDist().inv_cdf(0.975), written out so importing costs nothing
@@ -139,59 +143,67 @@ def _layout(rounds: tuple[int, ...], first_word: int, span: int) -> tuple:
     A +1 round of channel k weighs sign_k * lcm(rounds) / n_k.  ``whole[w]``
     is the weight of the channel that owns word w entirely, and 0 for a
     split word, one that holds a channel edge or the row's unused tail
-    bits.  A split word is cut into one segment per channel in it: the
-    word, the channel's bits in it as a mask, and the channel's weight.
-    Built from the channel offsets in O(channels), whatever the row length.
+    bits.  A split word is cut
+    into one segment per channel in it: the word, the channel's bits in it
+    as a mask, and the channel's weight.  Built from the channel offsets in
+    O(channels), whatever the row length.  A piece of a long row that lies
+    inside one channel's whole words, as all but the few that hold an edge
+    do, has no split word, and its ``whole`` is that channel's weight read
+    through a zero stride, so it fills nothing of the piece's length.
     Every partial sum of weights lies within 4*lcm, so the weights are
-    float64 (and exact) below 2**53, int64 below 2**62 and Python integers
-    beyond; popcounts are written as ``counts``, float64 or int64.  float64
-    lets numpy hand the products to BLAS, which weighs long rows faster.
+    int64 below 2**62 and Python integers beyond.
     """
     scale = math.lcm(*rounds)
-    dtype = np.float64 if 4 * scale < 2**53 else np.int64 if 4 * scale < 2**62 else object
-    whole = np.zeros(span, dtype=dtype)
-    cut_words, masks, cut_weights = [], [], []
+    dtype = np.int64 if 4 * scale < 2**62 else object
+    whole, cut_words, masks, cut_weights = np.zeros(span, dtype=dtype), [], [], []
     for sign, n, lo in zip(CHANNEL_SIGNS, rounds, accumulate(rounds, initial=0)):
         weight = sign * (scale // n)
+        if -(-lo // 64) <= first_word and first_word + span <= (lo + n) // 64:
+            # this channel owns every word of the piece, and the channels
+            # before it end before the piece, so no word was cut
+            whole = np.broadcast_to(np.array(weight, dtype=dtype), span)
+            break
         whole[max(-(-lo // 64) - first_word, 0) : max((lo + n) // 64 - first_word, 0)] = weight
         for word in {lo // 64, (lo + n - 1) // 64}:
             if 0 <= word - first_word < span and not lo <= 64 * word <= lo + n - 64:
                 cut_words.append(word - first_word)
                 masks.append((1 << min(lo + n - 64 * word, 64)) - (1 << max(lo - 64 * word, 0)))
                 cut_weights.append(weight)
-    counts = np.float64 if dtype is np.float64 else np.int64
-    masks = np.array(masks, dtype=np.uint64).reshape(-1, 1)
-    return counts, whole, np.array(cut_words, dtype=np.intp), masks, np.array(cut_weights, dtype=dtype)
+    return whole, np.array(cut_words, int), np.array(masks, np.uint64), np.array(cut_weights, dtype)
 
 
 def _weigh(bits: np.ndarray, layout: tuple) -> np.ndarray:
     """Each row's summed weight over its +1 rounds in ``bits`` (trials x words).
 
-    ``layout`` (from ``_layout``) says which row words ``bits`` holds.  The
-    split words' segments are copied out as segments x trials, masked,
-    popcounted in place and weighed; then, unless no word is whole, ``bits``
-    is popcounted in place and its whole words weighed by one matrix-vector
-    product.  ``bits`` is overwritten.
+    ``layout`` (from ``_layout``) says which row words ``bits`` holds.
+    Unless no word is split, the split words' segments are copied out as
+    segments x trials, masked, popcounted in place and weighed; then,
+    unless no word is whole, ``bits`` is popcounted in place and its whole
+    words weighed by one matrix-vector product.  ``bits`` is overwritten.
+    The products are int64 or Python integers, which numpy multiplies in
+    its own loops, never in BLAS.
     """
-    counts, whole, cut_words, masks, cut_weights = layout
-    cut = bits.T[cut_words]
-    cut &= masks
-    weight = np.dot(cut_weights, np.bitwise_count(cut, out=cut.view(counts)))
+    whole, cut_words, masks, cut_weights = layout
+    weight = 0
+    if cut_words.size:
+        cut = bits.T[cut_words]
+        cut &= masks[:, np.newaxis]
+        weight = np.dot(cut_weights, np.bitwise_count(cut, out=cut.view(np.int64)))
     if whole.any():
-        weight += np.dot(np.bitwise_count(bits, out=bits.view(counts)), whole)
+        weight += np.dot(np.bitwise_count(bits, out=bits.view(np.int64)), whole)
     return weight
 
 
-def _violates(distance: np.ndarray, scale: int, threshold: str) -> np.ndarray:
+def _violates(distance: np.ndarray, rounds: tuple[int, ...], threshold: str) -> np.ndarray:
     """Which rows violate, given ``distance`` = W - lcm(rounds) for each.
 
     W is a row's summed weight (see ``_layout``).  With m_k = 2*ones_k - n_k
     and q_k = lcm/n_k, sum_k sign_k*q_k*m_k is 2W - 2*lcm, since
     sum_k sign_k*q_k*n_k = lcm*(1 - 1 + 1 + 1).  So the correlation
     inequality with denominators cleared, |2W - 2*lcm| > 2*lcm, is
-    |W - lcm| > lcm, and >= when non-strict.  ``scale`` is lcm(rounds).
+    |W - lcm| > lcm, and >= when non-strict; on integers, > lcm is >= lcm + 1.
     """
-    return np.abs(distance) > scale if threshold == STRICT else np.abs(distance) >= scale
+    return np.abs(distance) >= math.lcm(*rounds) + (threshold == STRICT)
 
 
 @lru_cache
@@ -201,9 +213,8 @@ def _violation_table(rounds: tuple[int, ...], threshold: str) -> np.ndarray:
     Weighed by ``_weigh`` and compared by ``_violates``, exactly as
     ``_batch_hits`` treats drawn rows.  Read-only, since every caller shares it.
     """
-    scale = math.lcm(*rounds)
     rows = np.arange(1 << sum(rounds), dtype=np.uint64)[:, np.newaxis]
-    table = _violates(_weigh(rows, _layout(rounds, 0, 1)) - scale, scale, threshold)
+    table = _violates(_weigh(rows, _layout(rounds, 0, 1)) - math.lcm(*rounds), rounds, threshold)
     table.flags.writeable = False
     return table
 
@@ -244,20 +255,21 @@ def _batch_hits(
         np.bitwise_and(low_bits, (1 << width) - 1, out=low_bits)
         return int(np.count_nonzero(_violation_table(rounds, threshold).take(low_bits)))
 
-    scale = math.lcm(*rounds)
     words = _row_words(rounds)
     piece = min(words, GROUP_WORDS)
     rows = max(1, GROUP_WORDS // words)
-    # a row that fits a group has one layout; a longer one gets one per piece
-    shared = _layout(rounds, 0, piece) if piece == words else None
+    # each piece's layout is built once a batch: a batch of two rows or more
+    # holds rows of at most WORD_BUDGET // GROUP_WORDS // 2 pieces, and only
+    # a piece that holds an edge, at most K + 1 a row, has a weight per word
+    layout_of = lru_cache(maxsize=WORD_BUDGET // GROUP_WORDS)(partial(_layout, rounds))
     hits = 0
     for left in range(count, 0, -rows):
-        distance = -scale
+        distance = -math.lcm(*rounds)
         for first_word in range(0, words, piece):
             span = min(piece, words - first_word)
-            layout = shared or _layout(rounds, first_word, span)
+            layout = layout_of(first_word, span)
             distance += _weigh(bit_generator.random_raw((min(rows, left), span)), layout)
-        hits += int(np.count_nonzero(_violates(distance, scale, threshold)))
+        hits += int(np.count_nonzero(_violates(distance, rounds, threshold)))
     return hits
 
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from chshprob.cli import main
 from chshprob.errors import InvalidConfigError, LimitError
 from chshprob.model import (
+    CHANNEL_SIGNS,
     NON_STRICT,
     STRICT,
     ExperimentConfig,
@@ -652,3 +653,41 @@ class TestEstimate:
         for threshold in (STRICT, NON_STRICT):
             expected = replay_hits(rounds, 13, 0, 4, threshold)
             assert _batch_hits(rounds, 13, 0, 4, threshold) == expected
+
+    @pytest.mark.parametrize(
+        "rounds, int64",
+        [((1, 1048573, 1048571, 1048559), True), ((5, 1048573, 1048571, 1048559), False)],
+        ids=["int64-just-under-2**62", "python-integers"],
+    )
+    def test_rows_are_weighed_exactly_on_both_sides_of_the_int64_bound(
+        self, monkeypatch, rounds, int64
+    ):
+        # no drawn row of these configs violates, so hit counts cannot show a
+        # wrong weight.  The distance W - lcm each drawn row is compared at
+        # must equal the replayed one, and the all-ones row must weigh 2*lcm,
+        # which is past int64 for the second config: weights turn from int64
+        # to Python integers at 4*lcm = 2**62.  4096-word groups cut each row
+        # into twelve pieces, most of them inside one channel's whole words
+        scale = math.lcm(*rounds)
+        assert (4 * scale < 2**62) == int64 and (2 * scale < 2**63) == int64
+        distances = []
+        violates = montecarlo._violates
+
+        def recording(distance, *args):
+            distances.extend(distance.tolist())
+            return violates(distance, *args)
+
+        monkeypatch.setattr(montecarlo, "_violates", recording)
+        monkeypatch.setattr(montecarlo, "GROUP_WORDS", 4096)
+        _batch_hits(rounds, 13, 0, 4, STRICT)
+        # a +1 round of channel k weighs sign_k * lcm / n_k, and m_k + n_k = 2 * ones_k
+        expected = [
+            sum(sign * (scale // n) * (m + n) // 2 for sign, n, m in zip(CHANNEL_SIGNS, rounds, ms))
+            - scale
+            for ms in replay_channel_sums(rounds, 13, 0, 4)
+        ]
+        assert distances == expected
+        words = _row_words(rounds)
+        for fill, weight in ((0, 0), (2**64 - 1, 2 * scale)):
+            bits = np.full((1, words), fill, dtype=np.uint64)
+            assert montecarlo._weigh(bits, montecarlo._layout(rounds, 0, words)).tolist() == [weight]
