@@ -143,15 +143,15 @@ def _layout(rounds: tuple[int, ...], first_word: int, span: int) -> tuple:
     A +1 round of channel k weighs sign_k * lcm(rounds) / n_k.  ``whole[w]``
     is the weight of the channel that owns word w entirely, and 0 for a
     split word, one that holds a channel edge or the row's unused tail
-    bits.  A split word is cut
-    into one segment per channel in it: the word, the channel's bits in it
-    as a mask, and the channel's weight.  Built from the channel offsets in
-    O(channels), whatever the row length.  A piece of a long row that lies
-    inside one channel's whole words, as all but the few that hold an edge
-    do, has no split word, and its ``whole`` is that channel's weight read
-    through a zero stride, so it fills nothing of the piece's length.
-    Every partial sum of weights lies within 4*lcm, so the weights are
-    int64 below 2**62 and Python integers beyond.
+    bits.  A split word is cut into one segment per channel in it: the
+    word, the channel's bits in it as a mask, and the channel's weight.
+    Built from the channel offsets in O(channels), whatever the row length.
+    A piece of a long row that lies inside one channel's whole words, as
+    all but the few that hold an edge do, has no split word, and its
+    ``whole`` is that channel's weight read through a zero stride, so it
+    fills nothing of the piece's length.  Every partial sum of weights lies
+    within 4*lcm, so the weights are int64 below 2**62 and Python integers
+    beyond.
     """
     scale = math.lcm(*rounds)
     dtype = np.int64 if 4 * scale < 2**62 else object
