@@ -7,7 +7,9 @@ seeded Monte Carlo simulation.
 
 The package root holds the three routes, their inputs and their errors;
 everything else is importable from its submodule (``chshprob.model``,
-``chshprob.montecarlo``, ``chshprob.walks``, ``chshprob.cli``).
+which also builds the binomial path-count rows, ``chshprob.montecarlo``
+and ``chshprob.cli``; ``chshprob.walks`` holds only the ``Fraction`` pmf
+view of a row that the benchmark times, and no command loads it).
 ``estimate_violation_probability`` is loaded on first access, so importing
 the package does not import numpy.
 """

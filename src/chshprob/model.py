@@ -16,6 +16,14 @@ violating sign patterns in plain integers (bit-exact), met in the middle
 between groups of equal counts, and the Gaussian tail formula
 erfc(sqrt(2 / sum_k 1/n_k)).  The third route, Monte Carlo simulation,
 lives in :mod:`chshprob.montecarlo`.
+
+The exact count weighs sign patterns by the binomial path counts of fair
+walks, all from one recurrence, C(n, i+1) = C(n, i) * (n - i) // (i + 1):
+``binomial_row`` builds the rows of the shorter groups' tables, and the
+kernel takes the same steps along the longest group's row without building
+it.  Row lengths are not limited by ``binomial_row``: the enumeration
+budget prices every row of a plan and refuses over-budget work before any
+row is built.
 """
 
 from __future__ import annotations
@@ -28,7 +36,6 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .errors import CorruptRecordError, InvalidConfigError, LimitError
-from .walks import binomial_row
 
 # Channel order everywhere in this package; the (1,2) channel carries the
 # minus sign in C.
@@ -380,6 +387,22 @@ def enumeration_cost(config: ExperimentConfig) -> int:
     before any row is built.
     """
     return _plan(config.rounds)[-1]
+
+
+def binomial_row(n: int) -> list[int]:
+    """Path counts [C(n, 0), ..., C(n, n)] of the n-step fair walk.
+
+    Entry i counts the paths ending at displacement 2*i - n; the row sums
+    to 2**n.  Only C(n, 0..n//2) are computed; the rest mirror them
+    (C(n, i) = C(n, n - i)) and share their int objects.  Raises
+    InvalidConfigError for n < 1.
+    """
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise InvalidConfigError(f"walk length must be a positive integer, got {n!r}")
+    row = [1]
+    for i in range(n // 2):
+        row.append(row[-1] * (n - i) // (i + 1))
+    return row + row[n - n // 2 - 1 :: -1]
 
 
 def _walk_sums(groups: Sequence[tuple[int, int]]) -> dict[int, int]:

@@ -26,9 +26,10 @@ row that fits a group or a piece that holds a channel edge, and one weight
 read through a zero stride for a piece inside one channel.  A short
 row, one whose 2**sum(n_k) possible values fit in one batch
 (sum(n_k) <= 16), is looked up instead: the low sum(n_k) bits of its word
-index a table of which rows violate, built once per process per
-(rounds, threshold) by the same weighing and comparison, so both read the
-same stream and give the same hits.
+index a table of which rows violate, built by the same weighing and
+comparison, so both read the same stream and give the same hits.  A
+process keeps the 32 tables it used last, one per (rounds, threshold), at
+most 2 MiB.
 
 With k = min(workers, batches, CPU count) workers, worker i sums batches
 i, i + k, i + 2k, ...; the calling thread is worker 0 and the other k - 1
@@ -76,7 +77,9 @@ STREAM_VERSION = 2
 # words or more, which draw and weigh 7e7-2.3e8 words/s on a 2-core test
 # machine, and 30-50 s for short rows, looked up at 1.7e8-3e8.  One-word
 # rows of 17-64 rounds run at 4.4e7-6.6e7 words/s, so theirs takes up to
-# 3.5 minutes.
+# 3.5 minutes.  Rows whose weights pass int64 (4*lcm >= 2**62) weigh one
+# Python product per word, 9e6-1.1e7 words/s there, so theirs takes 13-16
+# minutes.
 RUN_WORD_BUDGET = 1 << 33
 
 # statistics.NormalDist().inv_cdf(0.975), written out so importing costs nothing
@@ -206,12 +209,14 @@ def _violates(distance: np.ndarray, rounds: tuple[int, ...], threshold: str) -> 
     return np.abs(distance) >= math.lcm(*rounds) + (threshold == STRICT)
 
 
-@lru_cache
+@lru_cache(maxsize=32)
 def _violation_table(rounds: tuple[int, ...], threshold: str) -> np.ndarray:
     """``table[r]``: whether the one-word row ``r`` violates, for every r < 2**sum(rounds).
 
     Weighed by ``_weigh`` and compared by ``_violates``, exactly as
-    ``_batch_hits`` treats drawn rows.  Read-only, since every caller shares it.
+    ``_batch_hits`` treats drawn rows.  Read-only, since every caller shares
+    it.  The 32 tables used last stay cached, so a run builds its table
+    once; a table is at most 2**16 bools, so the cache holds at most 2 MiB.
     """
     rows = np.arange(1 << sum(rounds), dtype=np.uint64)[:, np.newaxis]
     table = _violates(_weigh(rows, _layout(rounds, 0, 1)) - math.lcm(*rounds), rounds, threshold)
@@ -304,11 +309,12 @@ def _pooled_hits(
     """Hits of a ``trials``-trial run split into ``pool_size`` strided shares.
 
     The calling thread runs share 0 and starts a thread for each other
-    share; numpy draws and counts with the GIL released, so the shares run
-    in parallel.  A share that raises, the calling thread's
-    ``KeyboardInterrupt`` included, stops the others between batches, and
-    the first error is raised once every thread has been joined; no
-    partial sum is returned.
+    share; numpy draws and counts with the GIL released, so the shares may
+    run in parallel, but on the 2-core test host two threads drew no faster
+    than one, so no gain from more workers has been measured.  A share
+    that raises, the calling thread's ``KeyboardInterrupt`` included, stops
+    the others between batches, and the first error is raised once every
+    thread has been joined; no partial sum is returned.
     """
     counts = [0] * pool_size
     errors: list[BaseException] = []

@@ -17,13 +17,13 @@ from chshprob.model import (
     STRICT,
     ExperimentConfig,
     analytic_violation_probability,
+    binomial_row,
     chsh_correlation,
     exact_violation_probability,
     gaussian_tail_probability,
     tally,
 )
 from chshprob.montecarlo import estimate_violation_probability
-from chshprob.walks import walk_pmf
 from oracles import (
     brute_force_violation_probability,
     erfc_series,
@@ -201,13 +201,14 @@ def test_criterion_6_monte_carlo_consistency_and_reproducibility():
 def test_criterion_7_gaussian_approximation_window():
     start = time.perf_counter()
     n = 256
-    pmf = walk_pmf(n)
+    # endpoint m = 2i - n has C(n, i) of the 2**n paths
+    row = binomial_row(n)
     reach = 3 * math.isqrt(n)
     worst = 0.0
     for m in range(-reach, reach + 1):
         if (m - n) % 2:
             continue
-        mass = float(pmf[m])
+        mass = row[(n + m) // 2] / 2**n
         approx = 2.0 * gaussian_density(n, float(m))
         worst = max(worst, abs(approx - mass) / mass)
     elapsed = time.perf_counter() - start

@@ -1,6 +1,6 @@
 """Only ``mc`` imports numpy, no run imports a process pool (a multi-worker run
-starts plain threads), no command loads dataclasses, inspect or typing, and
-only JSON output loads json."""
+starts plain threads), no command loads dataclasses, inspect, typing or
+``chshprob.walks``, and only JSON output loads json."""
 
 import json
 import os
@@ -74,6 +74,7 @@ def test_non_mc_commands_run_without_numpy_or_the_pool(argv):
     assert blocked["code"] == 0
     assert blocked["stdout"]
     assert "concurrent.futures" not in blocked["modules"]
+    assert "chshprob.walks" not in blocked["modules"]
     assert blocked["stdout"] == run_child("open", argv)["stdout"]
 
 
@@ -83,7 +84,7 @@ def test_non_mc_commands_skip_dataclasses_and_typing_and_load_json_only_for_json
     report = run_child("open", argv, site=False)
     assert report["code"] == 0
     modules = set(report["modules"])
-    assert not modules & {"dataclasses", "inspect", "typing"}
+    assert not modules & {"dataclasses", "inspect", "typing", "chshprob.walks"}
     assert ("json" in modules) == any("json" in arg for arg in argv)
 
 
@@ -93,6 +94,7 @@ def test_single_worker_mc_does_not_import_the_pool():
     assert report["numpy"]
     assert "concurrent.futures" not in report["modules"]
     assert "dataclasses" not in report["modules"]
+    assert "chshprob.walks" not in report["modules"]
 
 
 def test_two_worker_mc_starts_a_thread_and_loads_no_pool_module():

@@ -20,6 +20,7 @@ from chshprob.model import (
     MeasurementRecord,
     RoundTally,
     analytic_violation_probability,
+    binomial_row,
     chsh_correlation,
     enumeration_cost,
     exact_violation_probability,
@@ -28,8 +29,8 @@ from chshprob.model import (
     tally,
     _distinct_sums,
     _plan,
+    _product,
 )
-from chshprob.walks import binomial_row
 from oracles import (
     brute_force_violation_probability,
     gaussian_halfspace_oracle,
@@ -113,7 +114,15 @@ class TestRecordsAndTally:
         with pytest.raises(CorruptRecordError):
             tally([fake])
 
-    @pytest.mark.parametrize("m,n", [((2, 0, 0, 0), (1, 1, 1, 1)), ((1, 0, 0, 0), (2, 1, 1, 1))])
+    @pytest.mark.parametrize(
+        "m,n",
+        [
+            ((2, 0, 0, 0), (1, 1, 1, 1)),
+            ((1, 0, 0, 0), (2, 1, 1, 1)),
+            ((1, 1, 1), (1, 1, 1)),
+            ((1, -1, 1, 1), (-1, 1, 1, 1)),
+        ],
+    )
     def test_tally_invariants_enforced(self, m, n):
         with pytest.raises(InvalidConfigError):
             RoundTally(m=m, n=n)
@@ -355,6 +364,14 @@ class TestExactProbability:
         # 16384-step walk of (4096,)*4 (about 0.01 s) is within it
         assert enumeration_cost(ExperimentConfig((1, 1, 1, 10**6))) > DEFAULT_ENUMERATION_BUDGET
         assert enumeration_cost(ExperimentConfig((4096,) * 4)) <= DEFAULT_ENUMERATION_BUDGET
+
+    def test_wide_products_are_priced_below_the_schoolbook_past_32_words(self):
+        # CPython multiplies integers of more than about 32 words by
+        # Karatsuba, three half-size products for four, so the price drops a
+        # quarter per halving of the shorter operand past 32 words
+        assert _product(32, 32) == 32 * 32
+        assert _product(32, 1000) == 32 * 1000
+        assert _product(64, 64) == 64 * 64 * 3 // 4 < 64 * 64
 
     def test_one_long_channel_closed_form(self, monkeypatch):
         # the kernel sums two row tails for (1, 1, 1, n), also at 10**5

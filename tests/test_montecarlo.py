@@ -20,6 +20,7 @@ from chshprob.model import (
     NON_STRICT,
     STRICT,
     ExperimentConfig,
+    binomial_row,
     exact_violation_probability,
     is_violation,
 )
@@ -35,7 +36,6 @@ from chshprob.montecarlo import (
     estimate_violation_probability,
     wilson_interval,
 )
-from chshprob.walks import walk_pmf
 from oracles import one_long_channel_probability
 
 
@@ -208,13 +208,24 @@ class TestSimulateExperiment:
         assert len(calls) == 1
         assert not _violation_table(config.rounds, STRICT).flags.writeable
 
+    def test_table_cache_keeps_at_most_its_bound(self):
+        # 36 short configs, of at most 14 rounds, build more tables than
+        # the cache holds; it keeps 32 of them, at most 2 MiB
+        bound = _violation_table.cache_info().maxsize
+        assert bound == 32
+        _violation_table.cache_clear()
+        for a, b in itertools.product(range(1, 7), repeat=2):
+            _violation_table((a, b, 1, 1), STRICT)
+        assert _violation_table.cache_info().currsize == bound
+        _violation_table.cache_clear()
+
     def test_channel_sums_follow_walk_distribution(self):
-        # frequency check of each channel endpoint against the exact pmf
+        # frequency check of each channel endpoint against the exact pmf,
+        # the path counts C(2, i) of endpoint 2i - 2 over 2**2
         trials = 20_000
         sums = replay_channel_sums((2, 2, 2, 2), 2024, 0, trials)
-        pmf = walk_pmf(2)
-        for m in (-2, 0, 2):
-            p = float(pmf[m])
+        for m, count in zip((-2, 0, 2), binomial_row(2)):
+            p = count / 2**2
             sigma = math.sqrt(p * (1 - p) / trials)
             for k in range(4):
                 frequency = sum(1 for trial in sums if trial[k] == m) / trials
@@ -383,6 +394,29 @@ class TestEstimate:
             assert len(started) == threads, (batches, workers, cpus)
             assert not any(thread.is_alive() for thread in started)
             assert pooled == sequential
+
+    def test_a_thread_that_cannot_start_fails_the_run_and_every_thread_ends(self, monkeypatch):
+        # at 3 workers the run starts two threads; the second one's start
+        # raises, as when the process is out of threads, so the run stops
+        # and joins the first and raises that error
+        started = []
+
+        class SecondThreadFails(threading.Thread):
+            def start(self):
+                if started:
+                    raise RuntimeError("can't start new thread")
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(montecarlo.threading, "Thread", SecondThreadFails)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+        config = ExperimentConfig((1, 1, 1, 1))
+        trials = 3 * _batch_trials(config.rounds)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            estimate_violation_probability(config, trials, seed=7, workers=3)
+        assert len(started) == 1 and not started[0].is_alive()
+        assert set(threading.enumerate()) == before
 
     @pytest.mark.parametrize(
         "failing, error",

@@ -15,27 +15,27 @@ from chshprob.montecarlo import STREAM_VERSION, McEstimate
 CONFIG = ExperimentConfig(rounds=(2, 2, 2, 2))
 
 # class, valid keyword arguments, the repr a frozen dataclass printed for
-# them, one invalid override and the error it raises
+# them, invalid overrides and the error each raises
 CASES = {
     "ExperimentConfig": (
         ExperimentConfig,
         dict(rounds=(1, 2, 3, 4)),
         "ExperimentConfig(rounds=(1, 2, 3, 4))",
-        dict(rounds=(0, 1, 1, 1)),
+        [dict(rounds=(0, 1, 1, 1))],
         InvalidConfigError,
     ),
     "MeasurementRecord": (
         MeasurementRecord,
         dict(time_index=1, a=1, b=-1, c=-1, i=1, j=2),
         "MeasurementRecord(time_index=1, a=1, b=-1, c=-1, i=1, j=2)",
-        dict(c=1),
+        [dict(c=1)],
         CorruptRecordError,
     ),
     "RoundTally": (
         RoundTally,
         dict(m=(1, -1, 1, 1), n=(1, 1, 3, 1)),
         "RoundTally(m=(1, -1, 1, 1), n=(1, 1, 3, 1))",
-        dict(m=(2, 0, 0, 0)),
+        [dict(m=(2, 0, 0, 0))],
         InvalidConfigError,
     ),
     "ViolationProbability": (
@@ -43,7 +43,7 @@ CASES = {
         dict(value=Fraction(9, 128), method="exact", threshold="strict", config=CONFIG),
         "ViolationProbability(value=Fraction(9, 128), method='exact', threshold='strict', "
         "config=ExperimentConfig(rounds=(2, 2, 2, 2)))",
-        dict(threshold="loose"),
+        [dict(threshold="loose"), dict(value=2)],
         InvalidConfigError,
     ),
     "SweepRequest": (
@@ -51,7 +51,7 @@ CASES = {
         dict(variant="ratio10", n_values=(22, 11, 11)),
         "SweepRequest(variant='ratio10', n_values=(11, 22), include_exact_intervals=False, "
         "continuous=False)",
-        dict(variant="ratio7"),
+        [dict(variant="ratio7"), dict(n_values=()), dict(n_values=(0, 11))],
         InvalidConfigError,
     ),
     "McEstimate": (
@@ -62,7 +62,7 @@ CASES = {
         ),
         "McEstimate(trials=10, hits=3, estimate=0.3, ci_low=0.1, ci_high=0.6, seed=42, "
         "threshold='non-strict', config=ExperimentConfig(rounds=(2, 2, 2, 2)), stream=2)",
-        dict(hits=11),
+        [dict(hits=11), dict(ci_low=0.4)],
         InvalidConfigError,
     ),
 }
@@ -117,9 +117,10 @@ def test_pickle_and_deepcopy_round_trip(case):
 
 @params
 def test_construction_validates(case):
-    cls, kwargs, _, bad, error = case
-    with pytest.raises(error):
-        cls(**{**kwargs, **bad})
+    cls, kwargs, _, overrides, error = case
+    for bad in overrides:
+        with pytest.raises(error):
+            cls(**{**kwargs, **bad})
 
 
 def test_defaults_fill_the_trailing_fields():

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from chshprob import model
 from chshprob.errors import InvalidConfigError, LimitError
-from chshprob.model import gaussian_tail_probability
-from chshprob.walks import binomial_row, walk_pmf
+from chshprob.model import binomial_row, gaussian_tail_probability
+from chshprob.walks import walk_pmf
 from oracles import (
     brute_force_walk_distribution,
     erfc_series,
