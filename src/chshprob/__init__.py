@@ -11,7 +11,8 @@ which also builds the binomial path-count rows, ``chshprob.montecarlo``
 and ``chshprob.cli``; ``chshprob.walks`` holds only the ``Fraction`` pmf
 view of a row that the benchmark times, and no command loads it).
 ``estimate_violation_probability`` is loaded on first access, so importing
-the package does not import numpy.
+the package does not import numpy; nor does it import ``fractions``, which
+only the functions that build an exact value load when they are called.
 """
 
 from .errors import CorruptRecordError, InvalidConfigError, LimitError

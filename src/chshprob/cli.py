@@ -8,11 +8,9 @@ exceeded (exact's enumeration or mc's word count).
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
 import os
 import sys
-from fractions import Fraction
 
 from .errors import CorruptRecordError, InvalidConfigError, LimitError
 from .model import (
@@ -33,6 +31,10 @@ from .model import (
     is_violation,
     tally,
 )
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Fixed default seed: runs are reproducible out of the box, never wall-clock.
 DEFAULT_SEED = 42
@@ -129,18 +131,21 @@ def _result_row(
         "n2": rounds[1],
         "n3": rounds[2],
         "n4": rounds[3],
-        "value": str(value) if isinstance(value, Fraction) else repr(float(value)),
+        "value": repr(float(value)) if isinstance(value, float) else str(value),
         "value_decimal": float(value),
     }
 
 
 def _write_rows(rows: list[dict], fieldnames: tuple[str, ...], fmt: str, out) -> None:
+    # each writer is imported in its own branch, so that CSV output never
+    # loads json and JSON output never loads csv
     if fmt == "csv":
+        import csv
+
         writer = csv.DictWriter(out, fieldnames=fieldnames, restval="", lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
         return
-    # imported here so that CSV and text output never load json
     import json
 
     out.write("[\n")

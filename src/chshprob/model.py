@@ -32,10 +32,15 @@ import math
 from bisect import bisect_left
 from collections import defaultdict
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 from itertools import accumulate
 
 from .errors import CorruptRecordError, InvalidConfigError, LimitError
+
+# Type checkers read this block; at run time only the functions that build an
+# exact value import fractions, so floats-only work never loads it.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Channel order everywhere in this package; the (1,2) channel carries the
 # minus sign in C.
@@ -202,6 +207,8 @@ def chsh_correlation(counts: RoundTally) -> Fraction:
 
     Requires every channel to have at least one round.
     """
+    from fractions import Fraction
+
     for (i, j), nk in zip(CHANNELS, counts.n):
         if nk == 0:
             raise InvalidConfigError(f"channel {(i, j)} has no rounds; correlation undefined")
@@ -217,6 +224,8 @@ def is_violation(correlation, threshold: str = STRICT) -> bool:
     Comparison is exact rational arithmetic; floats are converted to the
     exact rational they represent, so boundary cases never wobble.
     """
+    from fractions import Fraction
+
     _check_threshold(threshold)
     magnitude = abs(Fraction(correlation))
     if threshold == STRICT:
@@ -507,6 +516,8 @@ def exact_violation_probability(
             f"exact enumeration costs {cost} work units, over the budget {budget}; "
             "the analytic method has no such limit"
         )
+    from fractions import Fraction
+
     return ViolationProbability(
         value=Fraction(_violation_numerator(config.rounds, threshold, plan), 1 << config.total),
         method="exact",

@@ -144,6 +144,29 @@ class TestProbabilityCommands:
         (row,) = parse_csv(out)
         assert row["value"] == "0.0"
 
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            # the tail underflows: a float, printed by repr
+            (
+                ("approx",) + ("1000000000",) * 4,
+                "analytic,strict,4000000000,1000000000,1000000000,1000000000,1000000000,0.0,0.0",
+            ),
+            # an exact value, printed as a fraction in lowest terms
+            (("exact", "1", "1", "1", "1"), "exact,strict,4,1,1,1,1,1/8,0.125"),
+            (
+                ("mc", "2", "2", "2", "2", "--trials", "1000"),
+                "monte-carlo,strict,8,2,2,2,2,0.064,0.064,1000,64,"
+                "0.050436200898229526,0.08090073250117452,42",
+            ),
+        ],
+        ids=["approx-underflow", "exact", "mc"],
+    )
+    def test_result_row_text(self, capsys, argv, line):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[1:] == [line]
+
     def test_mc_row(self, capsys):
         code, out, _ = run_cli(
             capsys, "mc", "1", "1", "1", "1", "--trials", "200000", "--seed", "42", "--strict"

@@ -1,6 +1,7 @@
 """Only ``mc`` imports numpy, no run imports a process pool (a multi-worker run
 starts plain threads), no command loads dataclasses, inspect, typing or
-``chshprob.walks``, and only JSON output loads json."""
+``chshprob.walks``, only the commands that build an exact value load
+fractions, only CSV output loads csv and only JSON output loads json."""
 
 import json
 import os
@@ -85,7 +86,12 @@ def test_non_mc_commands_skip_dataclasses_and_typing_and_load_json_only_for_json
     assert report["code"] == 0
     modules = set(report["modules"])
     assert not modules & {"dataclasses", "inspect", "typing", "chshprob.walks"}
-    assert ("json" in modules) == any("json" in arg for arg in argv)
+    json_output = any("json" in arg for arg in argv)
+    assert ("json" in modules) == json_output
+    csv_output = argv[0] in {"exact", "approx", "sweep"} and not json_output
+    assert ("csv" in modules) == csv_output
+    exact_values = argv[0] in {"toy", "exact"} or "--intervals" in argv
+    assert ("fractions" in modules) == exact_values
 
 
 def test_single_worker_mc_does_not_import_the_pool():
@@ -95,6 +101,7 @@ def test_single_worker_mc_does_not_import_the_pool():
     assert "concurrent.futures" not in report["modules"]
     assert "dataclasses" not in report["modules"]
     assert "chshprob.walks" not in report["modules"]
+    assert not {"fractions", "decimal"} & set(report["modules"])
 
 
 def test_two_worker_mc_starts_a_thread_and_loads_no_pool_module():
