@@ -504,9 +504,13 @@ def exact_violation_probability(
     lattice, weighted by the binomial path counts; every comparison is
     integer arithmetic, so the result is bit-exact.  Refuses, before any
     binomial row is built, configurations whose ``enumeration_cost``
-    exceeds ``budget`` (use the analytic method there).
+    exceeds ``budget`` (use the analytic method there).  ``budget`` must be
+    a non-negative Python int: a float, a bool or a numpy integer is refused
+    with InvalidConfigError.
     """
     _check_threshold(threshold)
+    if not isinstance(budget, int) or isinstance(budget, bool):
+        raise InvalidConfigError(f"enumeration budget must be an integer, got {budget!r}")
     if budget < 0:
         raise InvalidConfigError(f"enumeration budget must be non-negative, got {budget}")
     plan = _plan(config.rounds)

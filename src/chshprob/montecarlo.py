@@ -31,14 +31,15 @@ comparison, so both read the same stream and give the same hits.  A
 process keeps the 32 tables it used last, one per (rounds, threshold), at
 most 2 MiB.
 
+One function, ``_pooled_hits``, decides a run's batches and its pool.
 With k = min(workers, batches, CPU count) workers, worker i sums batches
 i, i + k, i + 2k, ...; the calling thread is worker 0 and the other k - 1
-are threads, each writing its count into a list slot.  A worker that
-raises stops the others between batches, and the run raises its error.
-The worker count never changes the hits.  Batches are made one at a time,
-so memory does not grow with the trial count.  A run is priced at
-trials * ceil(sum(n_k) / 64) words before any draw, and a run over
-RUN_WORD_BUDGET is refused with LimitError.
+are threads, each adding its batches' hits into its own list slot.  A
+worker that raises stops the others between batches, and the run raises
+its error.  The worker count never changes the hits.  Batches are made
+one at a time, so memory does not grow with the trial count.  A run is
+priced at trials * ceil(sum(n_k) / 64) words before any draw, and a run
+over RUN_WORD_BUDGET is refused with LimitError.
 """
 
 from __future__ import annotations
@@ -250,7 +251,7 @@ def _batch_hits(
     """
     # SeedSequence rejects negative entropy; keep the 64-bit pattern instead.
     bit_generator = np.random.PCG64(
-        np.random.SeedSequence(entropy=int(seed) & 0xFFFFFFFFFFFFFFFF, spawn_key=(batch_index,))
+        np.random.SeedSequence(entropy=seed & 0xFFFFFFFFFFFFFFFF, spawn_key=(batch_index,))
     )
     width = sum(rounds)
     # 2**width <= MAX_BATCH_TRIALS, without building 2**width for a long row
@@ -278,51 +279,39 @@ def _batch_hits(
     return hits
 
 
-def _strided_hits(
-    rounds: tuple[int, ...],
-    seed: int,
-    trials: int,
-    threshold: str,
-    stride: int,
-    first: int,
-    stop: threading.Event,
-) -> int:
-    """Hits summed over batches first, first + stride, ... of a ``trials``-trial run.
-
-    Batches are made one at a time, so no input makes the run hold a
-    per-batch list; the last batch takes the trials left over.  Once
-    ``stop`` is set, because another share of the run has failed, no
-    further batch is drawn and the partial sum is returned.
-    """
-    batch = _batch_trials(rounds)
-    hits = 0
-    for index in range(first, -(-trials // batch), stride):
-        if stop.is_set():
-            break
-        hits += _batch_hits(rounds, seed, index, min(batch, trials - index * batch), threshold)
-    return hits
-
-
 def _pooled_hits(
-    rounds: tuple[int, ...], seed: int, trials: int, threshold: str, pool_size: int
+    rounds: tuple[int, ...], seed: int, trials: int, threshold: str, workers: int
 ) -> int:
-    """Hits of a ``trials``-trial run split into ``pool_size`` strided shares.
+    """Hits of a ``trials``-trial run, its batches split among a pool of shares.
 
-    The calling thread runs share 0 and starts a thread for each other
-    share; numpy draws and counts with the GIL released, so the shares may
-    run in parallel, but on the 2-core test host two threads drew no faster
-    than one, so no gain from more workers has been measured.  A share
-    that raises, the calling thread's ``KeyboardInterrupt`` included, stops
-    the others between batches, and the first error is raised once every
+    This is the one place a run's batches and pool are decided: batches
+    of ``_batch_trials`` trials, the last taking the trials left over, and
+    k = min(workers, batches, CPU count) shares, share i summing batches
+    i, i + k, i + 2k, ...  Batches are made one at a time, so no input
+    makes the run hold a per-batch list.  The calling thread runs share 0
+    and starts a thread for each other share; numpy draws and counts with
+    the GIL released, so the shares may run in parallel, but on the 2-core
+    test host two threads drew no faster than one, so no gain from more
+    workers has been measured.  A share that raises, the calling thread's
+    ``KeyboardInterrupt`` included, sets the run's stop event, no share
+    draws a batch once it is set, and the first error is raised once every
     thread has been joined; no partial sum is returned.
     """
+    batch = _batch_trials(rounds)
+    batches = -(-trials // batch)
+    # more workers than batches or cores only cost start-up time
+    pool_size = min(workers, batches, os.cpu_count() or 1)
     counts = [0] * pool_size
     errors: list[BaseException] = []
     stop = threading.Event()
 
     def share(first: int) -> None:
         try:
-            counts[first] = _strided_hits(rounds, seed, trials, threshold, pool_size, first, stop)
+            for index in range(first, batches, pool_size):
+                if stop.is_set():
+                    break
+                count = min(batch, trials - index * batch)
+                counts[first] += _batch_hits(rounds, seed, index, count, threshold)
         except BaseException as exc:
             errors.append(exc)
             stop.set()
@@ -361,11 +350,15 @@ def estimate_violation_probability(
     worker count reproduces the sequential result exactly.  The seed is a
     signed 64-bit integer, -2**63 .. 2**63 - 1, and the streams read its
     two's-complement pattern, so a negative seed s draws the stream of
-    s + 2**64, which no accepted seed shares.  A seed outside that range
-    is refused with InvalidConfigError before any draw, and a run of more
-    than RUN_WORD_BUDGET words with LimitError.
+    s + 2**64, which no accepted seed shares.  ``trials``, ``workers`` and
+    ``seed`` must be Python ints: a float, a bool or a numpy integer is
+    refused with InvalidConfigError, as is a seed outside that range, before
+    any draw, and a run of more than RUN_WORD_BUDGET words with LimitError.
     """
     _check_threshold(threshold)
+    for name, value in (("trials", trials), ("workers", workers), ("seed", seed)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
     if trials < 1:
         raise InvalidConfigError(f"trials must be >= 1, got {trials}")
     if workers < 1:
@@ -378,10 +371,7 @@ def estimate_violation_probability(
             f"Monte Carlo run draws {words} words, over the budget {RUN_WORD_BUDGET}; "
             "the analytic method has no such limit"
         )
-    batches = -(-trials // _batch_trials(config.rounds))
-    # more workers than batches or cores only cost start-up time
-    pool_size = min(workers, batches, os.cpu_count() or 1)
-    hits = _pooled_hits(config.rounds, seed, trials, threshold, pool_size)
+    hits = _pooled_hits(config.rounds, seed, trials, threshold, workers)
 
     low, high = wilson_interval(hits, trials)
     return McEstimate(

@@ -365,6 +365,15 @@ class TestExactProbability:
         assert enumeration_cost(ExperimentConfig((1, 1, 1, 10**6))) > DEFAULT_ENUMERATION_BUDGET
         assert enumeration_cost(ExperimentConfig((4096,) * 4)) <= DEFAULT_ENUMERATION_BUDGET
 
+    def test_budget_must_be_a_non_negative_python_int(self):
+        # the rule round counts follow: a float, a bool or a numpy integer is
+        # refused, as is a negative budget
+        import numpy as np
+
+        for budget in (-1, 1e12, True, np.int64(10**9)):
+            with pytest.raises(InvalidConfigError, match="enumeration budget"):
+                exact_violation_probability(ExperimentConfig((2, 2, 2, 2)), budget=budget)
+
     def test_wide_products_are_priced_below_the_schoolbook_past_32_words(self):
         # CPython multiplies integers of more than about 32 words by
         # Karatsuba, three half-size products for four, so the price drops a

@@ -424,21 +424,22 @@ class TestEstimate:
         ids=["none", "calling-thread", "pool-thread"],
     )
     def test_a_failed_share_fails_the_run_and_every_thread_ends(self, monkeypatch, failing, error):
-        # share 0 runs in the calling thread and share 1 in a pool thread; a
-        # share that raises fails the run with its own exception, and every
-        # pool thread has ended when the run returns or raises
-        strided_hits = montecarlo._strided_hits
+        # at 2 workers batch i belongs to share i % 2: share 0 runs in the
+        # calling thread and share 1 in a pool thread; a share whose batch
+        # raises fails the run with its own exception, and every pool
+        # thread has ended when the run returns or raises
+        batch_hits = montecarlo._batch_hits
 
-        def share(rounds, seed, trials, threshold, stride, first, stop):
-            if first == failing:
-                raise ShareFailed(first)
-            return strided_hits(rounds, seed, trials, threshold, stride, first, stop)
+        def batch(rounds, seed, index, count, threshold):
+            if index % 2 == failing:
+                raise ShareFailed(index % 2)
+            return batch_hits(rounds, seed, index, count, threshold)
 
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
         config = ExperimentConfig((1, 1, 1, 1))
         trials = 2 * _batch_trials(config.rounds)
         sequential = estimate_violation_probability(config, trials, seed=7)
-        monkeypatch.setattr(montecarlo, "_strided_hits", share)
+        monkeypatch.setattr(montecarlo, "_batch_hits", batch)
         before = set(threading.enumerate())
         if error is None:
             assert estimate_violation_probability(config, trials, seed=7, workers=2) == sequential
@@ -448,17 +449,18 @@ class TestEstimate:
         assert set(threading.enumerate()) == before
 
     def test_failed_pool_thread_gives_one_error_line(self, monkeypatch, capsys):
-        # share 1 raises in its pool thread; the run fails with that error on
-        # one error line and exit 1, and the thread has ended
-        strided_hits = montecarlo._strided_hits
+        # batch 1, share 1's at 2 workers, raises in its pool thread; the
+        # run fails with that error on one error line and exit 1, and the
+        # thread has ended
+        batch_hits = montecarlo._batch_hits
 
-        def share(rounds, seed, trials, threshold, stride, first, stop):
-            if first == 1:
+        def batch(rounds, seed, index, count, threshold):
+            if index == 1:
                 raise InvalidConfigError("share 1 failed")
-            return strided_hits(rounds, seed, trials, threshold, stride, first, stop)
+            return batch_hits(rounds, seed, index, count, threshold)
 
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(montecarlo, "_strided_hits", share)
+        monkeypatch.setattr(montecarlo, "_batch_hits", batch)
         trials = 2 * _batch_trials((1, 1, 1, 1))
         before = set(threading.enumerate())
         code = main(["mc", "1", "1", "1", "1", "--trials", str(trials), "--workers", "2"])
@@ -468,24 +470,27 @@ class TestEstimate:
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_failed_share_stops_the_other_shares_between_batches(self, monkeypatch, capsys, workers):
-        # share 1 raises as soon as share 0 is inside its first batch, and
-        # every batch waits until the run's stop event is set; so share 0
-        # must stop after that batch and share 2 (at 3 workers) by its next
-        # one, rather than draw the 40 or more of the 120 batches each has
-        strided_hits = montecarlo._strided_hits
+        # batch i belongs to share i % workers; share 1's first batch raises
+        # as soon as share 0 is inside its first batch, and every other
+        # batch waits until the run's stop event is set; so share 0 must
+        # stop after that batch and share 2 (at 3 workers) by its next one,
+        # rather than draw the 40 or more of the 120 batches each has
         batch_hits = montecarlo._batch_hits
         drawing = threading.Event()
         stops = []
         ran = []
 
-        def share(rounds, seed, trials, threshold, stride, first, stop):
-            stops.append(stop)
-            if first == 1:
-                assert drawing.wait(timeout=30)
-                raise InvalidConfigError("share 1 failed")
-            return strided_hits(rounds, seed, trials, threshold, stride, first, stop)
+        class RecordedEvent(threading.Event):
+            # every Event made during the run; the run makes its stop event
+            # before it starts a thread, so the first is the run's
+            def __init__(self):
+                super().__init__()
+                stops.append(self)
 
         def counted_batch(rounds, seed, index, count, threshold):
+            if index % workers == 1:
+                assert drawing.wait(timeout=30)
+                raise InvalidConfigError("share 1 failed")
             ran.append(index % workers)
             if index == 0:
                 drawing.set()
@@ -493,7 +498,7 @@ class TestEstimate:
             return batch_hits(rounds, seed, index, count, threshold)
 
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: workers)
-        monkeypatch.setattr(montecarlo, "_strided_hits", share)
+        monkeypatch.setattr(montecarlo.threading, "Event", RecordedEvent)
         monkeypatch.setattr(montecarlo, "_batch_hits", counted_batch)
         trials = 120 * _batch_trials((1, 1, 1, 1))
         before = set(threading.enumerate())
@@ -554,19 +559,24 @@ class TestEstimate:
         assert result.estimate in (0.0, 1.0)
 
     def test_rejects_zero_trials(self):
-        with pytest.raises(InvalidConfigError):
-            estimate_violation_probability(ExperimentConfig((1, 1, 1, 1)), 0, seed=1)
+        # trials must be a Python int: a float, a bool or a numpy integer is
+        # refused like a count below one
+        for trials in (0, 2.5, True, np.int64(10)):
+            with pytest.raises(InvalidConfigError, match="trials"):
+                estimate_violation_probability(ExperimentConfig((1, 1, 1, 1)), trials, seed=1)
 
-    @pytest.mark.parametrize("workers", [0, -3])
+    @pytest.mark.parametrize("workers", [0, -3, 1.5, True, np.int64(2)])
     def test_rejects_non_positive_workers(self, workers):
         with pytest.raises(InvalidConfigError):
             estimate_violation_probability(ExperimentConfig((1, 1, 1, 1)), 10, seed=1, workers=workers)
 
     @pytest.mark.parametrize(
-        "seed", [2**64 + 42, 42 - 2**64, -(2**63) - 1, 2**64, 2**63, 2**64 - 1]
+        "seed",
+        [2**64 + 42, 42 - 2**64, -(2**63) - 1, 2**64, 2**63, 2**64 - 1, 1.5, True, np.int64(42)],
     )
     def test_rejects_seeds_past_64_bits_before_any_draw(self, monkeypatch, seed):
-        # each of these has the 64-bit pattern of a seed in range
+        # each of these has the 64-bit pattern of a seed in range, or, as a
+        # float, a bool or a numpy integer, would draw one's stream
         def no_draws(*args):
             raise AssertionError("drew before checking the seed")
 
@@ -625,20 +635,22 @@ class TestEstimate:
 
     def test_batches_are_made_one_at_a_time(self, monkeypatch):
         # 10**9 trials are 15259 batches; nothing per batch may exist before
-        # the first one is drawn
+        # the first one is drawn, by one worker or by a pool
         def first_batch(*args):
             raise RuntimeError("first batch reached")
 
         monkeypatch.setattr(montecarlo, "_batch_hits", first_batch)
-        argv = ["mc", "1", "1", "1", "1", "--trials", str(10**9)]
-        tracemalloc.start()
-        try:
-            with pytest.raises(RuntimeError, match="first batch reached"):
-                main(argv)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 100 * 1024
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        for workers in ("1", "2"):
+            argv = ["mc", "1", "1", "1", "1", "--trials", str(10**9), "--workers", workers]
+            tracemalloc.start()
+            try:
+                with pytest.raises(RuntimeError, match="first batch reached"):
+                    main(argv)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 100 * 1024, workers
 
     @pytest.mark.parametrize("rounds", [(1, 1, 1000, 1000), (1, 1, 1, 8_388_928)], ids=["rows", "pieces"])
     def test_a_long_row_batch_holds_one_group_of_draws(self, rounds):

@@ -126,13 +126,13 @@ class TestGaussianDensity:
     @pytest.mark.parametrize("n", [64, 256])
     def test_approximates_pmf_within_five_percent(self, n):
         # factor 2 converts density to lattice mass (support spacing is 2)
-        pmf = walk_pmf(n)
+        row = binomial_row(n)
         reach = 3 * math.isqrt(n)
         checked = 0
         for m in range(-reach, reach + 1):
             if (m - n) % 2:
                 continue
-            mass = float(pmf[m])
+            mass = row[(n + m) // 2] / 2**n
             approx = 2.0 * gaussian_density(n, float(m))
             assert abs(approx - mass) <= 0.05 * mass, (n, m)
             checked += 1
