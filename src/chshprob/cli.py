@@ -233,17 +233,18 @@ def cmd_approx(args: argparse.Namespace) -> int:
 
 
 def cmd_mc(args: argparse.Namespace) -> int:
-    # imported here so that only mc pays for numpy
-    try:
-        from .montecarlo import estimate_violation_probability
-    except ImportError as exc:
-        print(f"error: mc needs numpy >= 2.0 ({exc})", file=sys.stderr)
-        return 1
+    # imported here so that only mc loads the sampler
+    from .montecarlo import estimate_violation_probability
 
     config = ExperimentConfig(rounds=tuple(args.rounds))
-    estimate = estimate_violation_probability(
-        config, args.trials, args.seed, args.threshold, workers=args.workers
-    )
+    try:
+        estimate = estimate_violation_probability(
+            config, args.trials, args.seed, args.threshold, workers=args.workers
+        )
+    except ImportError as exc:
+        # only a run past montecarlo.PYTHON_RUN_WORDS imports numpy
+        print(f"error: mc needs numpy >= 2.0 ({exc})", file=sys.stderr)
+        return 1
     if estimate.hits < 10:
         print(
             f"warning: only {estimate.hits} hits in {estimate.trials} trials; "

@@ -537,13 +537,15 @@ def gaussian_tail_probability(rounds: Sequence[float]) -> float:
     rotation invariant, and this is erfc of the distance from the origin to
     the boundary plane C = 2.  Accurate for large counts, increasingly
     optimistic for very small ones.  Accepts non-integer counts so
-    continuous sweeps can evaluate the same formula.  Integer counts may lie
-    past float range: 1 / n rounds correctly for any int, and when every 1/n
-    underflows to 0 the tail is 0.0, as erfc of a huge distance is.
+    continuous sweeps can evaluate the same formula; a bool is not a count.
+    Integer counts may lie past float range: 1 / n rounds correctly for any
+    int, and when every 1/n underflows to 0 the tail is 0.0, as erfc of a
+    huge distance is.
     """
     # comparing an int with inf is exact, so counts past float range pass
     if not rounds or any(
-        not (isinstance(n, (int, float)) and 0 < n < math.inf) for n in rounds
+        isinstance(n, bool) or not (isinstance(n, (int, float)) and 0 < n < math.inf)
+        for n in rounds
     ):
         raise InvalidConfigError(f"round counts must be positive and finite, got {tuple(rounds)}")
     inverse_sum = math.fsum(1 / n for n in rounds)

@@ -31,7 +31,14 @@ comparison, so both read the same stream and give the same hits.  A
 process keeps the 32 tables it used last, one per (rounds, threshold), at
 most 2 MiB.
 
-One function, ``_pooled_hits``, decides a run's batches and its pool.
+A small run is drawn without numpy: while numpy is not loaded, a run of
+at most PYTHON_RUN_WORDS words, always one batch, reads the same PCG64
+words from ``_pcg64_words``, numpy's seeding and generator written out in
+Python integers, and weighs each row with ``int.bit_count``.  It gives the
+same hits, and a short ``mc`` process never pays numpy's import.  numpy is
+imported only when a run needs it, so this module loads without numpy.
+
+One function, ``_pooled_hits``, decides a run's engine, batches and pool.
 With k = min(workers, batches, CPU count) workers, worker i sums batches
 i, i + k, i + 2k, ...; the calling thread is worker 0 and the other k - 1
 are threads, each adding its batches' hits into its own list slot.  A
@@ -46,11 +53,10 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import threading
 from functools import lru_cache, partial
-from itertools import accumulate
-
-import numpy as np
+from itertools import accumulate, islice
 
 from .errors import InvalidConfigError, LimitError
 from .model import (
@@ -60,6 +66,12 @@ from .model import (
     _check_threshold,
     _Record,
 )
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterator
+
+    import numpy as np
 
 # Fixed batching rule: batch b of a run draws from the child stream
 # SeedSequence(seed, spawn_key=(b,)).  Batch size depends only on the
@@ -82,6 +94,18 @@ STREAM_VERSION = 2
 # Python product per word, 9e6-1.1e7 words/s there, so theirs takes 13-16
 # minutes.
 RUN_WORD_BUDGET = 1 << 33
+# Words a run may draw in pure Python, if numpy is not loaded yet; see
+# _pooled_hits.  At most MAX_BATCH_TRIALS and WORD_BUDGET, so such a run is
+# one batch whatever its row length.  Half the measured crossover: on a
+# 2-core test machine an mc process drawing 2**15 words in Python took
+# 138-163 ms against 226-236 ms for one that imports numpy, and at 2**16
+# one-word rows were 6-8% faster, within the noise.
+PYTHON_RUN_WORDS = 1 << 15
+
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 
 # statistics.NormalDist().inv_cdf(0.975), written out so importing costs nothing
 _Z95 = 1.9599639845400536
@@ -120,8 +144,12 @@ def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion.
 
     Chosen over the Wald interval because it stays sensible when hits is 0
-    or tiny, the usual regime for rare violations.
+    or tiny, the usual regime for rare violations.  ``hits`` and ``trials``
+    must be int counts; a bool or any other type is refused.
     """
+    for value in (hits, trials):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise InvalidConfigError(f"counts must be integers, got {value!r}")
     if trials < 1 or not 0 <= hits <= trials:
         raise InvalidConfigError(f"need 0 <= hits <= trials, got hits={hits} trials={trials}")
     p = hits / trials
@@ -157,6 +185,8 @@ def _layout(rounds: tuple[int, ...], first_word: int, span: int) -> tuple:
     within 4*lcm, so the weights are int64 below 2**62 and Python integers
     beyond.
     """
+    import numpy as np
+
     scale = math.lcm(*rounds)
     dtype = np.int64 if 4 * scale < 2**62 else object
     whole, cut_words, masks, cut_weights = np.zeros(span, dtype=dtype), [], [], []
@@ -187,6 +217,8 @@ def _weigh(bits: np.ndarray, layout: tuple) -> np.ndarray:
     The products are int64 or Python integers, which numpy multiplies in
     its own loops, never in BLAS.
     """
+    import numpy as np
+
     whole, cut_words, masks, cut_weights = layout
     weight = 0
     if cut_words.size:
@@ -207,7 +239,7 @@ def _violates(distance: np.ndarray, rounds: tuple[int, ...], threshold: str) -> 
     inequality with denominators cleared, |2W - 2*lcm| > 2*lcm, is
     |W - lcm| > lcm, and >= when non-strict; on integers, > lcm is >= lcm + 1.
     """
-    return np.abs(distance) >= math.lcm(*rounds) + (threshold == STRICT)
+    return abs(distance) >= math.lcm(*rounds) + (threshold == STRICT)
 
 
 @lru_cache(maxsize=32)
@@ -219,6 +251,8 @@ def _violation_table(rounds: tuple[int, ...], threshold: str) -> np.ndarray:
     it.  The 32 tables used last stay cached, so a run builds its table
     once; a table is at most 2**16 bools, so the cache holds at most 2 MiB.
     """
+    import numpy as np
+
     rows = np.arange(1 << sum(rounds), dtype=np.uint64)[:, np.newaxis]
     table = _violates(_weigh(rows, _layout(rounds, 0, 1)) - math.lcm(*rounds), rounds, threshold)
     table.flags.writeable = False
@@ -249,9 +283,11 @@ def _batch_hits(
     of a pooled run draw in one process, so their buffers add up.
     Sequential draws read the same stream as one.
     """
+    import numpy as np
+
     # SeedSequence rejects negative entropy; keep the 64-bit pattern instead.
     bit_generator = np.random.PCG64(
-        np.random.SeedSequence(entropy=seed & 0xFFFFFFFFFFFFFFFF, spawn_key=(batch_index,))
+        np.random.SeedSequence(entropy=seed & _MASK64, spawn_key=(batch_index,))
     )
     width = sum(rounds)
     # 2**width <= MAX_BATCH_TRIALS, without building 2**width for a long row
@@ -279,15 +315,101 @@ def _batch_hits(
     return hits
 
 
+def _pcg64_words(entropy: int, spawn_key: int) -> Iterator[int]:
+    """The raw words of ``PCG64(SeedSequence(entropy, spawn_key=(spawn_key,)))``, endlessly.
+
+    numpy's algorithms written out in Python integers, for 0 <= entropy <
+    2**64 and any spawn key >= 0.  SeedSequence hashes the entropy's 32-bit
+    words, padded with zeros to its four-word pool, into the pool, mixes
+    every pool word into every other, then hashes in the spawn key's 32-bit
+    words; four 64-bit words hashed out of the pool seed PCG64's 128-bit
+    state and increment.  Each draw steps the 128-bit LCG and outputs the
+    XSL-RR permutation of the new state (O'Neill 2014).
+    """
+
+    def hasher(constant: int, factor: int):
+        def hashmix(value: int) -> int:
+            nonlocal constant
+            value ^= constant
+            constant = constant * factor & _MASK32
+            value = value * constant & _MASK32
+            return value ^ value >> 16
+
+        return hashmix
+
+    def mix(x: int, y: int) -> int:
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return value ^ value >> 16
+
+    hashmix = hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(word) for word in (entropy & _MASK32, entropy >> 32, 0, 0)]
+    for source in range(4):
+        for target in range(4):
+            if source != target:
+                pool[target] = mix(pool[target], hashmix(pool[source]))
+    for shift in range(0, max(spawn_key.bit_length(), 1), 32):
+        word = spawn_key >> shift & _MASK32
+        for target in range(4):
+            pool[target] = mix(pool[target], hashmix(word))
+    # generate_state(4, uint64): eight 32-bit words, paired low word first
+    out = list(map(hasher(0x8B51F9DD, 0x58F38DED), pool * 2))
+    seed = [low | high << 32 for low, high in zip(out[::2], out[1::2])]
+    increment = ((seed[2] << 64 | seed[3]) << 1 | 1) & _MASK128
+    state = ((increment + (seed[0] << 64 | seed[1])) * _PCG64_MULTIPLIER + increment) & _MASK128
+    while True:
+        state = (state * _PCG64_MULTIPLIER + increment) & _MASK128
+        word = (state >> 64 ^ state) & _MASK64
+        rotation = state >> 122
+        yield (word >> rotation | word << 64 - rotation) & _MASK64
+
+
+def _python_batch_hits(
+    rounds: tuple[int, ...], seed: int, batch_index: int, count: int, threshold: str
+) -> int:
+    """``_batch_hits`` without numpy: the same words, rows and verdicts.
+
+    The substream's words come from ``_pcg64_words``, one row at a time,
+    least significant word first.  Each channel's +1 rounds are counted
+    with ``int.bit_count``, weighed as in ``_layout`` and compared as in
+    ``_violates``.  Python integers hold every weight, so ``_layout``'s
+    int64 and Python-integer tiers are one case here.
+    """
+    rows = words = _pcg64_words(seed & _MASK64, batch_index)
+    width = _row_words(rounds)
+    if width > 1:
+        rows = (
+            int.from_bytes(b"".join(w.to_bytes(8, "little") for w in islice(words, width)), "little")
+            for _ in range(count)
+        )
+    scale = math.lcm(*rounds)
+    bound = scale + (threshold == STRICT)
+    offsets = accumulate(rounds, initial=0)
+    channels = [
+        (lo, (1 << n) - 1, sign * (scale // n)) for sign, n, lo in zip(CHANNEL_SIGNS, rounds, offsets)
+    ]
+    hits = 0
+    for row in islice(rows, count):
+        distance = -scale
+        for lo, mask, weight in channels:
+            distance += weight * (row >> lo & mask).bit_count()
+        hits += abs(distance) >= bound
+    return hits
+
+
 def _pooled_hits(
     rounds: tuple[int, ...], seed: int, trials: int, threshold: str, workers: int
 ) -> int:
     """Hits of a ``trials``-trial run, its batches split among a pool of shares.
 
-    This is the one place a run's batches and pool are decided: batches
-    of ``_batch_trials`` trials, the last taking the trials left over, and
-    k = min(workers, batches, CPU count) shares, share i summing batches
-    i, i + k, i + 2k, ...  Batches are made one at a time, so no input
+    This is the one place a run's engine, batches and pool are decided.  A
+    run of at most PYTHON_RUN_WORDS words, while numpy is not loaded, is
+    drawn by ``_python_batch_hits`` in the calling thread, since its one
+    batch takes less time in Python than numpy's import would; once numpy
+    is loaded, its import is paid and it draws faster.  Every other run
+    imports numpy here, before any thread starts, and is drawn by
+    ``_batch_hits`` in batches of ``_batch_trials`` trials, the last taking
+    the trials left over, and k = min(workers, batches, CPU count) shares,
+    share i summing batches i, i + k, i + 2k, ...  Batches are made one at a time, so no input
     makes the run hold a per-batch list.  The calling thread runs share 0
     and starts a thread for each other share; numpy draws and counts with
     the GIL released, so the shares may run in parallel, but on the 2-core
@@ -297,6 +419,12 @@ def _pooled_hits(
     draws a batch once it is set, and the first error is raised once every
     thread has been joined; no partial sum is returned.
     """
+    if trials * _row_words(rounds) <= PYTHON_RUN_WORDS and sys.modules.get("numpy") is None:
+        return _python_batch_hits(rounds, seed, 0, trials, threshold)
+    # loaded here, before any pool thread starts, not first in a thread's
+    # batch: there numpy's import grew the run's peak RSS by 0.5 MiB
+    import numpy  # noqa: F401
+
     batch = _batch_trials(rounds)
     batches = -(-trials // batch)
     # more workers than batches or cores only cost start-up time

@@ -1,8 +1,12 @@
-"""Only ``mc`` imports numpy, no run imports a process pool (a multi-worker run
-starts plain threads), no command loads dataclasses, inspect, typing or
-``chshprob.walks``, only the commands that build an exact value load
-fractions, only CSV output loads csv and only JSON output loads json."""
+"""Only an ``mc`` run of more than ``montecarlo.PYTHON_RUN_WORDS`` words imports
+numpy, a smaller one draws in pure Python, no run imports a process pool (a
+multi-worker run starts plain threads), no command loads dataclasses,
+inspect, typing or ``chshprob.walks``, only the commands that build an exact
+value load fractions, only CSV output loads csv and only JSON output loads
+json."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -12,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import chshprob
+from chshprob.montecarlo import PYTHON_RUN_WORDS
 
 # Runs cli.main in a fresh interpreter and prints one JSON line: the exit
 # code, the captured stdout, whether numpy got imported and the names in
@@ -45,6 +50,10 @@ NON_MC_COMMANDS = [
     ["sweep"],
     ["sweep", "--intervals", "--format", "json"],
 ]
+
+# one-word rows, so a run of this many trials draws one word more than the
+# pure-Python engine takes, and imports numpy
+NUMPY_TRIALS = str(PYTHON_RUN_WORDS + 1)
 
 
 def child_env(**overrides):
@@ -95,7 +104,7 @@ def test_non_mc_commands_skip_dataclasses_and_typing_and_load_json_only_for_json
 
 
 def test_single_worker_mc_does_not_import_the_pool():
-    report = run_child("open", ["mc", "2", "2", "2", "2", "--trials", "1000"])
+    report = run_child("open", ["mc", "2", "2", "2", "2", "--trials", NUMPY_TRIALS])
     assert report["code"] == 0
     assert report["numpy"]
     assert "concurrent.futures" not in report["modules"]
@@ -116,12 +125,24 @@ def test_two_worker_mc_starts_a_thread_and_loads_no_pool_module():
 
 
 def test_mc_without_numpy_exits_1_with_one_error_line():
-    report = run_child("block", ["mc", "1", "1", "1", "1", "--trials", "10"])
+    report = run_child("block", ["mc", "1", "1", "1", "1", "--trials", NUMPY_TRIALS])
     assert report["code"] == 1
     assert report["stdout"] == ""
     lines = report["stderr"].splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: mc needs numpy >= 2.0")
     assert "Traceback" not in report["stderr"]
+
+
+def test_small_mc_runs_without_numpy():
+    # 10000 one-word rows are drawn in pure Python, and hit what numpy's
+    # draw of the same stream hits
+    argv = ["mc", "2", "2", "2", "2", "--trials", "10000", "--seed", "42"]
+    blocked = run_child("block", argv)
+    assert blocked["code"] == 0
+    assert not blocked["numpy"]
+    assert not [name for name in blocked["modules"] if name.startswith("numpy.")]
+    (row,) = csv.DictReader(io.StringIO(blocked["stdout"]))
+    assert row["hits"] == "673"
 
 
 # Runs ``python -m chshprob`` through runpy and prints, from an atexit hook
@@ -146,7 +167,7 @@ def test_mc_process_runs_on_one_native_thread(preset, tasks):
     env.pop("OPENBLAS_NUM_THREADS", None)
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
-    argv = ["mc", "2", "2", "2", "2", "--trials", "1000"]
+    argv = ["mc", "2", "2", "2", "2", "--trials", NUMPY_TRIALS]
     result = subprocess.run(
         [sys.executable, "-c", THREAD_PROBE, *argv],
         capture_output=True,

@@ -480,6 +480,9 @@ class TestAnalyticProbability:
             (-1.0, 1.0),
             (float("nan"), 1.0),
             (1.0, float("inf")),
+            # a bool is not a count, though floats are taken for continuous sweeps
+            (True, 1, 1, 1),
+            (1.5, 2.5, True),
         ]
         for rounds in degenerate:
             with pytest.raises(InvalidConfigError):

@@ -27,10 +27,14 @@ from chshprob.model import (
 from chshprob import montecarlo
 from chshprob.montecarlo import (
     MAX_BATCH_TRIALS,
+    PYTHON_RUN_WORDS,
     RUN_WORD_BUDGET,
     STREAM_VERSION,
+    WORD_BUDGET,
     _batch_hits,
     _batch_trials,
+    _pcg64_words,
+    _python_batch_hits,
     _row_words,
     _violation_table,
     estimate_violation_probability,
@@ -112,7 +116,8 @@ class TestSimulateExperiment:
                 for index in (0, 1):
                     expected = replay_hits(rounds, 13, index, 2048, threshold)
                     got = _batch_hits(rounds, 13, index, 2048, threshold)
-                    assert got == expected, (rounds, threshold, index)
+                    python = _python_batch_hits(rounds, 13, index, 2048, threshold)
+                    assert got == python == expected, (rounds, threshold, index)
 
     @pytest.mark.parametrize(
         "rounds",
@@ -132,7 +137,35 @@ class TestSimulateExperiment:
             for index in (0, 1):
                 expected = replay_hits(rounds, 13, index, 2048, threshold)
                 got = _batch_hits(rounds, 13, index, 2048, threshold)
-                assert got == expected, (rounds, threshold, index)
+                python = _python_batch_hits(rounds, 13, index, 2048, threshold)
+                assert got == python == expected, (rounds, threshold, index)
+
+    def test_python_words_are_numpys_raw_words(self):
+        # entropy at the 32- and 64-bit edges, the masks of negative seeds
+        # among them, and spawn keys of one and of two 32-bit words
+        mask = 2**64 - 1
+        entropies = (0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**63, mask, -5 & mask, -(2**63) & mask)
+        spawn_keys = (0, 1, 2**32 - 1, 2**32, 2**40 + 7)
+        for entropy, spawn_key in itertools.product(entropies, spawn_keys):
+            expected = np.random.PCG64(
+                np.random.SeedSequence(entropy, spawn_key=(spawn_key,))
+            ).random_raw(6)
+            got = list(itertools.islice(_pcg64_words(entropy, spawn_key), 6))
+            assert got == expected.tolist(), (entropy, spawn_key)
+
+    def test_python_draw_weighs_rows_past_int64_exactly(self, monkeypatch):
+        # 4*lcm >= 2**62 in a row of 2049 words, where _layout's weights are
+        # Python integers: no drawn row violates, and an all-ones row weighs
+        # 2*lcm, which is exactly on the bound, so it violates only when
+        # non-strict; one unit off in any weight would move it
+        rounds = (32771, 32779, 32783, 32789)
+        assert 4 * math.lcm(*rounds) >= 2**62 and _row_words(rounds) * 15 <= PYTHON_RUN_WORDS
+        for threshold in (STRICT, NON_STRICT):
+            python = _python_batch_hits(rounds, 13, 0, 15, threshold)
+            assert python == _batch_hits(rounds, 13, 0, 15, threshold) == 0
+        monkeypatch.setattr(montecarlo, "_pcg64_words", lambda *args: itertools.repeat(2**64 - 1))
+        assert _python_batch_hits(rounds, 13, 0, 3, STRICT) == 0
+        assert _python_batch_hits(rounds, 13, 0, 3, NON_STRICT) == 3
 
     def test_rows_past_the_word_budget_are_drawn_in_pieces(self, monkeypatch):
         # a 32-word row under a 20-word budget and 5-word groups: one trial
@@ -316,10 +349,11 @@ class TestWilsonInterval:
         assert montecarlo._Z95 == NormalDist().inv_cdf(0.975)
 
     def test_rejects_bad_counts(self):
-        with pytest.raises(InvalidConfigError):
-            wilson_interval(5, 0)
-        with pytest.raises(InvalidConfigError):
-            wilson_interval(6, 5)
+        # counts past their range, and a bool, float or numpy integer in place of a count
+        bad = ((5, 0), (6, 5), (True, 2.5), (1, True), (1.0, 4), (1, 4.0), (np.int64(1), 4))
+        for hits, trials in bad:
+            with pytest.raises(InvalidConfigError):
+                wilson_interval(hits, trials)
 
 
 class TestEstimate:
@@ -545,6 +579,29 @@ class TestEstimate:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert results == serial
+
+    def test_only_a_small_run_without_numpy_draws_in_python(self, monkeypatch):
+        # a run of at most PYTHON_RUN_WORDS words is one batch; it draws in
+        # Python only while numpy is not loaded, and gives numpy's hits
+        assert PYTHON_RUN_WORDS <= min(MAX_BATCH_TRIALS, WORD_BUDGET)
+        calls = []
+        python_hits = montecarlo._python_batch_hits
+
+        def recording(*args):
+            calls.append(args)
+            return python_hits(*args)
+
+        monkeypatch.setattr(montecarlo, "_python_batch_hits", recording)
+        config = ExperimentConfig((2, 2, 2, 2))
+        drawn_by_numpy = estimate_violation_probability(config, PYTHON_RUN_WORDS, seed=5)
+        assert calls == []
+        # numpy counts as not loaded, and importing it fails
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        assert estimate_violation_probability(config, PYTHON_RUN_WORDS, seed=5) == drawn_by_numpy
+        assert calls == [((2, 2, 2, 2), 5, 0, PYTHON_RUN_WORDS, STRICT)]
+        with pytest.raises(ImportError):
+            estimate_violation_probability(config, PYTHON_RUN_WORDS + 1, seed=5)
+        assert len(calls) == 1
 
     def test_strict_hits_never_exceed_nonstrict(self):
         config = ExperimentConfig((3, 2, 2, 3))
