@@ -33,10 +33,12 @@ most 2 MiB.
 
 A small run is drawn without numpy: while numpy is not loaded, a run of
 at most PYTHON_RUN_WORDS words, always one batch, reads the same PCG64
-words from ``_pcg64_words``, numpy's seeding and generator written out in
-Python integers, and weighs each row with ``int.bit_count``.  It gives the
-same hits, and a short ``mc`` process never pays numpy's import.  numpy is
-imported only when a run needs it, so this module loads without numpy.
+words, numpy's seeding and generator written out in Python integers.  It
+looks short rows up as well, in a table of at most as many verdicts as
+the run has rows, built for the run, and weighs every other row with
+``int.bit_count``.  It gives the same hits, and a short ``mc`` process
+never pays numpy's import.  numpy is imported only when a run needs it,
+so this module loads without numpy.
 
 One function, ``_pooled_hits``, decides a run's engine, batches and pool.
 With k = min(workers, batches, CPU count) workers, worker i sums batches
@@ -69,7 +71,7 @@ from .model import (
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Iterator
+    from collections.abc import Iterable, Iterator
 
     import numpy as np
 
@@ -96,10 +98,11 @@ STREAM_VERSION = 2
 RUN_WORD_BUDGET = 1 << 33
 # Words a run may draw in pure Python, if numpy is not loaded yet; see
 # _pooled_hits.  At most MAX_BATCH_TRIALS and WORD_BUDGET, so such a run is
-# one batch whatever its row length.  Half the measured crossover: on a
-# 2-core test machine an mc process drawing 2**15 words in Python took
-# 138-163 ms against 226-236 ms for one that imports numpy, and at 2**16
-# one-word rows were 6-8% faster, within the noise.
+# one batch whatever its row length; 2**16 is the largest such value.  At
+# most half the measured crossover: on a 2-core test machine an mc process
+# drawing 2**15 words in Python took 80-125 ms against 190-288 ms for one
+# that imports numpy, and at 2**16 words 85-128 ms against 152-221 ms, for
+# looked-up rows of 8 and 12 rounds, weighed one-word rows and 32-word rows.
 PYTHON_RUN_WORDS = 1 << 15
 
 _MASK32 = (1 << 32) - 1
@@ -315,16 +318,15 @@ def _batch_hits(
     return hits
 
 
-def _pcg64_words(entropy: int, spawn_key: int) -> Iterator[int]:
-    """The raw words of ``PCG64(SeedSequence(entropy, spawn_key=(spawn_key,)))``, endlessly.
+def _pcg64_seeded(entropy: int, spawn_key: int) -> tuple[int, int]:
+    """PCG64's (state, increment) once seeded by ``SeedSequence(entropy, spawn_key=(spawn_key,))``.
 
     numpy's algorithms written out in Python integers, for 0 <= entropy <
     2**64 and any spawn key >= 0.  SeedSequence hashes the entropy's 32-bit
     words, padded with zeros to its four-word pool, into the pool, mixes
     every pool word into every other, then hashes in the spawn key's 32-bit
     words; four 64-bit words hashed out of the pool seed PCG64's 128-bit
-    state and increment.  Each draw steps the 128-bit LCG and outputs the
-    XSL-RR permutation of the new state (O'Neill 2014).
+    state and increment.
     """
 
     def hasher(constant: int, factor: int):
@@ -356,6 +358,16 @@ def _pcg64_words(entropy: int, spawn_key: int) -> Iterator[int]:
     seed = [low | high << 32 for low, high in zip(out[::2], out[1::2])]
     increment = ((seed[2] << 64 | seed[3]) << 1 | 1) & _MASK128
     state = ((increment + (seed[0] << 64 | seed[1])) * _PCG64_MULTIPLIER + increment) & _MASK128
+    return state, increment
+
+
+def _pcg64_words(entropy: int, spawn_key: int) -> Iterator[int]:
+    """The raw words of ``PCG64(SeedSequence(entropy, spawn_key=(spawn_key,)))``, endlessly.
+
+    Seeded by ``_pcg64_seeded``.  Each draw steps the 128-bit LCG and
+    outputs the XSL-RR permutation of the new state (O'Neill 2014).
+    """
+    state, increment = _pcg64_seeded(entropy, spawn_key)
     while True:
         state = (state * _PCG64_MULTIPLIER + increment) & _MASK128
         word = (state >> 64 ^ state) & _MASK64
@@ -368,32 +380,53 @@ def _python_batch_hits(
 ) -> int:
     """``_batch_hits`` without numpy: the same words, rows and verdicts.
 
-    The substream's words come from ``_pcg64_words``, one row at a time,
-    least significant word first.  Each channel's +1 rounds are counted
-    with ``int.bit_count``, weighed as in ``_layout`` and compared as in
+    A row's verdict comes from counting each channel's +1 rounds with
+    ``int.bit_count``, weighing them as in ``_layout`` and comparing as in
     ``_violates``.  Python integers hold every weight, so ``_layout``'s
-    int64 and Python-integer tiers are one case here.
+    int64 and Python-integer tiers are one case here.  A row of w =
+    sum(n_k) bits in a run of at least 2**w rows is looked up: the verdict
+    on each of the 2**w possible rows goes into a table, never more than
+    the run has rows, and the low w bits of each word, drawn by PCG64's
+    step and XSL-RR output written as a local loop, index it.  Any other
+    row is read from ``_pcg64_words``, least significant word first, and
+    weighed.
     """
-    rows = words = _pcg64_words(seed & _MASK64, batch_index)
-    width = _row_words(rounds)
-    if width > 1:
-        rows = (
-            int.from_bytes(b"".join(w.to_bytes(8, "little") for w in islice(words, width)), "little")
-            for _ in range(count)
-        )
     scale = math.lcm(*rounds)
     bound = scale + (threshold == STRICT)
     offsets = accumulate(rounds, initial=0)
     channels = [
         (lo, (1 << n) - 1, sign * (scale // n)) for sign, n, lo in zip(CHANNEL_SIGNS, rounds, offsets)
     ]
-    hits = 0
-    for row in islice(rows, count):
-        distance = -scale
-        for lo, mask, weight in channels:
-            distance += weight * (row >> lo & mask).bit_count()
-        hits += abs(distance) >= bound
-    return hits
+
+    def verdicts(rows: Iterable[int]) -> Iterator[bool]:
+        for row in rows:
+            distance = -scale
+            for lo, mask, weight in channels:
+                distance += weight * (row >> lo & mask).bit_count()
+            yield abs(distance) >= bound
+
+    width = sum(rounds)
+    # 2**width <= count, without building 2**width for a long row
+    if width < count.bit_length():
+        table = bytes(verdicts(range(1 << width)))
+        low_bits = (1 << width) - 1
+        state, increment = _pcg64_seeded(seed & _MASK64, batch_index)
+        hits = 0
+        for _ in range(count):
+            state = (state * _PCG64_MULTIPLIER + increment) & _MASK128
+            # XSL-RR: bits 0-127 of this xor hold the XSL word twice, so a
+            # shift by the state's top 6 bits rotates the word
+            hits += table[(state ^ state >> 64 ^ state << 64) >> (state >> 122) & low_bits]
+        return hits
+
+    rows = words = _pcg64_words(seed & _MASK64, batch_index)
+    row_words = _row_words(rounds)
+    if row_words > 1:
+        rows = (
+            int.from_bytes(b"".join(w.to_bytes(8, "little") for w in islice(words, row_words)), "little")
+            for _ in range(count)
+        )
+    return sum(verdicts(islice(rows, count)))
 
 
 def _pooled_hits(
@@ -412,9 +445,11 @@ def _pooled_hits(
     share i summing batches i, i + k, i + 2k, ...  Batches are made one at a time, so no input
     makes the run hold a per-batch list.  The calling thread runs share 0
     and starts a thread for each other share; numpy draws and counts with
-    the GIL released, so the shares may run in parallel, but on the 2-core
-    test host two threads drew no faster than one, so no gain from more
-    workers has been measured.  A share that raises, the calling thread's
+    the GIL released, so the shares may run in parallel.  On a shared 2-core
+    test host 2 workers ran (2,2,2,2) x4e6 1.28x and x1.6e7 1.39x as fast
+    as 1, (1,1,1000,1000) x1e5 1.16x and x4e5 1.07x, and (1,1,1,2000) x1e5
+    1.11x: medians over five sets of 9 alternating in-process runs, single
+    sets ranging from 0.95x to 1.93x.  A share that raises, the calling thread's
     ``KeyboardInterrupt`` included, sets the run's stop event, no share
     draws a batch once it is set, and the first error is raised once every
     thread has been joined; no partial sum is returned.

@@ -104,20 +104,34 @@ class TestSimulateExperiment:
         # agreement pins that layout, the channel order and the (1,2) sign.
         # The last three put channel edges on, just past and across word
         # boundaries and make rows of several words.
-        for rounds in (
-            (1, 1, 1, 1),
-            (2, 3, 4, 5),
-            (3, 5, 7, 2),
-            (63, 1, 64, 2),
-            (64, 64, 64, 64),
-            (1, 1, 1000, 1000),
-        ):
+        cases = [
+            (rounds, 13, 2048)
+            for rounds in (
+                (1, 1, 1, 1),
+                (2, 3, 4, 5),
+                (3, 5, 7, 2),
+                (63, 1, 64, 2),
+                (64, 64, 64, 64),
+                (1, 1, 1000, 1000),
+            )
+        ]
+        # _python_batch_hits looks a row of w = sum(n_k) bits up in a table
+        # from 2**w trials on and weighs it below that: each side of the
+        # bound, at the seed range's ends, and a 15-bit row at 2**15 trials
+        cases += [
+            (rounds, seed, (1 << sum(rounds)) + step)
+            for rounds in ((1, 1, 1, 1), (2, 1, 3, 2), (1, 3, 2, 4))
+            for seed in (0, -1, 2**63 - 1, -(2**63))
+            for step in (-1, 0, 1)
+        ]
+        cases.append(((1, 2, 4, 8), -(2**63), PYTHON_RUN_WORDS))
+        for rounds, seed, count in cases:
             for threshold in (STRICT, NON_STRICT):
                 for index in (0, 1):
-                    expected = replay_hits(rounds, 13, index, 2048, threshold)
-                    got = _batch_hits(rounds, 13, index, 2048, threshold)
-                    python = _python_batch_hits(rounds, 13, index, 2048, threshold)
-                    assert got == python == expected, (rounds, threshold, index)
+                    expected = replay_hits(rounds, seed, index, count, threshold)
+                    got = _batch_hits(rounds, seed, index, count, threshold)
+                    python = _python_batch_hits(rounds, seed, index, count, threshold)
+                    assert got == python == expected, (rounds, seed, count, threshold, index)
 
     @pytest.mark.parametrize(
         "rounds",
