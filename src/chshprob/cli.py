@@ -242,7 +242,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
             config, args.trials, args.seed, args.threshold, workers=args.workers
         )
     except ImportError as exc:
-        # only a run past montecarlo.PYTHON_RUN_WORDS imports numpy
+        # only a run of long rows past montecarlo.PYTHON_RUN_WORDS imports numpy
         print(f"error: mc needs numpy >= 2.0 ({exc})", file=sys.stderr)
         return 1
     if estimate.hits < 10:
@@ -411,7 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="batch workers: the calling thread plus up to WORKERS - 1 threads, no more "
-        "than the batches or the CPUs; the hits do not depend on it",
+        "than the batches or the CPUs; rows of 16 rounds or fewer are counted in Python, "
+        "one batch at a time, and gain nothing from more; the hits do not depend on it",
     )
     mc.set_defaults(func=cmd_mc)
 

@@ -3,42 +3,44 @@
 Round-level sampling: every channel round is an independent fair +-1 draw,
 an experiment is a full tally, and the violation frequency over many
 experiments estimates the same probability the exact and analytic routes
-compute.  Streams are derived from a user seed through numpy SeedSequence
-spawning, so runs are reproducible bit-for-bit regardless of how many
-workers execute the trial batches.
+compute.  Trials are cut into batches of a size fixed by the config, and
+batch b of a run with seed s has a stream of its own, so runs are
+reproducible bit-for-bit regardless of how many workers execute the
+batches.  ``STREAM_VERSION`` names the streams: version 1 drew one int8
+per round per channel, version 2 drew every row as PCG64 words, and
+version 3 draws short rows as bit planes.  Hit counts differ between
+versions for the same seed.
 
-Rounds are packed 64 to a word: one experiment is a row of
-ceil(sum(n_k) / 64) raw PCG64 outputs, bit j of the row (bit j % 64 of word
+A short row, of w = sum(n_k) <= SHORT_ROW_ROUNDS (16) rounds, is drawn
+from ``random.Random((s & (2**64 - 1)) | b << 64)``, the standard
+library's MT19937: round j of a batch of ``count`` trials is the plane
+``getrandbits(count)``, planes drawn in round order, channel 1's rounds
+first, and bit t of plane j is round j of trial t, bit 1 a +1 round.  The
+batch is counted bit-sliced: every operation on a Python integer handles
+one round of every trial at once (Biham 1997).  Bit-sliced counters give
+each channel's +1 count, adders weigh them and a comparator tests every
+trial against the bounds, all in C loops over the whole batch.  Short
+rows need no numpy.  Their operations hold the GIL, so workers do not
+speed them up; they do not change their hits either.
+
+A longer row is stream 2's: a row of ceil(w / 64) raw PCG64 words of
+``SeedSequence(s, spawn_key=(b,))``, bit j of the row (bit j % 64 of word
 j // 64) is round j, and bit 1 is a +1 round.  Channel k owns the n_k bits
-that follow channels 1..k-1.  ``STREAM_VERSION`` names this layout;
-version 1 was one int8 draw per round per channel.  Hit counts differ
-between versions for the same seed.
-
-A row is weighed, not counted channel by channel: a +1 round of channel k
-weighs sign_k * lcm(n) / n_k, one pass of popcounts sums a row's weights W
-(a word that one channel owns entirely times that channel's weight, and a
-masked segment per channel of each word that channels share), and the row
-violates when |W - lcm| > lcm, or >= when non-strict.  Rows longer than
-16 rounds are drawn and weighed GROUP_WORDS words (128 KiB) at a time, so
-a worker holds about one group of draws, never a whole batch, and the
-weights of a row's words are built once a batch: a weight per word for a
-row that fits a group or a piece that holds a channel edge, and one weight
-read through a zero stride for a piece inside one channel.  A short
-row, one whose 2**sum(n_k) possible values fit in one batch
-(sum(n_k) <= 16), is looked up instead: the low sum(n_k) bits of its word
-index a table of which rows violate, built by the same weighing and
-comparison, so both read the same stream and give the same hits.  A
-process keeps the 32 tables it used last, one per (rounds, threshold), at
-most 2 MiB.
-
-A small run is drawn without numpy: while numpy is not loaded, a run of
-at most PYTHON_RUN_WORDS words, always one batch, reads the same PCG64
-words, numpy's seeding and generator written out in Python integers.  It
-looks short rows up as well, in a table of at most as many verdicts as
-the run has rows, built for the run, and weighs every other row with
-``int.bit_count``.  It gives the same hits, and a short ``mc`` process
-never pays numpy's import.  numpy is imported only when a run needs it,
-so this module loads without numpy.
+that follow channels 1..k-1.  A row is weighed, not counted channel by
+channel: a +1 round of channel k weighs sign_k * lcm(n) / n_k, one pass
+of popcounts sums a row's weights W (a word that one channel owns entirely
+times that channel's weight, and a masked segment per channel of each word
+that channels share), and the row violates when |W - lcm| > lcm, or >=
+when non-strict.  Long rows are drawn and weighed GROUP_WORDS words
+(128 KiB) at a time, so a worker holds about one group of draws, never a
+whole batch, and the weights of a row's words are built once a batch: a
+weight per word for a row that fits a group or a piece that holds a
+channel edge, and one weight read through a zero stride for a piece
+inside one channel.  A run of at most PYTHON_RUN_WORDS words, while numpy
+is not loaded, is one batch drawn in Python: the same PCG64 words, numpy's
+seeding and generator written out in Python integers, weighed with
+``int.bit_count``.  It gives the same hits.  numpy is imported only when a
+run needs it, so this module loads without numpy.
 
 One function, ``_pooled_hits``, decides a run's engine, batches and pool.
 With k = min(workers, batches, CPU count) workers, worker i sums batches
@@ -55,6 +57,7 @@ from __future__ import annotations
 
 import math
 import os
+import random
 import sys
 import threading
 from functools import lru_cache, partial
@@ -71,38 +74,47 @@ from .model import (
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Iterable, Iterator
+    from collections.abc import Iterator
 
     import numpy as np
 
-# Fixed batching rule: batch b of a run draws from the child stream
-# SeedSequence(seed, spawn_key=(b,)).  Batch size depends only on the
-# config (bounding a batch's packed rows to WORD_BUDGET uint64 words,
-# 4 MiB), never on the worker count, which is what makes 1-worker and
-# k-worker runs bit-identical.  Only short rows are drawn a batch at a
-# time; longer rows are drawn and weighed GROUP_WORDS words (128 KiB) at a
-# time, a row longer than that in pieces.
+# Fixed batching rule: batch b of a run draws from a stream of its own (see
+# the module docstring).  Batch size depends only on the config (bounding a
+# batch's packed rows to WORD_BUDGET uint64 words, 4 MiB), never on the
+# worker count, which is what makes 1-worker and k-worker runs
+# bit-identical.  Short rows are drawn a batch at a time, as one plane of
+# MAX_BATCH_TRIALS bits (8 KiB) per round; longer rows are drawn and
+# weighed GROUP_WORDS words (128 KiB) at a time, a row longer than that in
+# pieces.
 WORD_BUDGET = 1 << 19
 MAX_BATCH_TRIALS = 1 << 16
 GROUP_WORDS = 1 << 14
 # The same budget in bytes; benchmarks/tracing.py still reads this name.
 BATCH_ELEMENT_BUDGET = 8 * WORD_BUDGET
-STREAM_VERSION = 2
+STREAM_VERSION = 3
+# Rows of at most this many rounds are drawn as bit planes and counted
+# bit-sliced: the rows stream 2 looked up in a table of verdicts, so that
+# every longer row keeps stream 2's words and hits.
+SHORT_ROW_ROUNDS = 16
 # Words one run may draw: 40 s to 2 minutes at one worker for rows of two
 # words or more, which draw and weigh 7e7-2.3e8 words/s on a 2-core test
-# machine, and 30-50 s for short rows, looked up at 1.7e8-3e8.  One-word
-# rows of 17-64 rounds run at 4.4e7-6.6e7 words/s, so theirs takes up to
-# 3.5 minutes.  Rows whose weights pass int64 (4*lcm >= 2**62) weigh one
-# Python product per word, 9e6-1.1e7 words/s there, so theirs takes 13-16
-# minutes.
+# machine, and 11 s to 1.5 minutes for short rows, of one word, counted
+# bit-sliced at 1e8-7.5e8 words/s: a 1.6e8-trial run of (4,4,4,4) took
+# 0.73 s, so its full budget takes about 40 s, and the slowest 16-round
+# rows, whose weights lcm/n_k have the most set bits (lcm 105), run at
+# 1e8.  One-word rows of 17-64 rounds run at 4.4e7-6.6e7 words/s, so
+# theirs takes up to 3.5 minutes.  Rows whose weights pass int64
+# (4*lcm >= 2**62) weigh one Python product per word, 9e6-1.1e7 words/s
+# there, so theirs takes 13-16 minutes.
 RUN_WORD_BUDGET = 1 << 33
-# Words a run may draw in pure Python, if numpy is not loaded yet; see
-# _pooled_hits.  At most MAX_BATCH_TRIALS and WORD_BUDGET, so such a run is
-# one batch whatever its row length; 2**16 is the largest such value.  At
-# most half the measured crossover: on a 2-core test machine an mc process
-# drawing 2**15 words in Python took 80-125 ms against 190-288 ms for one
-# that imports numpy, and at 2**16 words 85-128 ms against 152-221 ms, for
-# looked-up rows of 8 and 12 rounds, weighed one-word rows and 32-word rows.
+# Words a run of long rows may draw in pure Python, if numpy is not loaded
+# yet; see _pooled_hits.  At most MAX_BATCH_TRIALS and WORD_BUDGET, so such
+# a run is one batch whatever its row length; 2**16 is the largest such
+# value.  At most half the measured crossover: on a 2-core test machine an
+# mc process drawing 2**15 words in Python took 80-125 ms against
+# 190-288 ms for one that imports numpy, and at 2**16 words 85-128 ms
+# against 152-221 ms, for rows of 8 and 12 rounds (then drawn as PCG64
+# words), weighed one-word rows and 32-word rows.
 PYTHON_RUN_WORDS = 1 << 15
 
 _MASK32 = (1 << 32) - 1
@@ -245,21 +257,63 @@ def _violates(distance: np.ndarray, rounds: tuple[int, ...], threshold: str) -> 
     return abs(distance) >= math.lcm(*rounds) + (threshold == STRICT)
 
 
-@lru_cache(maxsize=32)
-def _violation_table(rounds: tuple[int, ...], threshold: str) -> np.ndarray:
-    """``table[r]``: whether the one-word row ``r`` violates, for every r < 2**sum(rounds).
+def _plane_sum(columns: list[list[int]]) -> list[int]:
+    """The planes of sum_p 2**p * (how many planes of ``columns[p]`` are set), trial by trial.
 
-    Weighed by ``_weigh`` and compared by ``_violates``, exactly as
-    ``_batch_hits`` treats drawn rows.  Read-only, since every caller shares
-    it.  The 32 tables used last stay cached, so a run builds its table
-    once; a table is at most 2**16 bools, so the cache holds at most 2 MiB.
+    A plane holds one bit of every trial, bit t trial t's.  A
+    carry-save reduction: three planes of a column become their sum there
+    and their carry one column up (a full adder, five big-integer
+    operations), two become one and a carry (a half adder, two), until
+    every column holds one plane, or none, which reads as 0.  Consumes
+    ``columns``, which must have a column for every carry; for every row
+    of at most SHORT_ROW_ROUNDS rounds, one column per bit of the sum's
+    largest value is enough.
     """
-    import numpy as np
+    sums = []
+    for position, column in enumerate(columns):
+        while len(column) > 1:
+            a, b = column.pop(), column.pop()
+            total, carry = a ^ b, a & b
+            if column:
+                c = column.pop()
+                carry |= total & c
+                total ^= c
+            column.append(total)
+            columns[position + 1].append(carry)
+        sums.append(column[0] if column else 0)
+    return sums
 
-    rows = np.arange(1 << sum(rounds), dtype=np.uint64)[:, np.newaxis]
-    table = _violates(_weigh(rows, _layout(rounds, 0, 1)) - math.lcm(*rounds), rounds, threshold)
-    table.flags.writeable = False
-    return table
+
+def _sliced_violations(planes: list[int], rounds: tuple[int, ...], threshold: str, ones: int) -> int:
+    """The trials that violate, bit t for trial t, given round j of every trial as ``planes[j]``.
+
+    ``ones`` has a bit set for every trial.  With q_k = lcm(rounds) / n_k
+    and channel 2's planes inverted, V = sum_k q_k * (channel k's set
+    rounds) is W + q_2*n_2 = W + lcm, W the weight ``_layout`` gives a row,
+    so ``_violates``' |W - lcm| >= lcm + strict is V >= 3*lcm + strict or
+    V <= lcm - strict.  Each round's plane joins the column of every set
+    bit of its q, so the rounds of channels that share q are counted
+    together, and ``_plane_sum`` gives V's planes.  They are compared
+    against both bounds from the lowest plane up, without building the
+    bounds' planes: V >= c on the planes so far is plane & r at a set bit
+    of c and plane | r at a clear one.
+    """
+    scale = math.lcm(*rounds)
+    columns: list[list[int]] = [[] for _ in range((4 * scale).bit_length())]
+    for sign, n, lo in zip(CHANNEL_SIGNS, rounds, accumulate(rounds, initial=0)):
+        weight = scale // n
+        channel = planes[lo : lo + n] if sign > 0 else [plane ^ ones for plane in planes[lo : lo + n]]
+        for shift in range(weight.bit_length()):
+            if weight >> shift & 1:
+                columns[shift] += channel
+    strict = threshold == STRICT
+    low_bound, high_bound = scale + 1 - strict, 3 * scale + strict
+    low = high = ones
+    for position, plane in enumerate(_plane_sum(columns)):
+        low = plane & low if low_bound >> position & 1 else plane | low
+        high = plane & high if high_bound >> position & 1 else plane | high
+    # the trials at least the high bound are among those at least the low one
+    return ones ^ low ^ high
 
 
 def _batch_hits(
@@ -269,37 +323,30 @@ def _batch_hits(
     count: int,
     threshold: str,
 ) -> int:
-    """Violations among ``count`` experiments drawn from batch substream ``batch_index``.
+    """Violations among ``count`` experiments drawn from batch ``batch_index``'s stream.
 
-    The substream's raw PCG64 words are read in order as ``count`` packed
-    rows of ceil(sum(n_k) / 64) words, trial after trial; channel k's
-    rounds are the n_k bits after channels 1..k-1, bit 1 a +1 round.
-
-    A row of w = sum(n_k) bits with 2**w <= MAX_BATCH_TRIALS is looked up:
-    the low w bits of its word index ``_violation_table``, which holds the
-    verdict on every such row.  The mask is applied to the drawn words in
-    place: a second batch-sized array (512 KiB) would take the heap past
-    glibc's trim threshold, so every batch would give its pages back and
-    fault them in again.  Longer rows are drawn GROUP_WORDS words at a
-    time, as many whole rows as fit or one row in pieces, weighed by
-    ``_weigh`` and compared by ``_violates``, group by group: the threads
-    of a pooled run draw in one process, so their buffers add up.
-    Sequential draws read the same stream as one.
+    A short row, of at most SHORT_ROW_ROUNDS rounds, is drawn as one plane
+    of ``count`` bits per round from the batch's MT19937 stream and
+    counted by ``_sliced_violations``, without numpy.  A longer row is
+    read from the batch's raw PCG64 words as ``count`` packed rows of
+    ceil(sum(n_k) / 64) words, trial after trial; channel k's rounds are
+    the n_k bits after channels 1..k-1, bit 1 a +1 round.  It is drawn
+    GROUP_WORDS words at a time, as many whole rows as fit or one row in
+    pieces, weighed by ``_weigh`` and compared by ``_violates``, group by
+    group: the threads of a pooled run draw in one process, so their
+    buffers add up.  Sequential draws read the same stream as one.
     """
+    if sum(rounds) <= SHORT_ROW_ROUNDS:
+        draw = random.Random(seed & _MASK64 | batch_index << 64).getrandbits
+        planes = [draw(count) for _ in range(sum(rounds))]
+        return _sliced_violations(planes, rounds, threshold, (1 << count) - 1).bit_count()
+
     import numpy as np
 
     # SeedSequence rejects negative entropy; keep the 64-bit pattern instead.
     bit_generator = np.random.PCG64(
         np.random.SeedSequence(entropy=seed & _MASK64, spawn_key=(batch_index,))
     )
-    width = sum(rounds)
-    # 2**width <= MAX_BATCH_TRIALS, without building 2**width for a long row
-    if width < MAX_BATCH_TRIALS.bit_length():
-        # int64 is numpy's index type, so take() indexes without a conversion
-        low_bits = bit_generator.random_raw(count).view(np.int64)
-        np.bitwise_and(low_bits, (1 << width) - 1, out=low_bits)
-        return int(np.count_nonzero(_violation_table(rounds, threshold).take(low_bits)))
-
     words = _row_words(rounds)
     piece = min(words, GROUP_WORDS)
     rows = max(1, GROUP_WORDS // words)
@@ -318,15 +365,16 @@ def _batch_hits(
     return hits
 
 
-def _pcg64_seeded(entropy: int, spawn_key: int) -> tuple[int, int]:
-    """PCG64's (state, increment) once seeded by ``SeedSequence(entropy, spawn_key=(spawn_key,))``.
+def _pcg64_words(entropy: int, spawn_key: int) -> Iterator[int]:
+    """The raw words of ``PCG64(SeedSequence(entropy, spawn_key=(spawn_key,)))``, endlessly.
 
     numpy's algorithms written out in Python integers, for 0 <= entropy <
     2**64 and any spawn key >= 0.  SeedSequence hashes the entropy's 32-bit
     words, padded with zeros to its four-word pool, into the pool, mixes
     every pool word into every other, then hashes in the spawn key's 32-bit
     words; four 64-bit words hashed out of the pool seed PCG64's 128-bit
-    state and increment.
+    state and increment.  Each draw steps the 128-bit LCG and outputs the
+    XSL-RR permutation of the new state (O'Neill 2014).
     """
 
     def hasher(constant: int, factor: int):
@@ -358,16 +406,6 @@ def _pcg64_seeded(entropy: int, spawn_key: int) -> tuple[int, int]:
     seed = [low | high << 32 for low, high in zip(out[::2], out[1::2])]
     increment = ((seed[2] << 64 | seed[3]) << 1 | 1) & _MASK128
     state = ((increment + (seed[0] << 64 | seed[1])) * _PCG64_MULTIPLIER + increment) & _MASK128
-    return state, increment
-
-
-def _pcg64_words(entropy: int, spawn_key: int) -> Iterator[int]:
-    """The raw words of ``PCG64(SeedSequence(entropy, spawn_key=(spawn_key,)))``, endlessly.
-
-    Seeded by ``_pcg64_seeded``.  Each draw steps the 128-bit LCG and
-    outputs the XSL-RR permutation of the new state (O'Neill 2014).
-    """
-    state, increment = _pcg64_seeded(entropy, spawn_key)
     while True:
         state = (state * _PCG64_MULTIPLIER + increment) & _MASK128
         word = (state >> 64 ^ state) & _MASK64
@@ -378,18 +416,13 @@ def _pcg64_words(entropy: int, spawn_key: int) -> Iterator[int]:
 def _python_batch_hits(
     rounds: tuple[int, ...], seed: int, batch_index: int, count: int, threshold: str
 ) -> int:
-    """``_batch_hits`` without numpy: the same words, rows and verdicts.
+    """``_batch_hits`` of a long row without numpy: the same words, rows and verdicts.
 
-    A row's verdict comes from counting each channel's +1 rounds with
-    ``int.bit_count``, weighing them as in ``_layout`` and comparing as in
-    ``_violates``.  Python integers hold every weight, so ``_layout``'s
-    int64 and Python-integer tiers are one case here.  A row of w =
-    sum(n_k) bits in a run of at least 2**w rows is looked up: the verdict
-    on each of the 2**w possible rows goes into a table, never more than
-    the run has rows, and the low w bits of each word, drawn by PCG64's
-    step and XSL-RR output written as a local loop, index it.  Any other
-    row is read from ``_pcg64_words``, least significant word first, and
-    weighed.
+    Each row is read from ``_pcg64_words``, least significant word first,
+    each channel's +1 rounds are counted with ``int.bit_count``, weighed as
+    in ``_layout`` and compared as in ``_violates``.  Python integers hold
+    every weight, so ``_layout``'s int64 and Python-integer tiers are one
+    case here.
     """
     scale = math.lcm(*rounds)
     bound = scale + (threshold == STRICT)
@@ -397,28 +430,6 @@ def _python_batch_hits(
     channels = [
         (lo, (1 << n) - 1, sign * (scale // n)) for sign, n, lo in zip(CHANNEL_SIGNS, rounds, offsets)
     ]
-
-    def verdicts(rows: Iterable[int]) -> Iterator[bool]:
-        for row in rows:
-            distance = -scale
-            for lo, mask, weight in channels:
-                distance += weight * (row >> lo & mask).bit_count()
-            yield abs(distance) >= bound
-
-    width = sum(rounds)
-    # 2**width <= count, without building 2**width for a long row
-    if width < count.bit_length():
-        table = bytes(verdicts(range(1 << width)))
-        low_bits = (1 << width) - 1
-        state, increment = _pcg64_seeded(seed & _MASK64, batch_index)
-        hits = 0
-        for _ in range(count):
-            state = (state * _PCG64_MULTIPLIER + increment) & _MASK128
-            # XSL-RR: bits 0-127 of this xor hold the XSL word twice, so a
-            # shift by the state's top 6 bits rotates the word
-            hits += table[(state ^ state >> 64 ^ state << 64) >> (state >> 122) & low_bits]
-        return hits
-
     rows = words = _pcg64_words(seed & _MASK64, batch_index)
     row_words = _row_words(rounds)
     if row_words > 1:
@@ -426,7 +437,13 @@ def _python_batch_hits(
             int.from_bytes(b"".join(w.to_bytes(8, "little") for w in islice(words, row_words)), "little")
             for _ in range(count)
         )
-    return sum(verdicts(islice(rows, count)))
+    hits = 0
+    for row in islice(rows, count):
+        distance = -scale
+        for lo, mask, weight in channels:
+            distance += weight * (row >> lo & mask).bit_count()
+        hits += abs(distance) >= bound
+    return hits
 
 
 def _pooled_hits(
@@ -435,30 +452,36 @@ def _pooled_hits(
     """Hits of a ``trials``-trial run, its batches split among a pool of shares.
 
     This is the one place a run's engine, batches and pool are decided.  A
-    run of at most PYTHON_RUN_WORDS words, while numpy is not loaded, is
-    drawn by ``_python_batch_hits`` in the calling thread, since its one
-    batch takes less time in Python than numpy's import would; once numpy
-    is loaded, its import is paid and it draws faster.  Every other run
-    imports numpy here, before any thread starts, and is drawn by
-    ``_batch_hits`` in batches of ``_batch_trials`` trials, the last taking
-    the trials left over, and k = min(workers, batches, CPU count) shares,
-    share i summing batches i, i + k, i + 2k, ...  Batches are made one at a time, so no input
+    run of short rows never imports numpy.  A run of longer rows of at
+    most PYTHON_RUN_WORDS words, while numpy is not loaded, is drawn by
+    ``_python_batch_hits`` in the calling thread, since its one batch
+    takes less time in Python than numpy's import would; once numpy is
+    loaded, its import is paid and it draws faster.  Every other run of
+    long rows imports numpy here, before any thread starts.  Every run but
+    that one-batch one is drawn by ``_batch_hits`` in batches of
+    ``_batch_trials`` trials, the last taking the trials left over, and
+    k = min(workers, batches, CPU count) shares, share i summing batches
+    i, i + k, i + 2k, ...  Batches are made one at a time, so no input
     makes the run hold a per-batch list.  The calling thread runs share 0
-    and starts a thread for each other share; numpy draws and counts with
-    the GIL released, so the shares may run in parallel.  On a shared 2-core
-    test host 2 workers ran (2,2,2,2) x4e6 1.28x and x1.6e7 1.39x as fast
-    as 1, (1,1,1000,1000) x1e5 1.16x and x4e5 1.07x, and (1,1,1,2000) x1e5
-    1.11x: medians over five sets of 9 alternating in-process runs, single
-    sets ranging from 0.95x to 1.93x.  A share that raises, the calling thread's
-    ``KeyboardInterrupt`` included, sets the run's stop event, no share
-    draws a batch once it is set, and the first error is raised once every
-    thread has been joined; no partial sum is returned.
+    and starts a thread for each other share.  numpy draws and weighs long
+    rows with the GIL released, so their shares may run in parallel: on a
+    shared 2-core test host 2 workers ran (1,1,1000,1000) x1e5 1.16x and
+    x4e5 1.07x as fast as 1, and (1,1,1,2000) x1e5 1.11x, medians over
+    five sets of 9 alternating in-process runs, single sets ranging from
+    0.95x to 1.93x.  Short rows are counted holding the GIL, so their
+    shares take turns: on the same host 2 workers ran (2,2,2,2) x4e6 and
+    x1.6e7 1.00-1.01x and (4,4,4,4) x1.6e7 0.97x as fast as 1, medians of
+    9 alternating in-process runs.  A share that raises, the calling
+    thread's ``KeyboardInterrupt`` included, sets the run's stop event, no
+    share draws a batch once it is set, and the first error is raised once
+    every thread has been joined; no partial sum is returned.
     """
-    if trials * _row_words(rounds) <= PYTHON_RUN_WORDS and sys.modules.get("numpy") is None:
-        return _python_batch_hits(rounds, seed, 0, trials, threshold)
-    # loaded here, before any pool thread starts, not first in a thread's
-    # batch: there numpy's import grew the run's peak RSS by 0.5 MiB
-    import numpy  # noqa: F401
+    if sum(rounds) > SHORT_ROW_ROUNDS:
+        if trials * _row_words(rounds) <= PYTHON_RUN_WORDS and sys.modules.get("numpy") is None:
+            return _python_batch_hits(rounds, seed, 0, trials, threshold)
+        # loaded here, before any pool thread starts, not first in a thread's
+        # batch: there numpy's import grew the run's peak RSS by 0.5 MiB
+        import numpy  # noqa: F401
 
     batch = _batch_trials(rounds)
     batches = -(-trials // batch)

@@ -2,22 +2,28 @@
 
 Deliberately separate from the package and deliberately naive: raw
 enumeration over every possible sign sequence, a plain sum over every
-displacement tuple with exact-rational C, an exact-rational Maclaurin
+displacement tuple with exact-rational C, a replay of the Monte Carlo
+sampler's short-row bit planes row by row, an exact-rational Maclaurin
 series for erfc, the continuous Gaussian density that approximates a long
 walk, a Monte Carlo integral of the Gaussian measure outside the
 violation boundary, Cramer's large-deviation exponent of the exact tail,
 and the closed form of one long channel beside three single rounds.
 Slow but first-principles; nothing in here shares code with the
-implementation paths it checks.
+implementation paths it checks (the replay judges its rows by the
+package's one-line ``is_violation``, which the sampler never calls).
 """
 
 from __future__ import annotations
 
 import math
+import random
+from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
+
+from chshprob.model import is_violation
 
 # 2/sqrt(pi) to 53 significant digits (enough for series results far below
 # any tolerance used in the tests).
@@ -80,6 +86,42 @@ def brute_force_violation_probability(rounds, threshold: str) -> Fraction:
         if (magnitude > 2) if threshold == "strict" else (magnitude >= 2):
             hits += 1
     return Fraction(hits, 2**total)
+
+
+def plane_replay_sums(rounds, seed: int, batch_index: int, count: int) -> Counter:
+    """How many of ``count`` short-row trials have each tuple of channel sums
+    (m1, m2, m3, m4), redrawn from stream 3's bit planes.
+
+    Batch ``batch_index`` of seed s draws from
+    ``random.Random((s mod 2**64) | batch_index << 64)``: round j of every
+    trial is the plane ``getrandbits(count)``, drawn in round order, and
+    bit t of plane j is round j of trial t.  Each trial's row is decoded
+    from the planes, its first n1 rounds channel 1's, the next n2 channel
+    2's and so on, a set bit a +1 round and a clear one a -1 round.
+    """
+    rng = random.Random((seed & 0xFFFFFFFFFFFFFFFF) | batch_index << 64)
+    # each plane as a string of its count bits, trial 0's first
+    planes = [format(rng.getrandbits(count), f"0{count}b")[::-1] for _ in range(sum(rounds))]
+    offsets = list(accumulate(rounds, initial=0))
+    sums: Counter = Counter()
+    for row, times in Counter(zip(*planes)).items():
+        ones = [row[lo : lo + n].count("1") for lo, n in zip(offsets, rounds)]
+        sums[tuple(2 * k - n for k, n in zip(ones, rounds))] += times
+    return sums
+
+
+def plane_replay_hits(rounds, sums: Counter, threshold: str) -> int:
+    """Violations among the trials of ``plane_replay_sums``, each judged by
+    ``is_violation`` on its exact correlation, with the minus sign on the
+    (1,2) channel."""
+    n1, n2, n3, n4 = rounds
+    return sum(
+        times
+        for (m1, m2, m3, m4), times in sums.items()
+        if is_violation(
+            Fraction(m1, n1) - Fraction(m2, n2) + Fraction(m3, n3) + Fraction(m4, n4), threshold
+        )
+    )
 
 
 def lattice_violation_probability(rounds, threshold: str) -> Fraction:

@@ -1,5 +1,6 @@
-"""Only an ``mc`` run of more than ``montecarlo.PYTHON_RUN_WORDS`` words imports
-numpy, a smaller one draws in pure Python, no run imports a process pool (a
+"""Only an ``mc`` run of long rows past ``montecarlo.PYTHON_RUN_WORDS`` words
+imports numpy, a run of short rows of any size and a smaller run of long
+rows draw in pure Python, no run imports a process pool (a
 multi-worker run starts plain threads), no command loads dataclasses,
 inspect, typing or ``chshprob.walks``, only the commands that build an exact
 value load fractions, only CSV output loads csv and only JSON output loads
@@ -51,9 +52,9 @@ NON_MC_COMMANDS = [
     ["sweep", "--intervals", "--format", "json"],
 ]
 
-# one-word rows, so a run of this many trials draws one word more than the
-# pure-Python engine takes, and imports numpy
-NUMPY_TRIALS = str(PYTHON_RUN_WORDS + 1)
+# long one-word rows, so a run of this many trials draws one word more than
+# the pure-Python engine takes, and imports numpy
+NUMPY_ROWS = ["mc", "1", "1", "1", "61", "--trials", str(PYTHON_RUN_WORDS + 1)]
 
 
 def child_env(**overrides):
@@ -104,7 +105,7 @@ def test_non_mc_commands_skip_dataclasses_and_typing_and_load_json_only_for_json
 
 
 def test_single_worker_mc_does_not_import_the_pool():
-    report = run_child("open", ["mc", "2", "2", "2", "2", "--trials", NUMPY_TRIALS])
+    report = run_child("open", NUMPY_ROWS)
     assert report["code"] == 0
     assert report["numpy"]
     assert "concurrent.futures" not in report["modules"]
@@ -125,7 +126,7 @@ def test_two_worker_mc_starts_a_thread_and_loads_no_pool_module():
 
 
 def test_mc_without_numpy_exits_1_with_one_error_line():
-    report = run_child("block", ["mc", "1", "1", "1", "1", "--trials", NUMPY_TRIALS])
+    report = run_child("block", NUMPY_ROWS)
     assert report["code"] == 1
     assert report["stdout"] == ""
     lines = report["stderr"].splitlines()
@@ -134,15 +135,23 @@ def test_mc_without_numpy_exits_1_with_one_error_line():
 
 
 def test_small_mc_runs_without_numpy():
-    # 10000 one-word rows are drawn in pure Python, and hit what numpy's
-    # draw of the same stream hits
+    # 10000 short rows are counted bit-sliced in pure Python
     argv = ["mc", "2", "2", "2", "2", "--trials", "10000", "--seed", "42"]
     blocked = run_child("block", argv)
     assert blocked["code"] == 0
     assert not blocked["numpy"]
     assert not [name for name in blocked["modules"] if name.startswith("numpy.")]
     (row,) = csv.DictReader(io.StringIO(blocked["stdout"]))
-    assert row["hits"] == "673"
+    assert row["hits"] == "755"
+
+
+def test_short_row_mc_of_any_size_runs_without_numpy():
+    # 4e6 trials are 62 batches, far past PYTHON_RUN_WORDS words, and short
+    # rows still need no numpy
+    blocked = run_child("block", ["mc", "2", "2", "2", "2", "--trials", "4000000"])
+    assert blocked["code"] == 0
+    assert not blocked["numpy"]
+    assert blocked["stdout"].startswith("method,")
 
 
 # Runs ``python -m chshprob`` through runpy and prints, from an atexit hook
@@ -167,9 +176,8 @@ def test_mc_process_runs_on_one_native_thread(preset, tasks):
     env.pop("OPENBLAS_NUM_THREADS", None)
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
-    argv = ["mc", "2", "2", "2", "2", "--trials", NUMPY_TRIALS]
     result = subprocess.run(
-        [sys.executable, "-c", THREAD_PROBE, *argv],
+        [sys.executable, "-c", THREAD_PROBE, *NUMPY_ROWS],
         capture_output=True,
         text=True,
         env=env,

@@ -29,6 +29,7 @@ from chshprob.montecarlo import (
     MAX_BATCH_TRIALS,
     PYTHON_RUN_WORDS,
     RUN_WORD_BUDGET,
+    SHORT_ROW_ROUNDS,
     STREAM_VERSION,
     WORD_BUDGET,
     _batch_hits,
@@ -36,11 +37,11 @@ from chshprob.montecarlo import (
     _pcg64_words,
     _python_batch_hits,
     _row_words,
-    _violation_table,
+    _sliced_violations,
     estimate_violation_probability,
     wilson_interval,
 )
-from oracles import one_long_channel_probability
+from oracles import one_long_channel_probability, plane_replay_hits, plane_replay_sums
 
 
 class ShareFailed(Exception):
@@ -48,10 +49,11 @@ class ShareFailed(Exception):
 
 
 def replay_channel_sums(rounds, seed, batch_index, count):
-    """Per-trial channel sums (m1, m2, m3, m4) redrawn from batch substream
-    ``batch_index``: each trial's row is the next ceil(sum(n_k) / 64) raw
-    64-bit words read as one little-endian integer, channel k owns the n_k
-    bits after channels 1..k-1, bit 1 a +1 round and bit 0 a -1 round."""
+    """Per-trial channel sums (m1, m2, m3, m4) of a long row redrawn from
+    batch substream ``batch_index``: each trial's row is the next
+    ceil(sum(n_k) / 64) raw 64-bit words read as one little-endian integer,
+    channel k owns the n_k bits after channels 1..k-1, bit 1 a +1 round and
+    bit 0 a -1 round."""
     bit_generator = np.random.default_rng(
         np.random.SeedSequence(entropy=seed & 0xFFFFFFFFFFFFFFFF, spawn_key=(batch_index,))
     ).bit_generator
@@ -71,8 +73,8 @@ def replay_channel_sums(rounds, seed, batch_index, count):
 
 
 def replay_hits(rounds, seed, batch_index, count, threshold):
-    """Violations among the replayed trials, counted one at a time in exact
-    rationals, with the minus sign on the (1,2) channel."""
+    """Violations among the replayed long-row trials, counted one at a time
+    in exact rationals, with the minus sign on the (1,2) channel."""
     n1, n2, n3, n4 = rounds
     hits = 0
     for m1, m2, m3, m4 in replay_channel_sums(rounds, seed, batch_index, count):
@@ -90,7 +92,7 @@ class TestSimulateExperiment:
         rounds = (1, 1, 1, 1)
         seen = set()
         for index in range(64):
-            (m,) = replay_channel_sums(rounds, 3, index, 1)
+            (m,) = plane_replay_sums(rounds, 3, index, 1)
             strict = _batch_hits(rounds, 3, index, 1, STRICT)
             nonstrict = _batch_hits(rounds, 3, index, 1, NON_STRICT)
             correlation = m[0] - m[1] + m[2] + m[3]
@@ -100,31 +102,22 @@ class TestSimulateExperiment:
         assert (1, -1, 1, 1) in seen and (1, 1, 1, 1) in seen
 
     def test_consumes_exactly_the_round_total_in_order(self):
-        # the replay reads each trial's n_k bits per channel in channel order;
-        # agreement pins that layout, the channel order and the (1,2) sign.
-        # The last three put channel edges on, just past and across word
-        # boundaries and make rows of several words.
+        # the replay reads each long row's n_k bits per channel in channel
+        # order; agreement pins that layout, the channel order and the (1,2)
+        # sign.  The last three put channel edges on, just past and across
+        # word boundaries and make rows of several words.
         cases = [
             (rounds, 13, 2048)
-            for rounds in (
-                (1, 1, 1, 1),
-                (2, 3, 4, 5),
-                (3, 5, 7, 2),
-                (63, 1, 64, 2),
-                (64, 64, 64, 64),
-                (1, 1, 1000, 1000),
-            )
+            for rounds in ((3, 5, 7, 2), (63, 1, 64, 2), (64, 64, 64, 64), (1, 1, 1000, 1000))
         ]
-        # _python_batch_hits looks a row of w = sum(n_k) bits up in a table
-        # from 2**w trials on and weighs it below that: each side of the
-        # bound, at the seed range's ends, and a 15-bit row at 2**15 trials
+        # the shortest long row, one round past the bit-sliced ones, keeps
+        # stream 2's words at the seed range's ends
+        assert sum((4, 4, 4, 5)) == SHORT_ROW_ROUNDS + 1
         cases += [
-            (rounds, seed, (1 << sum(rounds)) + step)
-            for rounds in ((1, 1, 1, 1), (2, 1, 3, 2), (1, 3, 2, 4))
+            ((4, 4, 4, 5), seed, count)
             for seed in (0, -1, 2**63 - 1, -(2**63))
-            for step in (-1, 0, 1)
+            for count in (1, 33, 4096)
         ]
-        cases.append(((1, 2, 4, 8), -(2**63), PYTHON_RUN_WORDS))
         for rounds, seed, count in cases:
             for threshold in (STRICT, NON_STRICT):
                 for index in (0, 1):
@@ -136,6 +129,31 @@ class TestSimulateExperiment:
     @pytest.mark.parametrize(
         "rounds",
         [
+            pytest.param((1, 1, 1, 1), id="4-rounds"),
+            pytest.param((2, 2, 2, 2), id="8-rounds"),
+            pytest.param((3, 5, 7, 1), id="lcm-105"),
+            pytest.param((1, 2, 4, 8), id="15-rounds"),
+            pytest.param((4, 4, 4, 4), id="16-rounds"),
+        ],
+    )
+    def test_short_rows_match_the_plane_replay(self, rounds):
+        # stream 3: each round a plane of MT19937 bits, counted bit-sliced.
+        # Counts about a 32-bit word of the generator, and a full batch, at
+        # the seed range's ends, both thresholds and the first two batches
+        assert sum(rounds) <= SHORT_ROW_ROUNDS
+        for seed, count, index in itertools.product(
+            (0, -1, 2**63 - 1, -(2**63)), (1, 31, 32, 33, MAX_BATCH_TRIALS), (0, 1)
+        ):
+            sums = plane_replay_sums(rounds, seed, index, count)
+            assert sum(sums.values()) == count
+            for threshold in (STRICT, NON_STRICT):
+                expected = plane_replay_hits(rounds, sums, threshold)
+                got = _batch_hits(rounds, seed, index, count, threshold)
+                assert got == expected, (seed, count, index, threshold)
+
+    @pytest.mark.parametrize(
+        "rounds",
+        [
             pytest.param((2, 3, 5, 54), id="three-edges-in-one-full-word"),
             pytest.param((1, 1, 1, 62), id="last-word-holds-one-bit"),
             pytest.param((1, 1, 62, 64), id="edge-on-a-word-boundary"),
@@ -143,7 +161,7 @@ class TestSimulateExperiment:
         ],
     )
     def test_split_words_are_weighed_as_the_replay_counts(self, rounds):
-        # rows past the short-row table whose words are split in each way
+        # rows past the bit-sliced ones whose words are split in each way
         # the weighing cuts them: several edges in one word, a last word of
         # one used bit, an edge on a word boundary, and a first whole word
         assert sum(rounds) > 16
@@ -206,9 +224,9 @@ class TestSimulateExperiment:
             assert shapes == ([(1, 5)] * 6 + [(1, 2)]) * 64
 
     def test_short_rows_are_looked_up_and_longer_rows_counted(self, monkeypatch):
-        # 2**16 possible rows fill one batch, so (4,4,4,4) builds its table
-        # from every one-word row; (4,4,4,5) weighs its drawn rows directly
-        assert MAX_BATCH_TRIALS == 1 << 16
+        # (4,4,4,4), of SHORT_ROW_ROUNDS rounds, is counted bit-sliced and
+        # weighs nothing; (4,4,4,5) weighs its drawn rows
+        assert SHORT_ROW_ROUNDS == 16
         shapes = []
         weigh = montecarlo._weigh
 
@@ -217,11 +235,13 @@ class TestSimulateExperiment:
             return weigh(bits, *args)
 
         monkeypatch.setattr(montecarlo, "_weigh", recording)
-        _violation_table.cache_clear()
-        for rounds, counted in (((4, 4, 4, 4), [(1 << 16, 1)]), ((4, 4, 4, 5), [(4096, 1)])):
+        for rounds, counted in (((4, 4, 4, 4), []), ((4, 4, 4, 5), [(4096, 1)])):
             shapes.clear()
             for threshold in (STRICT, NON_STRICT):
-                expected = replay_hits(rounds, 13, 0, 4096, threshold)
+                if counted:
+                    expected = replay_hits(rounds, 13, 0, 4096, threshold)
+                else:
+                    expected = plane_replay_hits(rounds, plane_replay_sums(rounds, 13, 0, 4096), threshold)
                 assert _batch_hits(rounds, 13, 0, 4096, threshold) == expected, (rounds, threshold)
             assert shapes == counted * 2, rounds
 
@@ -237,45 +257,16 @@ class TestSimulateExperiment:
         with pytest.raises(Counted):
             _batch_hits((1, 1, 1, 10**12), 13, 0, 1, STRICT)
 
-    def test_table_is_built_once_per_rounds_and_threshold(self, monkeypatch):
-        calls = []
-        weigh = montecarlo._weigh
-
-        def counting(*args):
-            calls.append(args[0].shape)
-            return weigh(*args)
-
-        monkeypatch.setattr(montecarlo, "_weigh", counting)
-        _violation_table.cache_clear()
-        config = ExperimentConfig((2, 2, 2, 2))
-        trials = 4 * _batch_trials(config.rounds)
-        estimate_violation_probability(config, trials, seed=1, threshold=STRICT)
-        assert calls == [(256, 1)]
-        estimate_violation_probability(config, trials, seed=2, threshold=STRICT)
-        assert len(calls) == 1
-        assert not _violation_table(config.rounds, STRICT).flags.writeable
-
-    def test_table_cache_keeps_at_most_its_bound(self):
-        # 36 short configs, of at most 14 rounds, build more tables than
-        # the cache holds; it keeps 32 of them, at most 2 MiB
-        bound = _violation_table.cache_info().maxsize
-        assert bound == 32
-        _violation_table.cache_clear()
-        for a, b in itertools.product(range(1, 7), repeat=2):
-            _violation_table((a, b, 1, 1), STRICT)
-        assert _violation_table.cache_info().currsize == bound
-        _violation_table.cache_clear()
-
     def test_channel_sums_follow_walk_distribution(self):
         # frequency check of each channel endpoint against the exact pmf,
         # the path counts C(2, i) of endpoint 2i - 2 over 2**2
         trials = 20_000
-        sums = replay_channel_sums((2, 2, 2, 2), 2024, 0, trials)
+        sums = plane_replay_sums((2, 2, 2, 2), 2024, 0, trials)
         for m, count in zip((-2, 0, 2), binomial_row(2)):
             p = count / 2**2
             sigma = math.sqrt(p * (1 - p) / trials)
             for k in range(4):
-                frequency = sum(1 for trial in sums if trial[k] == m) / trials
+                frequency = sum(times for trial, times in sums.items() if trial[k] == m) / trials
                 assert abs(frequency - p) <= 3 * sigma, (m, k)
 
 
@@ -287,6 +278,8 @@ class TestPathsAgainstExact:
     @pytest.mark.parametrize(
         "rounds, trials, seed",
         [
+            pytest.param((4, 4, 4, 4), 1_000_000, 16, id="bit-sliced-16-rounds"),
+            pytest.param((3, 5, 7, 1), 1_000_000, 105, id="bit-sliced-lcm-105"),
             pytest.param((1, 1, 1, 61), 200_000, 61, id="one-word-64-rounds"),
             pytest.param((3, 5, 7, 40), 200_000, 55, id="one-word-55-rounds"),
             pytest.param((3, 5, 61, 70), 100_000, 139, id="three-words"),
@@ -297,9 +290,12 @@ class TestPathsAgainstExact:
     def test_hits_lie_within_five_sigma_of_exact(self, rounds, trials, seed, threshold):
         words = _row_words(rounds)
         bounds = list(itertools.accumulate(rounds[:-1]))
-        if words == 1:
-            # weighed, not looked up in the short-row table
-            assert sum(rounds) > 16
+        if sum(rounds) <= SHORT_ROW_ROUNDS:
+            # counted bit-sliced
+            assert words == 1
+        elif words == 1:
+            # weighed, not counted bit-sliced
+            assert sum(rounds) > SHORT_ROW_ROUNDS
         elif words <= montecarlo.GROUP_WORDS:
             assert any(bound % 64 for bound in bounds)
         else:
@@ -315,7 +311,8 @@ class TestPathsAgainstExact:
 
 
 class TestViolationTable:
-    """``_violation_table`` against the correlation of each row, decoded bit by bit."""
+    """``_sliced_violations`` on planes that hold every possible row once,
+    row r as trial r, against the correlation of each row, decoded bit by bit."""
 
     @pytest.mark.parametrize(
         "rounds",
@@ -323,15 +320,33 @@ class TestViolationTable:
     )
     def test_every_row_of_every_short_config(self, rounds):
         offsets = [sum(rounds[:k]) for k in range(4)]
+        rows = range(1 << sum(rounds))
+        planes = [sum(1 << row for row in rows if row >> j & 1) for j in range(sum(rounds))]
         for threshold in (STRICT, NON_STRICT):
-            table = _violation_table(rounds, threshold)
-            assert table.shape == (1 << sum(rounds),)
-            for row in range(1 << sum(rounds)):
+            table = _sliced_violations(planes, rounds, threshold, (1 << len(rows)) - 1)
+            assert table >> len(rows) == 0
+            for row in rows:
                 correlation = sum(
                     sign * Fraction(2 * bin((row >> o) & ((1 << n) - 1)).count("1") - n, n)
                     for sign, o, n in zip((1, -1, 1, 1), offsets, rounds)
                 )
-                assert table[row] == is_violation(correlation, threshold), (rounds, threshold, row)
+                verdict = bool(table >> row & 1)
+                assert verdict == is_violation(correlation, threshold), (rounds, threshold, row)
+
+    def test_every_short_shape_sums_within_its_columns(self):
+        # V <= 4*lcm has (4*lcm).bit_length() bits, and the adders' carries
+        # must stay in as many columns for every row of at most
+        # SHORT_ROW_ROUNDS rounds; one past them would raise IndexError
+        shapes = [
+            r for r in itertools.product(range(1, SHORT_ROW_ROUNDS - 2), repeat=4)
+            if sum(r) <= SHORT_ROW_ROUNDS
+        ]
+        assert len(shapes) == 1820
+        for rounds in shapes:
+            all_set = [1] * sum(rounds)
+            # one trial, every round +1: C = 2, so only the non-strict test counts it
+            assert _sliced_violations(all_set, rounds, STRICT, 1) == 0, rounds
+            assert _sliced_violations(all_set, rounds, NON_STRICT, 1) == 1, rounds
 
 
 class TestWilsonInterval:
@@ -411,7 +426,7 @@ class TestEstimate:
                 config, trials, seed=3, threshold=STRICT, workers=workers
             )
             assert sequential == parallel
-            assert sequential.stream == STREAM_VERSION == 2
+            assert sequential.stream == STREAM_VERSION == 3
 
     def test_pool_never_outgrows_the_batches_or_the_cores(self, monkeypatch):
         # a stand-in for threading.Thread that records every thread started;
@@ -595,8 +610,9 @@ class TestEstimate:
         assert results == serial
 
     def test_only_a_small_run_without_numpy_draws_in_python(self, monkeypatch):
-        # a run of at most PYTHON_RUN_WORDS words is one batch; it draws in
-        # Python only while numpy is not loaded, and gives numpy's hits
+        # a run of long rows of at most PYTHON_RUN_WORDS words is one batch;
+        # it draws in Python only while numpy is not loaded, and gives
+        # numpy's hits
         assert PYTHON_RUN_WORDS <= min(MAX_BATCH_TRIALS, WORD_BUDGET)
         calls = []
         python_hits = montecarlo._python_batch_hits
@@ -606,13 +622,14 @@ class TestEstimate:
             return python_hits(*args)
 
         monkeypatch.setattr(montecarlo, "_python_batch_hits", recording)
-        config = ExperimentConfig((2, 2, 2, 2))
+        config = ExperimentConfig((1, 1, 1, 61))
+        assert _row_words(config.rounds) == 1
         drawn_by_numpy = estimate_violation_probability(config, PYTHON_RUN_WORDS, seed=5)
         assert calls == []
         # numpy counts as not loaded, and importing it fails
         monkeypatch.setitem(sys.modules, "numpy", None)
         assert estimate_violation_probability(config, PYTHON_RUN_WORDS, seed=5) == drawn_by_numpy
-        assert calls == [((2, 2, 2, 2), 5, 0, PYTHON_RUN_WORDS, STRICT)]
+        assert calls == [((1, 1, 1, 61), 5, 0, PYTHON_RUN_WORDS, STRICT)]
         with pytest.raises(ImportError):
             estimate_violation_probability(config, PYTHON_RUN_WORDS + 1, seed=5)
         assert len(calls) == 1
@@ -668,12 +685,14 @@ class TestEstimate:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_stream_2_hit_counts(self, workers):
-        # recorded from the stream-2 sampler before short rows were looked up;
-        # a change to these values is a new stream and needs a new STREAM_VERSION
-        assert STREAM_VERSION == 2
+        # the long rows' counts were recorded from the stream-2 sampler and
+        # stream 3 keeps them; the short rows' were recorded under stream 3
+        # and each matched the plane replay.  A change to these values is a
+        # new stream and needs a new STREAM_VERSION
+        assert STREAM_VERSION == 3
         for rounds, trials, seed, strict, nonstrict in (
-            ((2, 2, 2, 2), 4_000_000, 42, 280805, 1155620),
-            ((4, 4, 4, 4), 200_000, 7, 4259, 15355),
+            ((2, 2, 2, 2), 4_000_000, 42, 282079, 1156789),
+            ((4, 4, 4, 4), 200_000, 7, 4296, 15390),
             ((4, 4, 4, 5), 200_000, 7, 8273, 9766),
             ((1, 1, 1000, 1000), 50_000, 42, 12193, 12650),
         ):
@@ -684,9 +703,10 @@ class TestEstimate:
 
     @pytest.mark.skipif(sys.platform != "linux", reason="minor fault counts as Linux reports them")
     def test_short_rows_fault_in_no_pages_once_warm(self):
-        # a second batch-sized temporary per short-row batch made glibc trim
-        # the heap and fault it back in on every batch: about 13.6k minor
-        # faults per run of this size, where masking in place takes none
+        # a batch's planes and sums are a few dozen 8 KiB integers; were
+        # they given back to the system after every batch, as a second
+        # batch-sized numpy temporary once was, the run would fault them in
+        # again each batch, about 13.6k minor faults per run of this size
         probe = (
             "import resource\n"
             "from chshprob.model import ExperimentConfig\n"
@@ -701,7 +721,7 @@ class TestEstimate:
             [sys.executable, "-c", probe], capture_output=True, text=True, check=True
         )
         warm, hits, faults = map(int, result.stdout.split())
-        assert warm == hits == 280805
+        assert warm == hits == 282079
         assert faults < 1000
 
     def test_batches_are_made_one_at_a_time(self, monkeypatch):

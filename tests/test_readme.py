@@ -21,7 +21,7 @@ def test_library_example_runs_and_matches_its_comments():
     exec(_library_example(), namespace)
     assert namespace["exact"] == Fraction(9, 128)
     assert namespace["approx"] == 0.15729920705028513
-    assert namespace["mc"].stream == 2
+    assert namespace["mc"].stream == 3
 
 
 def test_package_root_is_the_documented_api():
