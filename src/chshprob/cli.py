@@ -242,7 +242,8 @@ def cmd_mc(args: argparse.Namespace) -> int:
             config, args.trials, args.seed, args.threshold, workers=args.workers
         )
     except ImportError as exc:
-        # only a run of long rows past montecarlo.PYTHON_RUN_WORDS imports numpy
+        # only a run of rows longer than montecarlo.SHORT_ROW_ROUNDS imports
+        # numpy, and refuses one without bitwise_count (numpy < 2.0)
         print(f"error: mc needs numpy >= 2.0 ({exc})", file=sys.stderr)
         return 1
     if estimate.hits < 10:

@@ -36,11 +36,8 @@ when non-strict.  Long rows are drawn and weighed GROUP_WORDS words
 whole batch, and the weights of a row's words are built once a batch: a
 weight per word for a row that fits a group or a piece that holds a
 channel edge, and one weight read through a zero stride for a piece
-inside one channel.  A run of at most PYTHON_RUN_WORDS words, while numpy
-is not loaded, is one batch drawn in Python: the same PCG64 words, numpy's
-seeding and generator written out in Python integers, weighed with
-``int.bit_count``.  It gives the same hits.  numpy is imported only when a
-run needs it, so this module loads without numpy.
+inside one channel.  Every run of long rows imports numpy, at any trial
+count; only such a run needs it, so this module loads without numpy.
 
 One function, ``_pooled_hits``, decides a run's engine, batches and pool.
 With k = min(workers, batches, CPU count) workers, worker i sums batches
@@ -58,10 +55,9 @@ from __future__ import annotations
 import math
 import os
 import random
-import sys
 import threading
 from functools import lru_cache, partial
-from itertools import accumulate, islice
+from itertools import accumulate
 
 from .errors import InvalidConfigError, LimitError
 from .model import (
@@ -74,8 +70,6 @@ from .model import (
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Iterator
-
     import numpy as np
 
 # Fixed batching rule: batch b of a run draws from a stream of its own (see
@@ -107,20 +101,8 @@ SHORT_ROW_ROUNDS = 16
 # (4*lcm >= 2**62) weigh one Python product per word, 9e6-1.1e7 words/s
 # there, so theirs takes 13-16 minutes.
 RUN_WORD_BUDGET = 1 << 33
-# Words a run of long rows may draw in pure Python, if numpy is not loaded
-# yet; see _pooled_hits.  At most MAX_BATCH_TRIALS and WORD_BUDGET, so such
-# a run is one batch whatever its row length; 2**16 is the largest such
-# value.  At most half the measured crossover: on a 2-core test machine an
-# mc process drawing 2**15 words in Python took 80-125 ms against
-# 190-288 ms for one that imports numpy, and at 2**16 words 85-128 ms
-# against 152-221 ms, for rows of 8 and 12 rounds (then drawn as PCG64
-# words), weighed one-word rows and 32-word rows.
-PYTHON_RUN_WORDS = 1 << 15
 
-_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
-_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 
 # statistics.NormalDist().inv_cdf(0.975), written out so importing costs nothing
 _Z95 = 1.9599639845400536
@@ -327,8 +309,9 @@ def _batch_hits(
 
     A short row, of at most SHORT_ROW_ROUNDS rounds, is drawn as one plane
     of ``count`` bits per round from the batch's MT19937 stream and
-    counted by ``_sliced_violations``, without numpy.  A longer row is
-    read from the batch's raw PCG64 words as ``count`` packed rows of
+    counted by ``_sliced_violations``, without numpy.  A longer row, in a
+    batch of any size, is read with numpy from the batch's raw PCG64
+    words as ``count`` packed rows of
     ceil(sum(n_k) / 64) words, trial after trial; channel k's rounds are
     the n_k bits after channels 1..k-1, bit 1 a +1 round.  It is drawn
     GROUP_WORDS words at a time, as many whole rows as fit or one row in
@@ -365,123 +348,40 @@ def _batch_hits(
     return hits
 
 
-def _pcg64_words(entropy: int, spawn_key: int) -> Iterator[int]:
-    """The raw words of ``PCG64(SeedSequence(entropy, spawn_key=(spawn_key,)))``, endlessly.
-
-    numpy's algorithms written out in Python integers, for 0 <= entropy <
-    2**64 and any spawn key >= 0.  SeedSequence hashes the entropy's 32-bit
-    words, padded with zeros to its four-word pool, into the pool, mixes
-    every pool word into every other, then hashes in the spawn key's 32-bit
-    words; four 64-bit words hashed out of the pool seed PCG64's 128-bit
-    state and increment.  Each draw steps the 128-bit LCG and outputs the
-    XSL-RR permutation of the new state (O'Neill 2014).
-    """
-
-    def hasher(constant: int, factor: int):
-        def hashmix(value: int) -> int:
-            nonlocal constant
-            value ^= constant
-            constant = constant * factor & _MASK32
-            value = value * constant & _MASK32
-            return value ^ value >> 16
-
-        return hashmix
-
-    def mix(x: int, y: int) -> int:
-        value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
-        return value ^ value >> 16
-
-    hashmix = hasher(0x43B0D7E5, 0x931E8875)
-    pool = [hashmix(word) for word in (entropy & _MASK32, entropy >> 32, 0, 0)]
-    for source in range(4):
-        for target in range(4):
-            if source != target:
-                pool[target] = mix(pool[target], hashmix(pool[source]))
-    for shift in range(0, max(spawn_key.bit_length(), 1), 32):
-        word = spawn_key >> shift & _MASK32
-        for target in range(4):
-            pool[target] = mix(pool[target], hashmix(word))
-    # generate_state(4, uint64): eight 32-bit words, paired low word first
-    out = list(map(hasher(0x8B51F9DD, 0x58F38DED), pool * 2))
-    seed = [low | high << 32 for low, high in zip(out[::2], out[1::2])]
-    increment = ((seed[2] << 64 | seed[3]) << 1 | 1) & _MASK128
-    state = ((increment + (seed[0] << 64 | seed[1])) * _PCG64_MULTIPLIER + increment) & _MASK128
-    while True:
-        state = (state * _PCG64_MULTIPLIER + increment) & _MASK128
-        word = (state >> 64 ^ state) & _MASK64
-        rotation = state >> 122
-        yield (word >> rotation | word << 64 - rotation) & _MASK64
-
-
-def _python_batch_hits(
-    rounds: tuple[int, ...], seed: int, batch_index: int, count: int, threshold: str
-) -> int:
-    """``_batch_hits`` of a long row without numpy: the same words, rows and verdicts.
-
-    Each row is read from ``_pcg64_words``, least significant word first,
-    each channel's +1 rounds are counted with ``int.bit_count``, weighed as
-    in ``_layout`` and compared as in ``_violates``.  Python integers hold
-    every weight, so ``_layout``'s int64 and Python-integer tiers are one
-    case here.
-    """
-    scale = math.lcm(*rounds)
-    bound = scale + (threshold == STRICT)
-    offsets = accumulate(rounds, initial=0)
-    channels = [
-        (lo, (1 << n) - 1, sign * (scale // n)) for sign, n, lo in zip(CHANNEL_SIGNS, rounds, offsets)
-    ]
-    rows = words = _pcg64_words(seed & _MASK64, batch_index)
-    row_words = _row_words(rounds)
-    if row_words > 1:
-        rows = (
-            int.from_bytes(b"".join(w.to_bytes(8, "little") for w in islice(words, row_words)), "little")
-            for _ in range(count)
-        )
-    hits = 0
-    for row in islice(rows, count):
-        distance = -scale
-        for lo, mask, weight in channels:
-            distance += weight * (row >> lo & mask).bit_count()
-        hits += abs(distance) >= bound
-    return hits
-
-
 def _pooled_hits(
     rounds: tuple[int, ...], seed: int, trials: int, threshold: str, workers: int
 ) -> int:
     """Hits of a ``trials``-trial run, its batches split among a pool of shares.
 
-    This is the one place a run's engine, batches and pool are decided.  A
-    run of short rows never imports numpy.  A run of longer rows of at
-    most PYTHON_RUN_WORDS words, while numpy is not loaded, is drawn by
-    ``_python_batch_hits`` in the calling thread, since its one batch
-    takes less time in Python than numpy's import would; once numpy is
-    loaded, its import is paid and it draws faster.  Every other run of
-    long rows imports numpy here, before any thread starts.  Every run but
-    that one-batch one is drawn by ``_batch_hits`` in batches of
-    ``_batch_trials`` trials, the last taking the trials left over, and
-    k = min(workers, batches, CPU count) shares, share i summing batches
-    i, i + k, i + 2k, ...  Batches are made one at a time, so no input
-    makes the run hold a per-batch list.  The calling thread runs share 0
-    and starts a thread for each other share.  numpy draws and weighs long
-    rows with the GIL released, so their shares may run in parallel: on a
-    shared 2-core test host 2 workers ran (1,1,1000,1000) x1e5 1.16x and
-    x4e5 1.07x as fast as 1, and (1,1,1,2000) x1e5 1.11x, medians over
-    five sets of 9 alternating in-process runs, single sets ranging from
-    0.95x to 1.93x.  Short rows are counted holding the GIL, so their
-    shares take turns: on the same host 2 workers ran (2,2,2,2) x4e6 and
-    x1.6e7 1.00-1.01x and (4,4,4,4) x1.6e7 0.97x as fast as 1, medians of
-    9 alternating in-process runs.  A share that raises, the calling
-    thread's ``KeyboardInterrupt`` included, sets the run's stop event, no
-    share draws a batch once it is set, and the first error is raised once
-    every thread has been joined; no partial sum is returned.
+    This is the one place a run's engine, batches and pool are decided, and
+    the row length alone picks the engine.  A run of short rows never
+    imports numpy.  A run of longer rows imports numpy here, at any trial
+    count, before any thread starts, and raises ImportError if numpy is
+    missing or lacks ``bitwise_count`` (numpy < 2.0).  Every run is drawn by
+    ``_batch_hits`` in batches of ``_batch_trials`` trials, the last taking
+    the trials left over, and k = min(workers, batches, CPU count) shares,
+    share i summing batches i, i + k, i + 2k, ...  Batches are made one at a
+    time, so no input makes the run hold a per-batch list.  The calling
+    thread runs share 0 and starts a thread for each other share.  numpy
+    draws and weighs long rows with the GIL released, so their shares may
+    run in parallel: on a shared 2-core test host 2 workers ran
+    (1,1,1000,1000) x1e5 1.16x and x4e5 1.07x as fast as 1, and (1,1,1,2000)
+    x1e5 1.11x, medians over five sets of 9 alternating in-process runs,
+    single sets ranging from 0.95x to 1.93x.  Short rows are counted holding
+    the GIL, so their shares take turns: on the same host 2 workers ran
+    (2,2,2,2) x4e6 and x1.6e7 1.00-1.01x and (4,4,4,4) x1.6e7 0.97x as fast
+    as 1, medians of 9 alternating in-process runs.  A share that raises,
+    the calling thread's ``KeyboardInterrupt`` included, sets the run's stop
+    event, no share draws a batch once it is set, and the first error is
+    raised once every thread has been joined; no partial sum is returned.
     """
     if sum(rounds) > SHORT_ROW_ROUNDS:
-        if trials * _row_words(rounds) <= PYTHON_RUN_WORDS and sys.modules.get("numpy") is None:
-            return _python_batch_hits(rounds, seed, 0, trials, threshold)
         # loaded here, before any pool thread starts, not first in a thread's
         # batch: there numpy's import grew the run's peak RSS by 0.5 MiB
-        import numpy  # noqa: F401
+        import numpy
+
+        if not hasattr(numpy, "bitwise_count"):
+            raise ImportError(f"numpy {numpy.__version__} has no bitwise_count")
 
     batch = _batch_trials(rounds)
     batches = -(-trials // batch)

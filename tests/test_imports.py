@@ -1,10 +1,10 @@
-"""Only an ``mc`` run of long rows past ``montecarlo.PYTHON_RUN_WORDS`` words
-imports numpy, a run of short rows of any size and a smaller run of long
-rows draw in pure Python, no run imports a process pool (a
-multi-worker run starts plain threads), no command loads dataclasses,
-inspect, typing or ``chshprob.walks``, only the commands that build an exact
-value load fractions, only CSV output loads csv and only JSON output loads
-json."""
+"""Only an ``mc`` run of rows longer than ``montecarlo.SHORT_ROW_ROUNDS``
+imports numpy, and without numpy >= 2.0 it exits 1 with one error line; a
+run of short rows of any size draws in pure Python, no run imports a
+process pool (a multi-worker run starts plain threads), no command loads
+dataclasses, inspect, typing or ``chshprob.walks``, only the commands that
+build an exact value load fractions, only CSV output loads csv and only
+JSON output loads json."""
 
 import csv
 import io
@@ -17,17 +17,20 @@ from pathlib import Path
 import pytest
 
 import chshprob
-from chshprob.montecarlo import PYTHON_RUN_WORDS
 
 # Runs cli.main in a fresh interpreter and prints one JSON line: the exit
 # code, the captured stdout, whether numpy got imported and the names in
 # sys.modules after main returned, taken before the child's own json import.
 # With "block" as its first argument it first sets sys.modules["numpy"] to
-# None, so any import of numpy raises ImportError.
+# None, so any import of numpy raises ImportError; with "old" it deletes
+# numpy.bitwise_count, as numpy < 2.0 lacks it.
 CHILD = """
 import contextlib, io, sys
 if sys.argv[1] == "block":
     sys.modules["numpy"] = None
+if sys.argv[1] == "old":
+    import numpy
+    del numpy.bitwise_count
 from chshprob.cli import main
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
@@ -52,9 +55,8 @@ NON_MC_COMMANDS = [
     ["sweep", "--intervals", "--format", "json"],
 ]
 
-# long one-word rows, so a run of this many trials draws one word more than
-# the pure-Python engine takes, and imports numpy
-NUMPY_ROWS = ["mc", "1", "1", "1", "61", "--trials", str(PYTHON_RUN_WORDS + 1)]
+# long one-word rows, in one batch, which import numpy
+NUMPY_ROWS = ["mc", "1", "1", "1", "61", "--trials", "32769"]
 
 
 def child_env(**overrides):
@@ -125,13 +127,24 @@ def test_two_worker_mc_starts_a_thread_and_loads_no_pool_module():
     assert report["stdout"] == run_child("open", [*argv, "--workers", "1"])["stdout"]
 
 
-def test_mc_without_numpy_exits_1_with_one_error_line():
-    report = run_child("block", NUMPY_ROWS)
+def assert_needs_numpy(report):
     assert report["code"] == 1
     assert report["stdout"] == ""
     lines = report["stderr"].splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: mc needs numpy >= 2.0")
     assert "Traceback" not in report["stderr"]
+
+
+def test_mc_without_numpy_exits_1_with_one_error_line():
+    assert_needs_numpy(run_child("block", NUMPY_ROWS))
+    # the shortest long row, in one trial: one word, yet numpy draws it
+    assert_needs_numpy(run_child("block", ["mc", "4", "4", "4", "5", "--trials", "1"]))
+
+
+def test_mc_on_numpy_without_bitwise_count_exits_1_with_one_error_line():
+    report = run_child("old", NUMPY_ROWS)
+    assert_needs_numpy(report)
+    assert "has no bitwise_count" in report["stderr"]
 
 
 def test_small_mc_runs_without_numpy():
@@ -146,8 +159,7 @@ def test_small_mc_runs_without_numpy():
 
 
 def test_short_row_mc_of_any_size_runs_without_numpy():
-    # 4e6 trials are 62 batches, far past PYTHON_RUN_WORDS words, and short
-    # rows still need no numpy
+    # 4e6 trials are 62 batches, and short rows still need no numpy
     blocked = run_child("block", ["mc", "2", "2", "2", "2", "--trials", "4000000"])
     assert blocked["code"] == 0
     assert not blocked["numpy"]

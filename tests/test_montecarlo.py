@@ -27,15 +27,12 @@ from chshprob.model import (
 from chshprob import montecarlo
 from chshprob.montecarlo import (
     MAX_BATCH_TRIALS,
-    PYTHON_RUN_WORDS,
     RUN_WORD_BUDGET,
     SHORT_ROW_ROUNDS,
     STREAM_VERSION,
     WORD_BUDGET,
     _batch_hits,
     _batch_trials,
-    _pcg64_words,
-    _python_batch_hits,
     _row_words,
     _sliced_violations,
     estimate_violation_probability,
@@ -123,8 +120,7 @@ class TestSimulateExperiment:
                 for index in (0, 1):
                     expected = replay_hits(rounds, seed, index, count, threshold)
                     got = _batch_hits(rounds, seed, index, count, threshold)
-                    python = _python_batch_hits(rounds, seed, index, count, threshold)
-                    assert got == python == expected, (rounds, seed, count, threshold, index)
+                    assert got == expected, (rounds, seed, count, threshold, index)
 
     @pytest.mark.parametrize(
         "rounds",
@@ -169,21 +165,7 @@ class TestSimulateExperiment:
             for index in (0, 1):
                 expected = replay_hits(rounds, 13, index, 2048, threshold)
                 got = _batch_hits(rounds, 13, index, 2048, threshold)
-                python = _python_batch_hits(rounds, 13, index, 2048, threshold)
-                assert got == python == expected, (rounds, threshold, index)
-
-    def test_python_words_are_numpys_raw_words(self):
-        # entropy at the 32- and 64-bit edges, the masks of negative seeds
-        # among them, and spawn keys of one and of two 32-bit words
-        mask = 2**64 - 1
-        entropies = (0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**63, mask, -5 & mask, -(2**63) & mask)
-        spawn_keys = (0, 1, 2**32 - 1, 2**32, 2**40 + 7)
-        for entropy, spawn_key in itertools.product(entropies, spawn_keys):
-            expected = np.random.PCG64(
-                np.random.SeedSequence(entropy, spawn_key=(spawn_key,))
-            ).random_raw(6)
-            got = list(itertools.islice(_pcg64_words(entropy, spawn_key), 6))
-            assert got == expected.tolist(), (entropy, spawn_key)
+                assert got == expected, (rounds, threshold, index)
 
     def test_python_draw_weighs_rows_past_int64_exactly(self, monkeypatch):
         # 4*lcm >= 2**62 in a row of 2049 words, where _layout's weights are
@@ -191,13 +173,20 @@ class TestSimulateExperiment:
         # 2*lcm, which is exactly on the bound, so it violates only when
         # non-strict; one unit off in any weight would move it
         rounds = (32771, 32779, 32783, 32789)
-        assert 4 * math.lcm(*rounds) >= 2**62 and _row_words(rounds) * 15 <= PYTHON_RUN_WORDS
+        assert 4 * math.lcm(*rounds) >= 2**62 and _row_words(rounds) == 2049
         for threshold in (STRICT, NON_STRICT):
-            python = _python_batch_hits(rounds, 13, 0, 15, threshold)
-            assert python == _batch_hits(rounds, 13, 0, 15, threshold) == 0
-        monkeypatch.setattr(montecarlo, "_pcg64_words", lambda *args: itertools.repeat(2**64 - 1))
-        assert _python_batch_hits(rounds, 13, 0, 3, STRICT) == 0
-        assert _python_batch_hits(rounds, 13, 0, 3, NON_STRICT) == 3
+            assert _batch_hits(rounds, 13, 0, 15, threshold) == 0
+
+        class AllOnes:
+            def __init__(self, seed_sequence):
+                pass
+
+            def random_raw(self, shape):
+                return np.full(shape, 2**64 - 1, dtype=np.uint64)
+
+        monkeypatch.setattr(np.random, "PCG64", AllOnes)
+        assert _batch_hits(rounds, 13, 0, 3, STRICT) == 0
+        assert _batch_hits(rounds, 13, 0, 3, NON_STRICT) == 3
 
     def test_rows_past_the_word_budget_are_drawn_in_pieces(self, monkeypatch):
         # a 32-word row under a 20-word budget and 5-word groups: one trial
@@ -610,29 +599,15 @@ class TestEstimate:
         assert results == serial
 
     def test_only_a_small_run_without_numpy_draws_in_python(self, monkeypatch):
-        # a run of long rows of at most PYTHON_RUN_WORDS words is one batch;
-        # it draws in Python only while numpy is not loaded, and gives
-        # numpy's hits
-        assert PYTHON_RUN_WORDS <= min(MAX_BATCH_TRIALS, WORD_BUDGET)
-        calls = []
-        python_hits = montecarlo._python_batch_hits
-
-        def recording(*args):
-            calls.append(args)
-            return python_hits(*args)
-
-        monkeypatch.setattr(montecarlo, "_python_batch_hits", recording)
+        # without numpy, no run of long rows is drawn, however few its
+        # words: one trial, and one batch of 2**15 one-word rows
         config = ExperimentConfig((1, 1, 1, 61))
         assert _row_words(config.rounds) == 1
-        drawn_by_numpy = estimate_violation_probability(config, PYTHON_RUN_WORDS, seed=5)
-        assert calls == []
         # numpy counts as not loaded, and importing it fails
         monkeypatch.setitem(sys.modules, "numpy", None)
-        assert estimate_violation_probability(config, PYTHON_RUN_WORDS, seed=5) == drawn_by_numpy
-        assert calls == [((1, 1, 1, 61), 5, 0, PYTHON_RUN_WORDS, STRICT)]
-        with pytest.raises(ImportError):
-            estimate_violation_probability(config, PYTHON_RUN_WORDS + 1, seed=5)
-        assert len(calls) == 1
+        for trials in (1, 2**15):
+            with pytest.raises(ImportError):
+                estimate_violation_probability(config, trials, seed=5)
 
     def test_strict_hits_never_exceed_nonstrict(self):
         config = ExperimentConfig((3, 2, 2, 3))
