@@ -1,8 +1,8 @@
 """Command line surface.
 
 Data goes to stdout as text, CSV, or JSON; diagnostics and warnings go to
-stderr.  Exit codes: 0 success, 1 usage or validation error, 2 work budget
-exceeded (exact's enumeration or mc's word count).
+stderr.  Exit codes: 0 success, 1 usage or validation error or a closed
+stdout, 2 work budget exceeded (exact's enumeration or mc's word count).
 """
 
 from __future__ import annotations
@@ -411,9 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="batch workers: the calling thread plus up to WORKERS - 1 threads, no more "
-        "than the batches or the CPUs; rows of 16 rounds or fewer are counted in Python, "
-        "one batch at a time, and gain nothing from more; the hits do not depend on it",
+        help="batch workers for rows of more than 16 rounds: the calling thread plus up "
+        "to WORKERS - 1 threads, no more than the batches or the CPUs; shorter rows are "
+        "counted in the calling thread alone; the hits do not depend on it",
     )
     mc.set_defaults(func=cmd_mc)
 
@@ -461,8 +461,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if code == 0 else 1
     # exact, and sweep with intervals, print p = k / 2**N with k in full:
     # N*log10(2) digits, past the interpreter's default 4300-digit
-    # int-to-str limit once N > 14284
-    if hasattr(sys, "set_int_max_str_digits"):
+    # int-to-str limit once N > 14284; the caller's limit comes back after
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
         sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
@@ -474,6 +475,9 @@ def main(argv: list[str] | None = None) -> int:
     except (InvalidConfigError, CorruptRecordError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def entry() -> None:
@@ -490,9 +494,18 @@ def entry() -> None:
     otherwise starts a thread per CPU during ``import numpy``; nothing in
     the package calls BLAS, and starting that pool costs an ``mc`` process
     60-75 ms of CPU time.  ``main`` itself never touches the environment.
+
+    When stdout's reader has gone, the process exits 1 without a
+    traceback: fd 1 is pointed at ``os.devnull``, so the flush at exit
+    cannot fail again (the Python docs' SIGPIPE recipe).
     """
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    code = main()
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
     if not sys.flags.dev_mode:
         gc.freeze()
     sys.exit(code)

@@ -20,8 +20,7 @@ batch is counted bit-sliced: every operation on a Python integer handles
 one round of every trial at once (Biham 1997).  Bit-sliced counters give
 each channel's +1 count, adders weigh them and a comparator tests every
 trial against the bounds, all in C loops over the whole batch.  Short
-rows need no numpy.  Their operations hold the GIL, so workers do not
-speed them up; they do not change their hits either.
+rows need no numpy.
 
 A longer row is stream 2's: a row of ceil(w / 64) raw PCG64 words of
 ``SeedSequence(s, spawn_key=(b,))``, bit j of the row (bit j % 64 of word
@@ -39,8 +38,11 @@ channel edge, and one weight read through a zero stride for a piece
 inside one channel.  Every run of long rows imports numpy, at any trial
 count; only such a run needs it, so this module loads without numpy.
 
-One function, ``_pooled_hits``, decides a run's engine, batches and pool.
-With k = min(workers, batches, CPU count) workers, worker i sums batches
+One function, ``_pooled_hits``, decides a run's engine, batches and pool,
+and the row length picks the pool as it picks the engine.  Short rows are
+counted holding the GIL, so a run of them draws every batch in the calling
+thread, whatever ``workers`` says.  A run of longer rows has
+k = min(workers, batches, CPU count) workers, worker i summing batches
 i, i + k, i + 2k, ...; the calling thread is worker 0 and the other k - 1
 are threads, each adding its batches' hits into its own list slot.  A
 worker that raises stops the others between batches, and the run raises
@@ -354,27 +356,29 @@ def _pooled_hits(
     """Hits of a ``trials``-trial run, its batches split among a pool of shares.
 
     This is the one place a run's engine, batches and pool are decided, and
-    the row length alone picks the engine.  A run of short rows never
-    imports numpy.  A run of longer rows imports numpy here, at any trial
-    count, before any thread starts, and raises ImportError if numpy is
-    missing or lacks ``bitwise_count`` (numpy < 2.0).  Every run is drawn by
-    ``_batch_hits`` in batches of ``_batch_trials`` trials, the last taking
-    the trials left over, and k = min(workers, batches, CPU count) shares,
-    share i summing batches i, i + k, i + 2k, ...  Batches are made one at a
-    time, so no input makes the run hold a per-batch list.  The calling
-    thread runs share 0 and starts a thread for each other share.  numpy
-    draws and weighs long rows with the GIL released, so their shares may
-    run in parallel: on a shared 2-core test host 2 workers ran
-    (1,1,1000,1000) x1e5 1.16x and x4e5 1.07x as fast as 1, and (1,1,1,2000)
-    x1e5 1.11x, medians over five sets of 9 alternating in-process runs,
-    single sets ranging from 0.95x to 1.93x.  Short rows are counted holding
-    the GIL, so their shares take turns: on the same host 2 workers ran
-    (2,2,2,2) x4e6 and x1.6e7 1.00-1.01x and (4,4,4,4) x1.6e7 0.97x as fast
-    as 1, medians of 9 alternating in-process runs.  A share that raises,
-    the calling thread's ``KeyboardInterrupt`` included, sets the run's stop
-    event, no share draws a batch once it is set, and the first error is
-    raised once every thread has been joined; no partial sum is returned.
+    the row length alone picks the engine and the pool.  Every run is drawn
+    by ``_batch_hits`` in batches of ``_batch_trials`` trials, the last
+    taking the trials left over, and split among k shares, share i summing
+    batches i, i + k, i + 2k, ...  Batches are made one at a time, so no
+    input makes the run hold a per-batch list.  A run of short rows never
+    imports numpy, and k = 1, whatever ``workers`` says: its batches are
+    counted holding the GIL, so other threads could only take turns.  A run
+    of longer rows imports numpy here, at any trial count, before any
+    thread starts, and raises ImportError if numpy is missing or lacks
+    ``bitwise_count`` (numpy < 2.0); its k = min(workers, batches, CPU
+    count).  The calling thread runs share 0 and starts a thread for each
+    other share.  numpy draws and weighs long rows with the GIL released,
+    so their shares may run in parallel: on a shared 2-core test host 2
+    workers ran (1,1,1000,1000) x1e5 1.16x and x4e5 1.07x as fast as 1, and
+    (1,1,1,2000) x1e5 1.11x, medians over five sets of 9 alternating
+    in-process runs, single sets ranging from 0.95x to 1.93x.  A share that
+    raises, the calling thread's ``KeyboardInterrupt`` included, sets the
+    run's stop event, no share draws a batch once it is set, and the first
+    error is raised once every thread has been joined; no partial sum is
+    returned.
     """
+    batch = _batch_trials(rounds)
+    batches = -(-trials // batch)
     if sum(rounds) > SHORT_ROW_ROUNDS:
         # loaded here, before any pool thread starts, not first in a thread's
         # batch: there numpy's import grew the run's peak RSS by 0.5 MiB
@@ -382,11 +386,10 @@ def _pooled_hits(
 
         if not hasattr(numpy, "bitwise_count"):
             raise ImportError(f"numpy {numpy.__version__} has no bitwise_count")
-
-    batch = _batch_trials(rounds)
-    batches = -(-trials // batch)
-    # more workers than batches or cores only cost start-up time
-    pool_size = min(workers, batches, os.cpu_count() or 1)
+        # more workers than batches or cores only cost start-up time
+        pool_size = min(workers, batches, os.cpu_count() or 1)
+    else:
+        pool_size = 1
     counts = [0] * pool_size
     errors: list[BaseException] = []
     stop = threading.Event()

@@ -112,11 +112,31 @@ class TestProbabilityCommands:
         try:
             code, out, _ = run_cli(capsys, "exact", "1", "1", "1", "14300")
             assert code == 0
+            if limit:
+                # main gives the limit back; reading the value needs it lifted too
+                sys.set_int_max_str_digits(0)
             (row,) = parse_csv(out)
             assert Fraction(row["value"]) == one_long_channel_probability(14300, STRICT)
         finally:
             if limit:
                 sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str limit before 3.10.7"
+    )
+    @pytest.mark.parametrize(
+        "argv", [["approx", "1", "1", "1", "1"], ["exact", "1", "1", "1", "14300"]]
+    )
+    def test_main_gives_back_the_int_digit_limit(self, capsys, argv):
+        # main lifts the interpreter's 4300-digit guard for its own output,
+        # and an in-process caller has it back once main returns
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert run_cli(capsys, *argv)[0] == 0
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_exact_custom_budget_flag(self, capsys):
         code, _, err = run_cli(capsys, "exact", "2", "2", "2", "2", "--budget", "10")
@@ -427,6 +447,9 @@ class TestSweep:
         try:
             code, out, err = run_cli(capsys, "sweep", "--intervals", "--n-values", "16000", "200000")
             assert (code, err) == (0, "")
+            if hasattr(sys, "set_int_max_str_digits"):
+                # main gives the limit back; reading the values needs it lifted too
+                sys.set_int_max_str_digits(0)
             # the equal variant's interval rows N = 4..20 come first
             *_, small, large = parse_csv(out)
             assert (small["N"], large["N"]) == ("16000", "200000")
@@ -451,6 +474,23 @@ class TestModuleExecution:
         )
         assert result.returncode == 0
         assert "C = 4" in result.stdout
+
+    @pytest.mark.parametrize("argv", [["toy"], ["sweep", "--intervals"]])
+    def test_closed_stdout_exits_1_without_a_traceback(self, argv):
+        # the pipe's read end is closed before the process starts, so its
+        # first write to stdout fails
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "chshprob", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (1, "")
 
 
 def unset_blas_threads(monkeypatch):

@@ -428,22 +428,28 @@ class TestEstimate:
                 super().start()
 
         monkeypatch.setattr(montecarlo.threading, "Thread", RecordedThread)
-        config = ExperimentConfig((1, 1, 1, 1))
-        batch = _batch_trials(config.rounds)
-        # the calling thread runs one share, so a pool of k starts k - 1 threads
-        for batches, workers, cpus, threads in (
-            (2, 5000, 64, 1),
-            (10, 5000, 3, 2),
-            (10, 5000, None, 0),
-            (10, 2, 64, 1),
+        # the calling thread runs one share, so a pool of k starts k - 1
+        # threads; a run of short rows is a pool of one at any worker count
+        for rounds, batches, workers, cpus, threads in (
+            ((1, 1, 1, 61), 2, 5000, 64, 1),
+            ((1, 1, 1, 61), 10, 5000, 3, 2),
+            ((1, 1, 1, 61), 10, 5000, None, 0),
+            ((1, 1, 1, 61), 10, 2, 64, 1),
+            *(
+                (rounds, 10, workers, 64, 0)
+                for rounds in ((2, 2, 2, 2), (4, 4, 4, 4))
+                for workers in (2, 4, 5000)
+            ),
         ):
+            config = ExperimentConfig(rounds)
+            batch = _batch_trials(rounds)
             monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
             sequential = estimate_violation_probability(config, batches * batch, seed=7)
             started.clear()
             pooled = estimate_violation_probability(
                 config, batches * batch, seed=7, workers=workers
             )
-            assert len(started) == threads, (batches, workers, cpus)
+            assert len(started) == threads, (rounds, batches, workers, cpus)
             assert not any(thread.is_alive() for thread in started)
             assert pooled == sequential
 
@@ -462,7 +468,7 @@ class TestEstimate:
 
         monkeypatch.setattr(montecarlo.threading, "Thread", SecondThreadFails)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
-        config = ExperimentConfig((1, 1, 1, 1))
+        config = ExperimentConfig((1, 1, 1, 61))
         trials = 3 * _batch_trials(config.rounds)
         before = set(threading.enumerate())
         with pytest.raises(RuntimeError, match="can't start new thread"):
@@ -488,7 +494,7 @@ class TestEstimate:
             return batch_hits(rounds, seed, index, count, threshold)
 
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
-        config = ExperimentConfig((1, 1, 1, 1))
+        config = ExperimentConfig((1, 1, 1, 61))
         trials = 2 * _batch_trials(config.rounds)
         sequential = estimate_violation_probability(config, trials, seed=7)
         monkeypatch.setattr(montecarlo, "_batch_hits", batch)
@@ -513,9 +519,9 @@ class TestEstimate:
 
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(montecarlo, "_batch_hits", batch)
-        trials = 2 * _batch_trials((1, 1, 1, 1))
+        trials = 2 * _batch_trials((1, 1, 1, 61))
         before = set(threading.enumerate())
-        code = main(["mc", "1", "1", "1", "1", "--trials", str(trials), "--workers", "2"])
+        code = main(["mc", "1", "1", "1", "61", "--trials", str(trials), "--workers", "2"])
         assert code == 1
         assert capsys.readouterr() == ("", "error: share 1 failed\n")
         assert set(threading.enumerate()) == before
@@ -552,10 +558,10 @@ class TestEstimate:
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: workers)
         monkeypatch.setattr(montecarlo.threading, "Event", RecordedEvent)
         monkeypatch.setattr(montecarlo, "_batch_hits", counted_batch)
-        trials = 120 * _batch_trials((1, 1, 1, 1))
+        trials = 120 * _batch_trials((1, 1, 1, 61))
         before = set(threading.enumerate())
         started = time.monotonic()
-        code = main(["mc", "1", "1", "1", "1", "--trials", str(trials), "--workers", str(workers)])
+        code = main(["mc", "1", "1", "1", "61", "--trials", str(trials), "--workers", str(workers)])
         assert time.monotonic() - started < 30
         assert code == 1
         assert capsys.readouterr() == ("", "error: share 1 failed\n")
@@ -567,7 +573,7 @@ class TestEstimate:
         # each gives the hits it gives alone and serially
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
         runs = {
-            (1, 1, 1, 1): (4 * MAX_BATCH_TRIALS + 5, 11),
+            (1, 1, 1, 61): (4 * MAX_BATCH_TRIALS + 5, 11),
             (1, 1, 1000, 1000): (3 * _batch_trials((1, 1, 1000, 1000)) + 7, 12),
         }
         serial = {
@@ -701,14 +707,15 @@ class TestEstimate:
 
     def test_batches_are_made_one_at_a_time(self, monkeypatch):
         # 10**9 trials are 15259 batches; nothing per batch may exist before
-        # the first one is drawn, by one worker or by a pool
+        # the first one is drawn, by one worker or by a pool, which only
+        # long rows start
         def first_batch(*args):
             raise RuntimeError("first batch reached")
 
         monkeypatch.setattr(montecarlo, "_batch_hits", first_batch)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
-        for workers in ("1", "2"):
-            argv = ["mc", "1", "1", "1", "1", "--trials", str(10**9), "--workers", workers]
+        for last, workers in (("1", "1"), ("61", "2")):
+            argv = ["mc", "1", "1", "1", last, "--trials", str(10**9), "--workers", workers]
             tracemalloc.start()
             try:
                 with pytest.raises(RuntimeError, match="first batch reached"):
