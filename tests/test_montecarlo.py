@@ -167,7 +167,7 @@ class TestSimulateExperiment:
                 got = _batch_hits(rounds, 13, index, 2048, threshold)
                 assert got == expected, (rounds, threshold, index)
 
-    def test_python_draw_weighs_rows_past_int64_exactly(self, monkeypatch):
+    def test_rows_past_int64_are_weighed_exactly(self, monkeypatch):
         # 4*lcm >= 2**62 in a row of 2049 words, where _layout's weights are
         # Python integers: no drawn row violates, and an all-ones row weighs
         # 2*lcm, which is exactly on the bound, so it violates only when
@@ -212,7 +212,7 @@ class TestSimulateExperiment:
             assert _batch_hits(rounds, 13, 0, 64, threshold) == expected == whole[threshold]
             assert shapes == ([(1, 5)] * 6 + [(1, 2)]) * 64
 
-    def test_short_rows_are_looked_up_and_longer_rows_counted(self, monkeypatch):
+    def test_rows_on_both_sides_of_16_rounds(self, monkeypatch):
         # (4,4,4,4), of SHORT_ROW_ROUNDS rounds, is counted bit-sliced and
         # weighs nothing; (4,4,4,5) weighs its drawn rows
         assert SHORT_ROW_ROUNDS == 16
@@ -299,7 +299,7 @@ class TestPathsAgainstExact:
         assert abs(z) <= 5, (hits, float(trials * p), z)
 
 
-class TestViolationTable:
+class TestSlicedViolations:
     """``_sliced_violations`` on planes that hold every possible row once,
     row r as trial r, against the correlation of each row, decoded bit by bit."""
 
@@ -604,7 +604,7 @@ class TestEstimate:
         assert not any(thread.is_alive() for thread in threads)
         assert results == serial
 
-    def test_only_a_small_run_without_numpy_draws_in_python(self, monkeypatch):
+    def test_a_run_of_long_rows_with_numpy_blocked(self, monkeypatch):
         # without numpy, no run of long rows is drawn, however few its
         # words: one trial, and one batch of 2**15 one-word rows
         config = ExperimentConfig((1, 1, 1, 61))
@@ -665,7 +665,7 @@ class TestEstimate:
         assert a == b
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_stream_2_hit_counts(self, workers):
+    def test_pinned_hit_counts(self, workers):
         # the long rows' counts were recorded from the stream-2 sampler and
         # stream 3 keeps them; the short rows' were recorded under stream 3
         # and each matched the plane replay.  A change to these values is a
