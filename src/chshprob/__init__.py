@@ -11,8 +11,9 @@ which also builds the binomial path-count rows, ``chshprob.montecarlo``
 and ``chshprob.cli``; ``chshprob.walks`` holds only the ``Fraction`` pmf
 view of a row that the benchmark times, and no command loads it).
 ``estimate_violation_probability`` is loaded on first access, so importing
-the package does not import numpy; nor does it import ``fractions``, which
-only the functions that build an exact value load when they are called.
+the package does not load the sampler; nor does it import ``fractions``,
+which only the functions that build an exact value load when they are
+called.
 """
 
 from .errors import CorruptRecordError, InvalidConfigError, LimitError
@@ -40,7 +41,7 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # PEP 562: only the sampler needs numpy, so it is imported on first use
+    # PEP 562: only mc needs the sampler, so it is imported on first use
     if name == "estimate_violation_probability":
         from .montecarlo import estimate_violation_probability
 

@@ -2,7 +2,7 @@
 
 Data goes to stdout as text, CSV, or JSON; diagnostics and warnings go to
 stderr.  Exit codes: 0 success, 1 usage or validation error or a closed
-stdout, 2 work budget exceeded (exact's enumeration or mc's word count).
+stdout, 2 work budget exceeded (exact's enumeration or mc's round count).
 """
 
 from __future__ import annotations
@@ -237,15 +237,9 @@ def cmd_mc(args: argparse.Namespace) -> int:
     from .montecarlo import estimate_violation_probability
 
     config = ExperimentConfig(rounds=tuple(args.rounds))
-    try:
-        estimate = estimate_violation_probability(
-            config, args.trials, args.seed, args.threshold, workers=args.workers
-        )
-    except ImportError as exc:
-        # only a run of rows longer than montecarlo.SHORT_ROW_ROUNDS imports
-        # numpy, and refuses one without bitwise_count (numpy < 2.0)
-        print(f"error: mc needs numpy >= 2.0 ({exc})", file=sys.stderr)
-        return 1
+    estimate = estimate_violation_probability(
+        config, args.trials, args.seed, args.threshold, workers=args.workers
+    )
     if estimate.hits < 10:
         print(
             f"warning: only {estimate.hits} hits in {estimate.trials} trials; "
@@ -403,17 +397,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--trials",
         type=int,
         default=DEFAULT_TRIALS,
-        help="experiments to simulate, ceil(N/64) drawn words each; a run over the "
-        "word budget is refused before any draw",
+        help="experiments to simulate, N drawn rounds each; a run over the round "
+        "budget is refused before any draw",
     )
     mc.add_argument("--seed", type=int, default=DEFAULT_SEED, help="stream seed (default %(default)s)")
     mc.add_argument(
         "--workers",
         type=int,
         default=1,
-        help="batch workers for rows of more than 16 rounds: the calling thread plus up "
-        "to WORKERS - 1 threads, no more than the batches or the CPUs; shorter rows are "
-        "counted in the calling thread alone; the hits do not depend on it",
+        help="accepted for existing scripts; every batch runs in the calling thread, "
+        "so it changes neither the hits nor the time",
     )
     mc.set_defaults(func=cmd_mc)
 
@@ -489,17 +482,10 @@ def entry() -> None:
     the full teardown stays, so that finalizers still report unclosed
     resources.
 
-    Before ``main`` runs, OpenBLAS is capped at one thread unless
-    ``OPENBLAS_NUM_THREADS`` is already set.  numpy loads OpenBLAS, which
-    otherwise starts a thread per CPU during ``import numpy``; nothing in
-    the package calls BLAS, and starting that pool costs an ``mc`` process
-    60-75 ms of CPU time.  ``main`` itself never touches the environment.
-
     When stdout's reader has gone, the process exits 1 without a
     traceback: fd 1 is pointed at ``os.devnull``, so the flush at exit
     cannot fail again (the Python docs' SIGPIPE recipe).
     """
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         code = main()
         sys.stdout.flush()

@@ -3,7 +3,7 @@
 Deliberately separate from the package and deliberately naive: raw
 enumeration over every possible sign sequence, a plain sum over every
 displacement tuple with exact-rational C, a replay of the Monte Carlo
-sampler's short-row bit planes row by row, an exact-rational Maclaurin
+sampler's bit planes bit by bit, an exact-rational Maclaurin
 series for erfc, the continuous Gaussian density that approximates a long
 walk, a Monte Carlo integral of the Gaussian measure outside the
 violation boundary, Cramer's large-deviation exponent of the exact tail,
@@ -19,9 +19,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, product
-
-import numpy as np
+from itertools import product
 
 from chshprob.model import is_violation
 
@@ -89,25 +87,35 @@ def brute_force_violation_probability(rounds, threshold: str) -> Fraction:
 
 
 def plane_replay_sums(rounds, seed: int, batch_index: int, count: int) -> Counter:
-    """How many of ``count`` short-row trials have each tuple of channel sums
-    (m1, m2, m3, m4), redrawn from stream 3's bit planes.
+    """How many of ``count`` trials have each tuple of channel sums
+    (m1, m2, m3, m4), redrawn bit by bit from stream 4's planes.
 
     Batch ``batch_index`` of seed s draws from
-    ``random.Random((s mod 2**64) | batch_index << 64)``: round j of every
-    trial is the plane ``getrandbits(count)``, drawn in round order, and
-    bit t of plane j is round j of trial t.  Each trial's row is decoded
-    from the planes, its first n1 rounds channel 1's, the next n2 channel
-    2's and so on, a set bit a +1 round and a clear one a -1 round.
+    ``random.Random((s mod 2**64) | batch_index << 64)``, channel by
+    channel.  A plane of channel k holds L = min(n_k, 2**16 // count) of
+    its rounds, in round order, as lanes of ``count`` bits: it is
+    ``getrandbits(L * count)``, bit l * count + t round l of the plane's
+    rounds for trial t, and the channel's last plane holds only the rounds
+    left.  A set bit is a +1 round and a clear one a -1 round.
     """
     rng = random.Random((seed & 0xFFFFFFFFFFFFFFFF) | batch_index << 64)
-    # each plane as a string of its count bits, trial 0's first
-    planes = [format(rng.getrandbits(count), f"0{count}b")[::-1] for _ in range(sum(rounds))]
-    offsets = list(accumulate(rounds, initial=0))
-    sums: Counter = Counter()
-    for row, times in Counter(zip(*planes)).items():
-        ones = [row[lo : lo + n].count("1") for lo, n in zip(offsets, rounds)]
-        sums[tuple(2 * k - n for k, n in zip(ones, rounds))] += times
-    return sums
+    channels = []
+    for n in rounds:
+        lanes = min(n, 2**16 // count)
+        ones = [0] * count
+        for first in range(0, n, lanes):
+            width = min(lanes, n - first) * count
+            # the plane as a string of its bits, bit 0 first
+            bits = format(rng.getrandbits(width), f"0{width}b")[::-1]
+            if count <= width // count:
+                # trial t's rounds are every count-th bit from bit t
+                for t in range(count):
+                    ones[t] += bits[t::count].count("1")
+            else:
+                for lane in range(0, width, count):
+                    ones = [k + (bit == "1") for k, bit in zip(ones, bits[lane : lane + count])]
+        channels.append(ones)
+    return Counter(tuple(2 * k - n for k, n in zip(trial, rounds)) for trial in zip(*channels))
 
 
 def plane_replay_hits(rounds, sums: Counter, threshold: str) -> int:
@@ -177,33 +185,30 @@ def gaussian_density(n: int, x: float) -> float:
     return math.exp(-(x * x) / (2.0 * n)) / math.sqrt(2.0 * math.pi * n)
 
 
-# Per-coordinate standard deviation of the isotropized measure, density
-# exp(-z^2)/sqrt(pi) per coordinate.
-_ISOTROPIC_SIGMA = math.sqrt(0.5)
-_ORACLE_CHUNK = 1 << 18
-
-
 def gaussian_halfspace_oracle(rounds, samples: int, seed: int) -> float:
     """Monte Carlo integral of the Gaussian measure outside |C| <= 2.
 
     After rescaling each channel sum by sqrt(2*n_k) the boundary C = 2 is
     the plane sum_k sqrt(2/n_k) z_k = 2.  Draws 4D points from the
-    isotropized Gaussian and returns the fraction landing past either
-    boundary plane; channel signs are irrelevant because each coordinate is
-    symmetric.
+    isotropized Gaussian, density exp(-z^2)/sqrt(pi) per coordinate, and
+    returns the fraction landing past either boundary plane; channel signs
+    are irrelevant because each coordinate is symmetric.  Each pair of
+    coordinates is a Box-Muller pair of standard normals, scaled by
+    sqrt(1/2), from ``random.Random``.
     """
     if samples < 10_000:
         raise ValueError(f"oracle needs at least 10000 samples, got {samples}")
-    # SeedSequence rejects negative entropy; keep the 64-bit pattern instead.
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed & 0xFFFFFFFFFFFFFFFF))
-    coefficients = np.array([math.sqrt(2.0 / n) for n in rounds])
+    uniform = random.Random(seed & 0xFFFFFFFFFFFFFFFF).random
+    # sqrt(2/n_k) times the isotropized coordinate's deviation sqrt(1/2)
+    c1, c2, c3, c4 = (math.sqrt(1.0 / n) for n in rounds)
+    log, sqrt, cos, sin, tau = math.log, math.sqrt, math.cos, math.sin, math.tau
     hits = 0
-    remaining = samples
-    while remaining:
-        chunk = min(remaining, _ORACLE_CHUNK)
-        z = rng.normal(0.0, _ISOTROPIC_SIGMA, size=(chunk, 4))
-        hits += int(np.count_nonzero(np.abs(z @ coefficients) > 2.0))
-        remaining -= chunk
+    for _ in range(samples):
+        # 1 - random() lies in (0, 1], so the log is finite
+        r1, t1 = sqrt(-2.0 * log(1.0 - uniform())), tau * uniform()
+        r2, t2 = sqrt(-2.0 * log(1.0 - uniform())), tau * uniform()
+        if abs(r1 * (c1 * cos(t1) + c2 * sin(t1)) + r2 * (c3 * cos(t2) + c4 * sin(t2))) > 2.0:
+            hits += 1
     return hits / samples
 
 

@@ -82,7 +82,7 @@ class TestProbabilityCommands:
         assert "approx" in err
 
     def test_mc_over_the_word_budget_exits_2_before_any_draw(self, monkeypatch, capsys):
-        # 10**12 rounds are 15625000001 words a trial, past the 2**33 budget
+        # a trial of 10**12 + 3 rounds is past the 2**37-round budget
         from chshprob import montecarlo
 
         def no_draws(*args):
@@ -93,7 +93,7 @@ class TestProbabilityCommands:
         assert code == 2
         assert out == ""
         assert err.splitlines() == [
-            "error: Monte Carlo run draws 15625000001 words, over the budget 8589934592; "
+            "error: Monte Carlo run draws 1000000000003 rounds, over the budget 137438953472; "
             "the analytic method has no such limit",
             f"hint: chshprob approx 1 1 1 {10**12}",
         ]
@@ -176,8 +176,8 @@ class TestProbabilityCommands:
             (("exact", "1", "1", "1", "1"), "exact,strict,4,1,1,1,1,1/8,0.125"),
             (
                 ("mc", "2", "2", "2", "2", "--trials", "1000"),
-                "monte-carlo,strict,8,2,2,2,2,0.066,0.066,1000,66,"
-                "0.05221235045948585,0.08310927590597601,42",
+                "monte-carlo,strict,8,2,2,2,2,0.085,0.085,1000,85,"
+                "0.06926331853965456,0.10391289100335621,42",
             ),
         ],
         ids=["approx-underflow", "exact", "mc"],
@@ -204,7 +204,7 @@ class TestProbabilityCommands:
         code, out, _ = run_cli(capsys, *argv, "--format", "json")
         assert code == 0
         (row,) = json.loads(out)
-        assert row["stream"] == 3
+        assert row["stream"] == 4
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert out.splitlines()[0].split(",") == list(MC_FIELDS)
@@ -493,21 +493,12 @@ class TestModuleExecution:
         assert (result.returncode, result.stderr) == (1, "")
 
 
-def unset_blas_threads(monkeypatch):
-    """Remove OPENBLAS_NUM_THREADS for one test; setting it first makes
-    monkeypatch restore the pytest process's own value, or its absence, even
-    after the code under test sets it."""
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "")
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
-
-
 class TestEntry:
-    """``entry`` is the process's way out: it caps OpenBLAS at one thread
-    unless the caller chose a count, exits with ``main``'s code and, outside
-    dev mode, freezes the collector once ``main`` has returned."""
+    """``entry`` is the process's way out: it exits with ``main``'s code
+    and, outside dev mode, freezes the collector once ``main`` has
+    returned."""
 
     def run_entry(self, monkeypatch, argv, dev_mode):
-        unset_blas_threads(monkeypatch)
         events = []
         run_main = cli.main
 
@@ -544,28 +535,7 @@ class TestEntry:
     def test_dev_mode_keeps_the_full_teardown(self, monkeypatch, capsys):
         assert self.run_entry(monkeypatch, ["toy"], dev_mode=True) == (0, [("main", 0)])
 
-    @pytest.mark.parametrize("preset, threads", [(None, "1"), ("3", "3")])
-    def test_caps_openblas_threads_before_main_unless_preset(
-        self, monkeypatch, preset, threads
-    ):
-        unset_blas_threads(monkeypatch)
-        if preset is not None:
-            monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
-        seen = []
-
-        def recorded_main():
-            seen.append(os.environ["OPENBLAS_NUM_THREADS"])
-            return 0
-
-        monkeypatch.setattr(cli, "main", recorded_main)
-        monkeypatch.setattr(gc, "freeze", lambda: None)
-        with pytest.raises(SystemExit):
-            cli.entry()
-        assert seen == [threads]
-        assert os.environ["OPENBLAS_NUM_THREADS"] == threads
-
-    def test_main_leaves_the_environment_alone(self, monkeypatch, capsys):
-        unset_blas_threads(monkeypatch)
+    def test_main_leaves_the_environment_alone(self, capsys):
         before = dict(os.environ)
         assert main(["mc", "2", "2", "2", "2", "--trials", "1000"]) == 0
         assert dict(os.environ) == before

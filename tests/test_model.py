@@ -366,11 +366,14 @@ class TestExactProbability:
         assert enumeration_cost(ExperimentConfig((4096,) * 4)) <= DEFAULT_ENUMERATION_BUDGET
 
     def test_budget_must_be_a_non_negative_python_int(self):
-        # the rule round counts follow: a float, a bool or a numpy integer is
-        # refused, as is a negative budget
-        import numpy as np
+        # the rule round counts follow: a float, a bool or a numpy integer
+        # (here a stand-in with __index__ that is not an int) is refused, as
+        # is a negative budget
+        class IndexLike:
+            def __index__(self):
+                return 10**9
 
-        for budget in (-1, 1e12, True, np.int64(10**9)):
+        for budget in (-1, 1e12, True, IndexLike()):
             with pytest.raises(InvalidConfigError, match="enumeration budget"):
                 exact_violation_probability(ExperimentConfig((2, 2, 2, 2)), budget=budget)
 

@@ -1,14 +1,12 @@
 import itertools
 import math
+import random
 import subprocess
 import sys
-import threading
-import time
 import tracemalloc
 from fractions import Fraction
 from statistics import NormalDist
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,7 +14,6 @@ from hypothesis import strategies as st
 from chshprob.cli import main
 from chshprob.errors import InvalidConfigError, LimitError
 from chshprob.model import (
-    CHANNEL_SIGNS,
     NON_STRICT,
     STRICT,
     ExperimentConfig,
@@ -27,13 +24,10 @@ from chshprob.model import (
 from chshprob import montecarlo
 from chshprob.montecarlo import (
     MAX_BATCH_TRIALS,
-    RUN_WORD_BUDGET,
-    SHORT_ROW_ROUNDS,
+    RUN_ROUND_BUDGET,
     STREAM_VERSION,
-    WORD_BUDGET,
     _batch_hits,
-    _batch_trials,
-    _row_words,
+    _count,
     _sliced_violations,
     estimate_violation_probability,
     wilson_interval,
@@ -41,43 +35,35 @@ from chshprob.montecarlo import (
 from oracles import one_long_channel_probability, plane_replay_hits, plane_replay_sums
 
 
-class ShareFailed(Exception):
+class BatchFailed(Exception):
     pass
 
 
-def replay_channel_sums(rounds, seed, batch_index, count):
-    """Per-trial channel sums (m1, m2, m3, m4) of a long row redrawn from
-    batch substream ``batch_index``: each trial's row is the next
-    ceil(sum(n_k) / 64) raw 64-bit words read as one little-endian integer,
-    channel k owns the n_k bits after channels 1..k-1, bit 1 a +1 round and
-    bit 0 a -1 round."""
-    bit_generator = np.random.default_rng(
-        np.random.SeedSequence(entropy=seed & 0xFFFFFFFFFFFFFFFF, spawn_key=(batch_index,))
-    ).bit_generator
-    words = -(-sum(rounds) // 64)
-    raw = bit_generator.random_raw((count, words)).astype("<u8")
-    offsets = [sum(rounds[:k]) for k in range(len(rounds))]
-    sums = []
-    for t in range(count):
-        row = int.from_bytes(raw[t].tobytes(), "little")
-        sums.append(
-            tuple(
-                2 * ((row >> o) & ((1 << n) - 1)).bit_count() - n
-                for o, n in zip(offsets, rounds)
-            )
-        )
-    return sums
+class IndexLike:
+    """An integer that is not an ``int``, as a numpy integer is: it has
+    ``__index__`` but fails ``isinstance(value, int)``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
 
 
 def replay_hits(rounds, seed, batch_index, count, threshold):
-    """Violations among the replayed long-row trials, counted one at a time
-    in exact rationals, with the minus sign on the (1,2) channel."""
-    n1, n2, n3, n4 = rounds
-    hits = 0
-    for m1, m2, m3, m4 in replay_channel_sums(rounds, seed, batch_index, count):
-        correlation = Fraction(m1, n1) - Fraction(m2, n2) + Fraction(m3, n3) + Fraction(m4, n4)
-        hits += is_violation(correlation, threshold)
-    return hits
+    """Violations among ``count`` trials of a batch, replayed bit by bit."""
+    return plane_replay_hits(rounds, plane_replay_sums(rounds, seed, batch_index, count), threshold)
+
+
+def sliced_counts(planes, rounds, ones):
+    """Each channel's count planes, given one plane per round whose trials
+    are the bits of ``ones``; channel 2's planes are inverted first."""
+    counts, first = [], 0
+    for sign, n in zip((1, -1, 1, 1), rounds):
+        channel = planes[first : first + n]
+        counts.append(_count([plane ^ ones if sign < 0 else plane for plane in channel], 1, 1))
+        first += n
+    return counts
 
 
 class TestSimulateExperiment:
@@ -99,17 +85,17 @@ class TestSimulateExperiment:
         assert (1, -1, 1, 1) in seen and (1, 1, 1, 1) in seen
 
     def test_consumes_exactly_the_round_total_in_order(self):
-        # the replay reads each long row's n_k bits per channel in channel
-        # order; agreement pins that layout, the channel order and the (1,2)
-        # sign.  The last three put channel edges on, just past and across
-        # word boundaries and make rows of several words.
+        # the replay reads each channel's rounds lane by lane, channel after
+        # channel; agreement pins that layout, the channel order and the
+        # (1,2) sign.  2048 trials put 32 lanes in a plane, so the channels
+        # of the last three end inside a plane, on its edge and across
+        # several planes.  (4,4,4,5) is drawn at the seed range's ends in
+        # one lane (4096 trials) and in four, at trial counts that are and
+        # are not a multiple of the generator's 32-bit words
         cases = [
             (rounds, 13, 2048)
             for rounds in ((3, 5, 7, 2), (63, 1, 64, 2), (64, 64, 64, 64), (1, 1, 1000, 1000))
         ]
-        # the shortest long row, one round past the bit-sliced ones, keeps
-        # stream 2's words at the seed range's ends
-        assert sum((4, 4, 4, 5)) == SHORT_ROW_ROUNDS + 1
         cases += [
             ((4, 4, 4, 5), seed, count)
             for seed in (0, -1, 2**63 - 1, -(2**63))
@@ -133,10 +119,10 @@ class TestSimulateExperiment:
         ],
     )
     def test_short_rows_match_the_plane_replay(self, rounds):
-        # stream 3: each round a plane of MT19937 bits, counted bit-sliced.
-        # Counts about a 32-bit word of the generator, and a full batch, at
-        # the seed range's ends, both thresholds and the first two batches
-        assert sum(rounds) <= SHORT_ROW_ROUNDS
+        # rows of at most 16 rounds, whose planes hold every lane of a
+        # channel below a full batch.  Counts about a 32-bit word of the
+        # generator, and a full batch, at the seed range's ends, both
+        # thresholds and the first two batches
         for seed, count, index in itertools.product(
             (0, -1, 2**63 - 1, -(2**63)), (1, 31, 32, 33, MAX_BATCH_TRIALS), (0, 1)
         ):
@@ -147,104 +133,107 @@ class TestSimulateExperiment:
                 got = _batch_hits(rounds, seed, index, count, threshold)
                 assert got == expected, (seed, count, index, threshold)
 
-    @pytest.mark.parametrize(
-        "rounds",
-        [
-            pytest.param((2, 3, 5, 54), id="three-edges-in-one-full-word"),
-            pytest.param((1, 1, 1, 62), id="last-word-holds-one-bit"),
-            pytest.param((1, 1, 62, 64), id="edge-on-a-word-boundary"),
-            pytest.param((64, 1, 1, 62), id="first-channel-fills-a-word"),
-        ],
-    )
-    def test_split_words_are_weighed_as_the_replay_counts(self, rounds):
-        # rows past the bit-sliced ones whose words are split in each way
-        # the weighing cuts them: several edges in one word, a last word of
-        # one used bit, an edge on a word boundary, and a first whole word
-        assert sum(rounds) > 16
-        for threshold in (STRICT, NON_STRICT):
-            for index in (0, 1):
-                expected = replay_hits(rounds, 13, index, 2048, threshold)
-                got = _batch_hits(rounds, 13, index, 2048, threshold)
-                assert got == expected, (rounds, threshold, index)
-
     def test_rows_past_int64_are_weighed_exactly(self, monkeypatch):
-        # 4*lcm >= 2**62 in a row of 2049 words, where _layout's weights are
-        # Python integers: no drawn row violates, and an all-ones row weighs
-        # 2*lcm, which is exactly on the bound, so it violates only when
-        # non-strict; one unit off in any weight would move it
-        rounds = (32771, 32779, 32783, 32789)
-        assert 4 * math.lcm(*rounds) >= 2**62 and _row_words(rounds) == 2049
-        for threshold in (STRICT, NON_STRICT):
-            assert _batch_hits(rounds, 13, 0, 15, threshold) == 0
+        # 4*lcm >= 2**62 in the first two, and 4*lcm just under 2**62 in the
+        # third: no drawn row violates, and an all-ones row has V = 3*lcm,
+        # C = 2 exactly on the bound, so it violates only when non-strict;
+        # one unit off in any weight would move it
+        cases = [
+            (32771, 32779, 32783, 32789),
+            (5, 1048573, 1048571, 1048559),
+            (1, 1048573, 1048571, 1048559),
+        ]
+        for rounds in cases:
+            assert (4 * math.lcm(*rounds) >= 2**62) == (rounds[0] != 1)
+            for threshold in (STRICT, NON_STRICT):
+                assert _batch_hits(rounds, 13, 0, 15, threshold) == 0
 
         class AllOnes:
-            def __init__(self, seed_sequence):
+            def __init__(self, seed):
                 pass
 
-            def random_raw(self, shape):
-                return np.full(shape, 2**64 - 1, dtype=np.uint64)
+            def getrandbits(self, width):
+                return (1 << width) - 1
 
-        monkeypatch.setattr(np.random, "PCG64", AllOnes)
-        assert _batch_hits(rounds, 13, 0, 3, STRICT) == 0
-        assert _batch_hits(rounds, 13, 0, 3, NON_STRICT) == 3
+        monkeypatch.setattr(montecarlo.random, "Random", AllOnes)
+        for rounds in cases:
+            assert _batch_hits(rounds, 13, 0, 3, STRICT) == 0
+            assert _batch_hits(rounds, 13, 0, 3, NON_STRICT) == 3
 
-    def test_rows_past_the_word_budget_are_drawn_in_pieces(self, monkeypatch):
-        # a 32-word row under a 20-word budget and 5-word groups: one trial
-        # per batch and per draw, each row in 5-word pieces; sequential
-        # draws read the same stream as one draw
-        rounds = (1, 1, 1000, 1000)
-        assert _row_words(rounds) == 32
-        whole = {th: _batch_hits(rounds, 13, 0, 64, th) for th in (STRICT, NON_STRICT)}
-        shapes = []
-        weigh = montecarlo._weigh
-
-        def recording(bits, *args):
-            shapes.append(bits.shape)
-            return weigh(bits, *args)
-
-        monkeypatch.setattr(montecarlo, "_weigh", recording)
-        monkeypatch.setattr(montecarlo, "WORD_BUDGET", 20)
-        monkeypatch.setattr(montecarlo, "GROUP_WORDS", 5)
-        assert _batch_trials(rounds) == 1
-        for threshold in (STRICT, NON_STRICT):
-            shapes.clear()
-            expected = replay_hits(rounds, 13, 0, 64, threshold)
-            assert _batch_hits(rounds, 13, 0, 64, threshold) == expected == whole[threshold]
-            assert shapes == ([(1, 5)] * 6 + [(1, 2)]) * 64
-
-    def test_rows_on_both_sides_of_16_rounds(self, monkeypatch):
-        # (4,4,4,4), of SHORT_ROW_ROUNDS rounds, is counted bit-sliced and
-        # weighs nothing; (4,4,4,5) weighs its drawn rows
-        assert SHORT_ROW_ROUNDS == 16
-        shapes = []
-        weigh = montecarlo._weigh
-
-        def recording(bits, *args):
-            shapes.append(bits.shape)
-            return weigh(bits, *args)
-
-        monkeypatch.setattr(montecarlo, "_weigh", recording)
-        for rounds, counted in (((4, 4, 4, 4), []), ((4, 4, 4, 5), [(4096, 1)])):
-            shapes.clear()
+    def test_rows_on_both_sides_of_16_rounds(self):
+        # (4,4,4,4), which stream 3 drew as bit planes, and (4,4,4,5), which
+        # stream 2 drew as words, are drawn and counted by the same rule
+        for rounds in ((4, 4, 4, 4), (4, 4, 4, 5)):
+            sums = plane_replay_sums(rounds, 13, 0, 4096)
             for threshold in (STRICT, NON_STRICT):
-                if counted:
-                    expected = replay_hits(rounds, 13, 0, 4096, threshold)
-                else:
-                    expected = plane_replay_hits(rounds, plane_replay_sums(rounds, 13, 0, 4096), threshold)
+                expected = plane_replay_hits(rounds, sums, threshold)
                 assert _batch_hits(rounds, 13, 0, 4096, threshold) == expected, (rounds, threshold)
-            assert shapes == counted * 2, rounds
 
     def test_a_huge_row_goes_straight_to_counting(self, monkeypatch):
-        # the width test must not build 2**width: here that is 10**12 bits
+        # a row of 10**12 rounds is drawn plane by plane: the first plane
+        # holds MAX_BATCH_TRIALS lanes of one trial, and nothing of the
+        # row's length is built before it is counted
         class Counted(Exception):
             pass
 
-        def counted(*args):
-            raise Counted
+        widths = []
 
-        monkeypatch.setattr(montecarlo, "_weigh", counted)
+        def counted(planes, lanes, count):
+            widths.append(next(iter(planes)).bit_length())
+            if len(widths) == 4:
+                raise Counted
+            return []
+
+        monkeypatch.setattr(montecarlo, "_count", counted)
         with pytest.raises(Counted):
             _batch_hits((1, 1, 1, 10**12), 13, 0, 1, STRICT)
+        assert widths[3] <= MAX_BATCH_TRIALS
+
+    @pytest.mark.parametrize(
+        "n, count",
+        [
+            (n, count)
+            for n in (1, 2, 3, 16, 17, 61, 1000, 4099)
+            for count in (1, 3, 60, 64, 65, 4096, MAX_BATCH_TRIALS)
+            if n * count <= 3 * 10**7
+        ],
+    )
+    def test_lane_folded_counts_equal_a_bit_by_bit_replay(self, n, count):
+        # planes of L = min(n, 2**16 // count) lanes, the last holding the
+        # rounds left, as _batch_hits draws a channel; the counted and
+        # folded planes must give each trial its set rounds, counted bit by
+        # bit from the same planes
+        lanes = min(n, MAX_BATCH_TRIALS // count)
+        draw = random.Random(n * count).getrandbits
+        planes = [draw(min(lanes, n - first) * count) for first in range(0, n, lanes)]
+        expected = [0] * count
+        for plane in planes:
+            bits = format(plane, "b")[::-1]
+            for lane in range(0, len(bits), count):
+                for t, bit in enumerate(bits[lane : lane + count]):
+                    expected[t] += bit == "1"
+        columns = _count(iter(planes), lanes, count)
+        got = [0] * count
+        for position, column in enumerate(columns):
+            for plane in column:
+                assert plane >> count == 0
+                for t, bit in enumerate(format(plane, f"0{count}b")[::-1]):
+                    got[t] += (bit == "1") << position
+        assert got == expected
+
+    def test_full_batches_draw_stream_3s_planes(self):
+        # a full batch has one round a plane, drawn in stream 3's order, so
+        # its hits are stream 3's, recorded from it at seed 13, batch 1
+        recorded = {
+            (1, 1, 1, 1): (8274, 40926),
+            (2, 2, 2, 2): (4471, 19015),
+            (3, 5, 7, 1): (7232, 7238),
+            (4, 4, 4, 4): (1404, 4962),
+            (1, 2, 4, 8): (7965, 11993),
+        }
+        for rounds, hits in recorded.items():
+            got = tuple(_batch_hits(rounds, 13, 1, MAX_BATCH_TRIALS, th) for th in (STRICT, NON_STRICT))
+            assert got == hits, rounds
 
     def test_channel_sums_follow_walk_distribution(self):
         # frequency check of each channel endpoint against the exact pmf,
@@ -260,8 +249,9 @@ class TestSimulateExperiment:
 
 
 class TestPathsAgainstExact:
-    """Each way the sampler reads rows, checked against the exact
-    probability within |z| <= 5, the benchmark's bound, at fixed seeds."""
+    """Rows of every length, in one lane a plane or many, checked against
+    the exact probability within |z| <= 5, the benchmark's bound, at fixed
+    seeds."""
 
     @pytest.mark.parametrize("threshold", [STRICT, NON_STRICT])
     @pytest.mark.parametrize(
@@ -277,19 +267,6 @@ class TestPathsAgainstExact:
         ],
     )
     def test_hits_lie_within_five_sigma_of_exact(self, rounds, trials, seed, threshold):
-        words = _row_words(rounds)
-        bounds = list(itertools.accumulate(rounds[:-1]))
-        if sum(rounds) <= SHORT_ROW_ROUNDS:
-            # counted bit-sliced
-            assert words == 1
-        elif words == 1:
-            # weighed, not counted bit-sliced
-            assert sum(rounds) > SHORT_ROW_ROUNDS
-        elif words <= montecarlo.GROUP_WORDS:
-            assert any(bound % 64 for bound in bounds)
-        else:
-            # one row is longer than a group, so it is drawn in pieces
-            assert words > montecarlo.GROUP_WORDS
         if rounds[:3] == (1, 1, 1):
             p = one_long_channel_probability(rounds[3], threshold)
         else:
@@ -311,8 +288,9 @@ class TestSlicedViolations:
         offsets = [sum(rounds[:k]) for k in range(4)]
         rows = range(1 << sum(rounds))
         planes = [sum(1 << row for row in rows if row >> j & 1) for j in range(sum(rounds))]
+        ones = (1 << len(rows)) - 1
         for threshold in (STRICT, NON_STRICT):
-            table = _sliced_violations(planes, rounds, threshold, (1 << len(rows)) - 1)
+            table = _sliced_violations(sliced_counts(planes, rounds, ones), rounds, threshold, ones)
             assert table >> len(rows) == 0
             for row in rows:
                 correlation = sum(
@@ -324,18 +302,15 @@ class TestSlicedViolations:
 
     def test_every_short_shape_sums_within_its_columns(self):
         # V <= 4*lcm has (4*lcm).bit_length() bits, and the adders' carries
-        # must stay in as many columns for every row of at most
-        # SHORT_ROW_ROUNDS rounds; one past them would raise IndexError
-        shapes = [
-            r for r in itertools.product(range(1, SHORT_ROW_ROUNDS - 2), repeat=4)
-            if sum(r) <= SHORT_ROW_ROUNDS
-        ]
+        # must stay in as many columns for every row of at most 16 rounds;
+        # one past them would raise IndexError
+        shapes = [r for r in itertools.product(range(1, 14), repeat=4) if sum(r) <= 16]
         assert len(shapes) == 1820
         for rounds in shapes:
-            all_set = [1] * sum(rounds)
+            counts = sliced_counts([1] * sum(rounds), rounds, 1)
             # one trial, every round +1: C = 2, so only the non-strict test counts it
-            assert _sliced_violations(all_set, rounds, STRICT, 1) == 0, rounds
-            assert _sliced_violations(all_set, rounds, NON_STRICT, 1) == 1, rounds
+            assert _sliced_violations(counts, rounds, STRICT, 1) == 0, rounds
+            assert _sliced_violations(counts, rounds, NON_STRICT, 1) == 1, rounds
 
 
 class TestWilsonInterval:
@@ -368,7 +343,7 @@ class TestWilsonInterval:
 
     def test_rejects_bad_counts(self):
         # counts past their range, and a bool, float or numpy integer in place of a count
-        bad = ((5, 0), (6, 5), (True, 2.5), (1, True), (1.0, 4), (1, 4.0), (np.int64(1), 4))
+        bad = ((5, 0), (6, 5), (True, 2.5), (1, True), (1.0, 4), (1, 4.0), (IndexLike(1), 4))
         for hits, trials in bad:
             with pytest.raises(InvalidConfigError):
                 wilson_interval(hits, trials)
@@ -402,218 +377,65 @@ class TestEstimate:
         assert a.hits != b.hits
 
     def test_worker_count_does_not_change_the_result(self):
-        # (1,1,1000,1000) has 32-word rows and 16384-trial batches, so 50k
-        # trials run four batches across the workers
+        # both runs are several batches, the last one short
         for rounds, trials, workers in (
             ((1, 1, 1, 1), 300_000, 4),
-            ((1, 1, 1000, 1000), 50_000, 2),
+            ((1, 1, 1000, 1000), 3 * MAX_BATCH_TRIALS + 7, 2),
         ):
             config = ExperimentConfig(rounds)
-            assert -(-trials // _batch_trials(rounds)) >= 4
+            assert -(-trials // MAX_BATCH_TRIALS) >= 4
             sequential = estimate_violation_probability(config, trials, seed=3, threshold=STRICT)
             parallel = estimate_violation_probability(
                 config, trials, seed=3, threshold=STRICT, workers=workers
             )
             assert sequential == parallel
-            assert sequential.stream == STREAM_VERSION == 3
+            assert sequential.stream == STREAM_VERSION == 4
 
-    def test_pool_never_outgrows_the_batches_or_the_cores(self, monkeypatch):
-        # a stand-in for threading.Thread that records every thread started;
-        # the pool is the same on every platform
-        started = []
-
-        class RecordedThread(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
-        monkeypatch.setattr(montecarlo.threading, "Thread", RecordedThread)
-        # the calling thread runs one share, so a pool of k starts k - 1
-        # threads; a run of short rows is a pool of one at any worker count
-        for rounds, batches, workers, cpus, threads in (
-            ((1, 1, 1, 61), 2, 5000, 64, 1),
-            ((1, 1, 1, 61), 10, 5000, 3, 2),
-            ((1, 1, 1, 61), 10, 5000, None, 0),
-            ((1, 1, 1, 61), 10, 2, 64, 1),
-            *(
-                (rounds, 10, workers, 64, 0)
-                for rounds in ((2, 2, 2, 2), (4, 4, 4, 4))
-                for workers in (2, 4, 5000)
-            ),
-        ):
-            config = ExperimentConfig(rounds)
-            batch = _batch_trials(rounds)
-            monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
-            sequential = estimate_violation_probability(config, batches * batch, seed=7)
-            started.clear()
-            pooled = estimate_violation_probability(
-                config, batches * batch, seed=7, workers=workers
-            )
-            assert len(started) == threads, (rounds, batches, workers, cpus)
-            assert not any(thread.is_alive() for thread in started)
-            assert pooled == sequential
-
-    def test_a_thread_that_cannot_start_fails_the_run_and_every_thread_ends(self, monkeypatch):
-        # at 3 workers the run starts two threads; the second one's start
-        # raises, as when the process is out of threads, so the run stops
-        # and joins the first and raises that error
-        started = []
-
-        class SecondThreadFails(threading.Thread):
-            def start(self):
-                if started:
-                    raise RuntimeError("can't start new thread")
-                started.append(self)
-                super().start()
-
-        monkeypatch.setattr(montecarlo.threading, "Thread", SecondThreadFails)
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
-        config = ExperimentConfig((1, 1, 1, 61))
-        trials = 3 * _batch_trials(config.rounds)
-        before = set(threading.enumerate())
-        with pytest.raises(RuntimeError, match="can't start new thread"):
-            estimate_violation_probability(config, trials, seed=7, workers=3)
-        assert len(started) == 1 and not started[0].is_alive()
-        assert set(threading.enumerate()) == before
-
-    @pytest.mark.parametrize(
-        "failing, error",
-        [(None, None), (0, ShareFailed), (1, ShareFailed)],
-        ids=["none", "calling-thread", "pool-thread"],
-    )
-    def test_a_failed_share_fails_the_run_and_every_thread_ends(self, monkeypatch, failing, error):
-        # at 2 workers batch i belongs to share i % 2: share 0 runs in the
-        # calling thread and share 1 in a pool thread; a share whose batch
-        # raises fails the run with its own exception, and every pool
-        # thread has ended when the run returns or raises
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, BatchFailed])
+    def test_a_failed_batch_ends_the_run_before_the_next(self, monkeypatch, error):
+        # batch 1 of 120 raises, an interrupt or an error, at any worker
+        # count: the run raises it, draws no later batch and returns no
+        # partial sum
         batch_hits = montecarlo._batch_hits
+        drawn = []
 
         def batch(rounds, seed, index, count, threshold):
-            if index % 2 == failing:
-                raise ShareFailed(index % 2)
+            drawn.append(index)
+            if index == 1:
+                raise error
             return batch_hits(rounds, seed, index, count, threshold)
 
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
-        config = ExperimentConfig((1, 1, 1, 61))
-        trials = 2 * _batch_trials(config.rounds)
-        sequential = estimate_violation_probability(config, trials, seed=7)
         monkeypatch.setattr(montecarlo, "_batch_hits", batch)
-        before = set(threading.enumerate())
-        if error is None:
-            assert estimate_violation_probability(config, trials, seed=7, workers=2) == sequential
-        else:
-            with pytest.raises(error, match=str(failing)):
-                estimate_violation_probability(config, trials, seed=7, workers=2)
-        assert set(threading.enumerate()) == before
+        config = ExperimentConfig((1, 1, 1, 61))
+        for workers in (1, 2):
+            drawn.clear()
+            with pytest.raises(error):
+                estimate_violation_probability(config, 120 * MAX_BATCH_TRIALS, seed=7, workers=workers)
+            assert drawn == [0, 1]
 
-    def test_failed_pool_thread_gives_one_error_line(self, monkeypatch, capsys):
-        # batch 1, share 1's at 2 workers, raises in its pool thread; the
-        # run fails with that error on one error line and exit 1, and the
-        # thread has ended
+    def test_failed_batch_gives_one_error_line(self, monkeypatch, capsys):
         batch_hits = montecarlo._batch_hits
 
         def batch(rounds, seed, index, count, threshold):
             if index == 1:
-                raise InvalidConfigError("share 1 failed")
+                raise InvalidConfigError("batch 1 failed")
             return batch_hits(rounds, seed, index, count, threshold)
 
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(montecarlo, "_batch_hits", batch)
-        trials = 2 * _batch_trials((1, 1, 1, 61))
-        before = set(threading.enumerate())
+        trials = 2 * MAX_BATCH_TRIALS
         code = main(["mc", "1", "1", "1", "61", "--trials", str(trials), "--workers", "2"])
         assert code == 1
-        assert capsys.readouterr() == ("", "error: share 1 failed\n")
-        assert set(threading.enumerate()) == before
-
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_failed_share_stops_the_other_shares_between_batches(self, monkeypatch, capsys, workers):
-        # batch i belongs to share i % workers; share 1's first batch raises
-        # as soon as share 0 is inside its first batch, and every other
-        # batch waits until the run's stop event is set; so share 0 must
-        # stop after that batch and share 2 (at 3 workers) by its next one,
-        # rather than draw the 40 or more of the 120 batches each has
-        batch_hits = montecarlo._batch_hits
-        drawing = threading.Event()
-        stops = []
-        ran = []
-
-        class RecordedEvent(threading.Event):
-            # every Event made during the run; the run makes its stop event
-            # before it starts a thread, so the first is the run's
-            def __init__(self):
-                super().__init__()
-                stops.append(self)
-
-        def counted_batch(rounds, seed, index, count, threshold):
-            if index % workers == 1:
-                assert drawing.wait(timeout=30)
-                raise InvalidConfigError("share 1 failed")
-            ran.append(index % workers)
-            if index == 0:
-                drawing.set()
-            assert stops[0].wait(timeout=30)
-            return batch_hits(rounds, seed, index, count, threshold)
-
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: workers)
-        monkeypatch.setattr(montecarlo.threading, "Event", RecordedEvent)
-        monkeypatch.setattr(montecarlo, "_batch_hits", counted_batch)
-        trials = 120 * _batch_trials((1, 1, 1, 61))
-        before = set(threading.enumerate())
-        started = time.monotonic()
-        code = main(["mc", "1", "1", "1", "61", "--trials", str(trials), "--workers", str(workers)])
-        assert time.monotonic() - started < 30
-        assert code == 1
-        assert capsys.readouterr() == ("", "error: share 1 failed\n")
-        assert ran.count(0) == 1 and ran.count(2) <= 1 and len(ran) == ran.count(0) + ran.count(2)
-        assert set(threading.enumerate()) == before
-
-    def test_concurrent_pooled_runs_match_their_serial_results(self, monkeypatch):
-        # two pooled runs at once, each from its own thread, share no state:
-        # each gives the hits it gives alone and serially
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
-        runs = {
-            (1, 1, 1, 61): (4 * MAX_BATCH_TRIALS + 5, 11),
-            (1, 1, 1000, 1000): (3 * _batch_trials((1, 1, 1000, 1000)) + 7, 12),
-        }
-        serial = {
-            rounds: estimate_violation_probability(ExperimentConfig(rounds), trials, seed=seed)
-            for rounds, (trials, seed) in runs.items()
-        }
-        results = {}
-        barrier = threading.Barrier(len(runs))
-
-        def run(rounds, trials, seed):
-            barrier.wait(timeout=30)
-            results[rounds] = estimate_violation_probability(
-                ExperimentConfig(rounds), trials, seed=seed, workers=3
-            )
-
-        threads = [
-            threading.Thread(target=run, args=(rounds, *args)) for rounds, args in runs.items()
-        ]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert results == serial
+        assert capsys.readouterr() == ("", "error: batch 1 failed\n")
 
     def test_a_run_of_long_rows_with_numpy_blocked(self, monkeypatch):
-        # without numpy, no run of long rows is drawn, however few its
-        # words: one trial, and one batch of 2**15 one-word rows
+        # no run needs numpy: one trial, and one batch of 2**15 rows of
+        # 64 rounds, give the same hits with numpy blocked
         config = ExperimentConfig((1, 1, 1, 61))
-        assert _row_words(config.rounds) == 1
+        runs = {trials: estimate_violation_probability(config, trials, seed=5) for trials in (1, 2**15)}
         # numpy counts as not loaded, and importing it fails
         monkeypatch.setitem(sys.modules, "numpy", None)
-        for trials in (1, 2**15):
-            with pytest.raises(ImportError):
-                estimate_violation_probability(config, trials, seed=5)
+        for trials, result in runs.items():
+            assert estimate_violation_probability(config, trials, seed=5) == result
 
     def test_strict_hits_never_exceed_nonstrict(self):
         config = ExperimentConfig((3, 2, 2, 3))
@@ -630,18 +452,18 @@ class TestEstimate:
     def test_rejects_zero_trials(self):
         # trials must be a Python int: a float, a bool or a numpy integer is
         # refused like a count below one
-        for trials in (0, 2.5, True, np.int64(10)):
+        for trials in (0, 2.5, True, IndexLike(10)):
             with pytest.raises(InvalidConfigError, match="trials"):
                 estimate_violation_probability(ExperimentConfig((1, 1, 1, 1)), trials, seed=1)
 
-    @pytest.mark.parametrize("workers", [0, -3, 1.5, True, np.int64(2)])
+    @pytest.mark.parametrize("workers", [0, -3, 1.5, True, IndexLike(2)])
     def test_rejects_non_positive_workers(self, workers):
         with pytest.raises(InvalidConfigError):
             estimate_violation_probability(ExperimentConfig((1, 1, 1, 1)), 10, seed=1, workers=workers)
 
     @pytest.mark.parametrize(
         "seed",
-        [2**64 + 42, 42 - 2**64, -(2**63) - 1, 2**64, 2**63, 2**64 - 1, 1.5, True, np.int64(42)],
+        [2**64 + 42, 42 - 2**64, -(2**63) - 1, 2**64, 2**63, 2**64 - 1, 1.5, True, IndexLike(42)],
     )
     def test_rejects_seeds_past_64_bits_before_any_draw(self, monkeypatch, seed):
         # each of these has the 64-bit pattern of a seed in range, or, as a
@@ -666,16 +488,18 @@ class TestEstimate:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_pinned_hit_counts(self, workers):
-        # the long rows' counts were recorded from the stream-2 sampler and
-        # stream 3 keeps them; the short rows' were recorded under stream 3
-        # and each matched the plane replay.  A change to these values is a
-        # new stream and needs a new STREAM_VERSION
-        assert STREAM_VERSION == 3
+        # recorded under stream 4, each equal to the plane replay of its
+        # batches.  The short rows' counts are stream 3's too: their full
+        # batches draw stream 3's planes, and their last batch's trial count
+        # is a multiple of the generator's 32-bit words, so its lanes hold
+        # the bits stream 3 drew one plane per round.  A change to these
+        # values is a new stream and needs a new STREAM_VERSION
+        assert STREAM_VERSION == 4
         for rounds, trials, seed, strict, nonstrict in (
             ((2, 2, 2, 2), 4_000_000, 42, 282079, 1156789),
             ((4, 4, 4, 4), 200_000, 7, 4296, 15390),
-            ((4, 4, 4, 5), 200_000, 7, 8273, 9766),
-            ((1, 1, 1000, 1000), 50_000, 42, 12193, 12650),
+            ((4, 4, 4, 5), 200_000, 7, 8244, 9767),
+            ((1, 1, 1000, 1000), 50_000, 42, 12235, 12670),
         ):
             config = ExperimentConfig(rounds)
             for threshold, hits in ((STRICT, strict), (NON_STRICT, nonstrict)):
@@ -707,13 +531,11 @@ class TestEstimate:
 
     def test_batches_are_made_one_at_a_time(self, monkeypatch):
         # 10**9 trials are 15259 batches; nothing per batch may exist before
-        # the first one is drawn, by one worker or by a pool, which only
-        # long rows start
+        # the first one is drawn, at one worker or at two
         def first_batch(*args):
             raise RuntimeError("first batch reached")
 
         monkeypatch.setattr(montecarlo, "_batch_hits", first_batch)
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
         for last, workers in (("1", "1"), ("61", "2")):
             argv = ["mc", "1", "1", "1", last, "--trials", str(10**9), "--workers", workers]
             tracemalloc.start()
@@ -725,13 +547,16 @@ class TestEstimate:
                 tracemalloc.stop()
             assert peak < 100 * 1024, workers
 
-    @pytest.mark.parametrize("rounds", [(1, 1, 1000, 1000), (1, 1, 1, 8_388_928)], ids=["rows", "pieces"])
-    def test_a_long_row_batch_holds_one_group_of_draws(self, rounds):
-        # a batch of long rows is drawn and weighed a group of GROUP_WORDS
-        # words (128 KiB) at a time, so its peak stays near one group
-        # however many rows the batch has or however long one row is
-        assert montecarlo.GROUP_WORDS == 1 << 14
-        count = _batch_trials(rounds)
+    @pytest.mark.parametrize(
+        "rounds, count",
+        [((1, 1, 1000, 1000), 16384), ((1, 1, 1, 8_388_928), 4)],
+        ids=["rows", "pieces"],
+    )
+    def test_a_long_row_batch_holds_a_few_planes(self, rounds, count):
+        # a channel's planes stream into a counter of at most two planes of
+        # 8 KiB a column, O(log n_k) planes, so a batch's peak stays far
+        # below its rounds' bits: 4 lanes of 1000 rounds, or 512 planes of
+        # 16384 lanes for the 8388928-round channel
         _batch_hits(rounds, 5, 0, count, STRICT)
         tracemalloc.start()
         try:
@@ -744,69 +569,30 @@ class TestEstimate:
     @pytest.mark.parametrize(
         "rounds, trials",
         [
-            ((1, 1, 1, 1), RUN_WORD_BUDGET),
-            ((1, 1, 1, 61), RUN_WORD_BUDGET),
-            ((1, 1, 1, 62), RUN_WORD_BUDGET // 2),
+            ((1, 1, 1, 1), RUN_ROUND_BUDGET // 4),
+            ((1, 1, 1, 61), RUN_ROUND_BUDGET // 64),
+            ((1, 1, 1, 125), RUN_ROUND_BUDGET // 128),
         ],
         ids=["short", "one-word", "two-word"],
     )
     def test_word_budget_refuses_before_any_draw(self, monkeypatch, rounds, trials):
-        # a row of up to 64 rounds is one word and of 65 two, so each run
-        # here costs exactly the budget: it reaches its first draw, and one
-        # trial more is refused before that draw
+        # each run here draws exactly the budget's rounds: it reaches its
+        # first draw, and one trial more is refused before that draw
         def first_batch(*args):
             raise RuntimeError("first batch reached")
 
         monkeypatch.setattr(montecarlo, "_batch_hits", first_batch)
         config = ExperimentConfig(rounds)
-        assert trials * _row_words(rounds) == RUN_WORD_BUDGET == 2**33
+        assert trials * sum(rounds) == RUN_ROUND_BUDGET == 2**37
         with pytest.raises(RuntimeError, match="first batch reached"):
             estimate_violation_probability(config, trials, seed=1, workers=2)
-        with pytest.raises(LimitError, match=f"draws {RUN_WORD_BUDGET + _row_words(rounds)} words"):
+        with pytest.raises(LimitError, match=f"draws {RUN_ROUND_BUDGET + sum(rounds)} rounds"):
             estimate_violation_probability(config, trials + 1, seed=1, workers=2)
 
     def test_bigint_accumulator_matches_replay(self):
-        # 4*lcm >= 2**62 here, so sums past int64 accumulate as Python integers
+        # 4*lcm >= 2**62 here: the weights and sums are Python integers
         rounds = (2, 1048573, 1048571, 1048559)
         assert 4 * math.lcm(*rounds) >= 2**62
         for threshold in (STRICT, NON_STRICT):
             expected = replay_hits(rounds, 13, 0, 4, threshold)
             assert _batch_hits(rounds, 13, 0, 4, threshold) == expected
-
-    @pytest.mark.parametrize(
-        "rounds, int64",
-        [((1, 1048573, 1048571, 1048559), True), ((5, 1048573, 1048571, 1048559), False)],
-        ids=["int64-just-under-2**62", "python-integers"],
-    )
-    def test_rows_are_weighed_exactly_on_both_sides_of_the_int64_bound(
-        self, monkeypatch, rounds, int64
-    ):
-        # no drawn row of these configs violates, so hit counts cannot show a
-        # wrong weight.  The distance W - lcm each drawn row is compared at
-        # must equal the replayed one, and the all-ones row must weigh 2*lcm,
-        # which is past int64 for the second config: weights turn from int64
-        # to Python integers at 4*lcm = 2**62.  4096-word groups cut each row
-        # into twelve pieces, most of them inside one channel's whole words
-        scale = math.lcm(*rounds)
-        assert (4 * scale < 2**62) == int64 and (2 * scale < 2**63) == int64
-        distances = []
-        violates = montecarlo._violates
-
-        def recording(distance, *args):
-            distances.extend(distance.tolist())
-            return violates(distance, *args)
-
-        monkeypatch.setattr(montecarlo, "_violates", recording)
-        monkeypatch.setattr(montecarlo, "GROUP_WORDS", 4096)
-        _batch_hits(rounds, 13, 0, 4, STRICT)
-        # a +1 round of channel k weighs sign_k * lcm / n_k, and m_k + n_k = 2 * ones_k
-        expected = [
-            sum(sign * (scale // n) * (m + n) // 2 for sign, n, m in zip(CHANNEL_SIGNS, rounds, ms))
-            - scale
-            for ms in replay_channel_sums(rounds, 13, 0, 4)
-        ]
-        assert distances == expected
-        words = _row_words(rounds)
-        for fill, weight in ((0, 0), (2**64 - 1, 2 * scale)):
-            bits = np.full((1, words), fill, dtype=np.uint64)
-            assert montecarlo._weigh(bits, montecarlo._layout(rounds, 0, words)).tolist() == [weight]
