@@ -247,21 +247,6 @@ def _batch_hits(
     return _sliced_violations(counts, rounds, threshold, (1 << count) - 1).bit_count()
 
 
-def _run_hits(rounds: tuple[int, ...], seed: int, trials: int, threshold: str) -> int:
-    """Hits of a ``trials``-trial run: its batches, one after another, in the calling thread.
-
-    Batches of MAX_BATCH_TRIALS trials, the last taking the trials left
-    over, are made one at a time, so no input makes the run hold a
-    per-batch list.  An exception in a batch, a ``KeyboardInterrupt``
-    included, ends the run before the next batch, and no partial sum is
-    returned.
-    """
-    return sum(
-        _batch_hits(rounds, seed, index, min(MAX_BATCH_TRIALS, trials - first), threshold)
-        for index, first in enumerate(range(0, trials, MAX_BATCH_TRIALS))
-    )
-
-
 def estimate_violation_probability(
     config: ExperimentConfig,
     trials: int,
@@ -298,7 +283,13 @@ def estimate_violation_probability(
             f"Monte Carlo run draws {drawn} rounds, over the budget {RUN_ROUND_BUDGET}; "
             "the analytic method has no such limit"
         )
-    hits = _run_hits(config.rounds, seed, trials, threshold)
+    # batches are made one at a time, so no input makes the run hold a
+    # per-batch list; an error in a batch, an interrupt included, ends the
+    # run before the next one, and no partial sum is returned
+    hits = sum(
+        _batch_hits(config.rounds, seed, index, min(MAX_BATCH_TRIALS, trials - first), threshold)
+        for index, first in enumerate(range(0, trials, MAX_BATCH_TRIALS))
+    )
 
     low, high = wilson_interval(hits, trials)
     return McEstimate(
