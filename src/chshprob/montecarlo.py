@@ -59,7 +59,7 @@ MAX_BATCH_TRIALS = 1 << 16
 # The int8-era batch budget in bytes; only benchmarks/tracing.py reads it.
 BATCH_ELEMENT_BUDGET = 1 << 22
 STREAM_VERSION = 4
-# Rounds one run may draw: about half a minute at the generator's rate.
+# Rounds one run may draw, a generator bit each: under a minute of drawing.
 RUN_ROUND_BUDGET = 1 << 37
 
 _MASK64 = (1 << 64) - 1

@@ -56,8 +56,9 @@ def replay_hits(rounds, seed, batch_index, count, threshold):
 
 
 def sliced_counts(planes, rounds, ones):
-    """Each channel's count planes, given one plane per round whose trials
-    are the bits of ``ones``; channel 2's planes are inverted first."""
+    """Each channel's count, as ``_count`` gives it, of one plane per round
+    whose trials are the bits of ``ones``; channel 2's planes are inverted
+    first."""
     counts, first = [], 0
     for sign, n in zip((1, -1, 1, 1), rounds):
         channel = planes[first : first + n]
