@@ -81,7 +81,7 @@ class TestProbabilityCommands:
         assert out == ""
         assert "approx" in err
 
-    def test_mc_over_the_word_budget_exits_2_before_any_draw(self, monkeypatch, capsys):
+    def test_mc_over_the_round_budget_exits_2_before_any_draw(self, monkeypatch, capsys):
         # a trial of 10**12 + 3 rounds is past the 2**37-round budget
         from chshprob import montecarlo
 

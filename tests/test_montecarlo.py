@@ -260,10 +260,10 @@ class TestPathsAgainstExact:
         [
             pytest.param((4, 4, 4, 4), 1_000_000, 16, id="bit-sliced-16-rounds"),
             pytest.param((3, 5, 7, 1), 1_000_000, 105, id="bit-sliced-lcm-105"),
-            pytest.param((1, 1, 1, 61), 200_000, 61, id="one-word-64-rounds"),
-            pytest.param((3, 5, 7, 40), 200_000, 55, id="one-word-55-rounds"),
-            pytest.param((3, 5, 61, 70), 100_000, 139, id="three-words"),
-            pytest.param((1, 1, 1000, 1000), 50_000, 2002, id="thirty-two-words"),
+            pytest.param((1, 1, 1, 61), 200_000, 61, id="64-rounds"),
+            pytest.param((3, 5, 7, 40), 200_000, 55, id="55-rounds"),
+            pytest.param((3, 5, 61, 70), 100_000, 139, id="139-rounds"),
+            pytest.param((1, 1, 1000, 1000), 50_000, 2002, id="2002-rounds"),
             pytest.param((1, 1, 1, 8_388_928), 64, 8, id="pieces"),
         ],
     )
@@ -574,9 +574,9 @@ class TestEstimate:
             ((1, 1, 1, 61), RUN_ROUND_BUDGET // 64),
             ((1, 1, 1, 125), RUN_ROUND_BUDGET // 128),
         ],
-        ids=["short", "one-word", "two-word"],
+        ids=["short", "64-rounds", "128-rounds"],
     )
-    def test_word_budget_refuses_before_any_draw(self, monkeypatch, rounds, trials):
+    def test_round_budget_refuses_before_any_draw(self, monkeypatch, rounds, trials):
         # each run here draws exactly the budget's rounds: it reaches its
         # first draw, and one trial more is refused before that draw
         def first_batch(*args):
