@@ -428,16 +428,6 @@ class TestEstimate:
         assert code == 1
         assert capsys.readouterr() == ("", "error: batch 1 failed\n")
 
-    def test_a_run_of_long_rows_with_numpy_blocked(self, monkeypatch):
-        # no run needs numpy: one trial, and one batch of 2**15 rows of
-        # 64 rounds, give the same hits with numpy blocked
-        config = ExperimentConfig((1, 1, 1, 61))
-        runs = {trials: estimate_violation_probability(config, trials, seed=5) for trials in (1, 2**15)}
-        # numpy counts as not loaded, and importing it fails
-        monkeypatch.setitem(sys.modules, "numpy", None)
-        for trials, result in runs.items():
-            assert estimate_violation_probability(config, trials, seed=5) == result
-
     def test_strict_hits_never_exceed_nonstrict(self):
         config = ExperimentConfig((3, 2, 2, 3))
         strict = estimate_violation_probability(config, 100_000, seed=9, threshold=STRICT)
@@ -487,8 +477,7 @@ class TestEstimate:
         b = estimate_violation_probability(config, 50_000, seed=-1)
         assert a == b
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_pinned_hit_counts(self, workers):
+    def test_pinned_hit_counts(self):
         # recorded under stream 4, each equal to the plane replay of its
         # batches.  The short rows' counts are stream 3's too: their full
         # batches draw stream 3's planes, and their last batch's trial count
@@ -504,15 +493,14 @@ class TestEstimate:
         ):
             config = ExperimentConfig(rounds)
             for threshold, hits in ((STRICT, strict), (NON_STRICT, nonstrict)):
-                result = estimate_violation_probability(config, trials, seed, threshold, workers=workers)
+                result = estimate_violation_probability(config, trials, seed, threshold)
                 assert result.hits == hits, (rounds, threshold)
 
     @pytest.mark.skipif(sys.platform != "linux", reason="minor fault counts as Linux reports them")
     def test_short_rows_fault_in_no_pages_once_warm(self):
         # a batch's planes and sums are a few dozen 8 KiB integers; were
-        # they given back to the system after every batch, as a second
-        # batch-sized numpy temporary once was, the run would fault them in
-        # again each batch, about 13.6k minor faults per run of this size
+        # they given back to the system after every batch, the run would
+        # fault them in again in each of its 62 batches
         probe = (
             "import resource\n"
             "from chshprob.model import ExperimentConfig\n"
