@@ -379,8 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_ENUMERATION_BUDGET,
         help="max price of the exact plan to accept: the larger of its time (entries "
         "visited, integer products, the walk along the longest row, and printing the "
-        "result) and its memory (the middle table); the largest runs the default "
-        "accepts took 0.5 to 2.7 s on a 2-core test machine (default %(default)s)",
+        "result) and its memory, the middle table's bytes (default %(default)s)",
     )
     exact.set_defaults(func=cmd_exact)
 
