@@ -61,16 +61,25 @@ def child_env(**overrides):
     return env
 
 
-def run_child(argv, *, site=True):
+def run_child(argv, *, site=True, prelude="", path=()):
+    """Runs prelude, then CHILD, with path ahead of the package's source."""
+    env = child_env(COLUMNS="80")
+    env["PYTHONPATH"] = os.pathsep.join([*map(str, path), env["PYTHONPATH"]])
     result = subprocess.run(
-        [sys.executable, *([] if site else ["-S"]), "-c", CHILD, *argv],
+        [sys.executable, *([] if site else ["-S"]), "-c", prelude + CHILD, *argv],
         capture_output=True,
         text=True,
-        env=child_env(COLUMNS="80"),
+        env=env,
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout.splitlines()[-1])
+
+
+def numpy_or_the_pool(modules):
+    """The names in modules that no command may import."""
+    banned = {"concurrent.futures", "multiprocessing", "chshprob.walks"}
+    return {name for name in modules if name in banned or name.split(".")[0] == "numpy"}
 
 
 @pytest.mark.parametrize("argv", NON_MC_COMMANDS + MC_COMMANDS, ids=" ".join)
@@ -79,8 +88,7 @@ def test_command_imports_neither_numpy_nor_the_pool(argv):
     assert report["code"] == 0
     assert report["stdout"]
     modules = set(report["modules"])
-    assert not [name for name in modules if name == "numpy" or name.startswith("numpy.")]
-    assert not modules & {"concurrent.futures", "multiprocessing", "chshprob.walks"}
+    assert not numpy_or_the_pool(modules)
     if argv[0] == "mc":
         assert not modules & {"dataclasses", "fractions", "decimal"}
         assert report["stdout"].startswith("method,")
@@ -103,3 +111,26 @@ def test_non_mc_commands_skip_dataclasses_and_typing_and_load_json_only_for_json
     assert ("csv" in modules) == csv_output
     exact_values = argv[0] in {"toy", "exact"} or "--intervals" in argv
     assert ("fractions" in modules) == exact_values
+
+
+def test_the_check_sees_an_optional_numpy_import(tmp_path):
+    # with a numpy that imports, as where numpy is installed, a sweep that
+    # tries it first must fail the check above; a check that reads
+    # sys.modules too early, or in the wrong process, would pass it
+    (tmp_path / "numpy").mkdir()
+    (tmp_path / "numpy" / "__init__.py").write_text("")
+    prelude = (
+        "import chshprob.cli as cli\n"
+        "sweep = cli.cmd_sweep\n"
+        "def cmd_sweep(args):\n"
+        "    try:\n"
+        "        import numpy\n"
+        "    except ImportError:\n"
+        "        pass\n"
+        "    return sweep(args)\n"
+        "cli.cmd_sweep = cmd_sweep\n"
+    )
+    report = run_child(["sweep"], prelude=prelude, path=[tmp_path])
+    assert report["code"] == 0
+    assert numpy_or_the_pool(report["modules"]) == {"numpy"}
+    assert report["stdout"] == run_child(["sweep"])["stdout"]

@@ -477,7 +477,16 @@ class TestEstimate:
         b = estimate_violation_probability(config, 50_000, seed=-1)
         assert a == b
 
-    def test_pinned_hit_counts(self):
+    @pytest.mark.parametrize(
+        "rounds, trials, seed, strict, nonstrict",
+        [
+            pytest.param((2, 2, 2, 2), 4_000_000, 42, 282079, 1156789, id="2-2-2-2"),
+            pytest.param((4, 4, 4, 4), 200_000, 7, 4296, 15390, id="4-4-4-4"),
+            pytest.param((4, 4, 4, 5), 200_000, 7, 8244, 9767, id="4-4-4-5"),
+            pytest.param((1, 1, 1000, 1000), 50_000, 42, 12235, 12670, id="1-1-1000-1000"),
+        ],
+    )
+    def test_pinned_hit_counts(self, rounds, trials, seed, strict, nonstrict):
         # recorded under stream 4, each equal to the plane replay of its
         # batches.  The short rows' counts are stream 3's too: their full
         # batches draw stream 3's planes, and their last batch's trial count
@@ -485,16 +494,10 @@ class TestEstimate:
         # the bits stream 3 drew one plane per round.  A change to these
         # values is a new stream and needs a new STREAM_VERSION
         assert STREAM_VERSION == 4
-        for rounds, trials, seed, strict, nonstrict in (
-            ((2, 2, 2, 2), 4_000_000, 42, 282079, 1156789),
-            ((4, 4, 4, 4), 200_000, 7, 4296, 15390),
-            ((4, 4, 4, 5), 200_000, 7, 8244, 9767),
-            ((1, 1, 1000, 1000), 50_000, 42, 12235, 12670),
-        ):
-            config = ExperimentConfig(rounds)
-            for threshold, hits in ((STRICT, strict), (NON_STRICT, nonstrict)):
-                result = estimate_violation_probability(config, trials, seed, threshold)
-                assert result.hits == hits, (rounds, threshold)
+        config = ExperimentConfig(rounds)
+        for threshold, hits in ((STRICT, strict), (NON_STRICT, nonstrict)):
+            result = estimate_violation_probability(config, trials, seed, threshold)
+            assert result.hits == hits, (rounds, threshold)
 
     @pytest.mark.skipif(sys.platform != "linux", reason="minor fault counts as Linux reports them")
     def test_short_rows_fault_in_no_pages_once_warm(self):
