@@ -188,10 +188,10 @@ class TestProbabilityCommands:
         assert out.splitlines()[1:] == [line]
 
     def test_mc_row(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "mc", "1", "1", "1", "1", "--trials", "200000", "--seed", "42", "--strict"
-        )
+        argv = ("mc", "1", "1", "1", "1", "--trials", "200000", "--seed", "42", "--strict")
+        code, out, _ = run_cli(capsys, *argv)
         assert code == 0
+        assert run_cli(capsys, *argv, "--workers", "3") == (0, out, "")
         (row,) = parse_csv(out)
         assert row["method"] == "monte-carlo"
         assert int(row["trials"]) == 200000
@@ -383,8 +383,9 @@ class TestSweep:
         for total in grids["equal"]:
             assert grids["ratio100"][total] >= grids["ratio10"][total] >= grids["equal"][total]
 
-    def test_analytic_column_strictly_decreases(self, capsys):
-        code, out, _ = run_cli(capsys, "sweep")
+    @pytest.mark.parametrize("variant", ["equal", "ratio10", "ratio100"])
+    def test_analytic_column_strictly_decreases(self, capsys, variant):
+        code, out, _ = run_cli(capsys, "sweep", "--variant", variant)
         assert code == 0
         rows = parse_csv(out)
         values = [float(row["p_analytic"]) for row in rows]

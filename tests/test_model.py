@@ -1,5 +1,6 @@
 import itertools
 import math
+import timeit
 from bisect import bisect_left
 from fractions import Fraction
 from types import SimpleNamespace
@@ -145,6 +146,8 @@ class TestRecordsAndTally:
 class TestCorrelation:
     def test_builtin_rows_reach_four(self):
         assert chsh_correlation(tally(MAXIMAL_VIOLATION_RECORDS)) == 4
+        replay = timeit.repeat(lambda: chsh_correlation(tally(MAXIMAL_VIOLATION_RECORDS)), number=1, repeat=25)
+        assert min(replay) < 1e-3
 
     def test_zero_sums(self):
         assert chsh_correlation(RoundTally(m=(0, 0, 0, 0), n=(2, 4, 6, 8))) == 0
@@ -196,10 +199,13 @@ class TestViolationPredicate:
 
 class TestExactProbability:
     def test_single_round_strict(self):
-        result = exact_violation_probability(ExperimentConfig((1, 1, 1, 1)), STRICT)
+        config = ExperimentConfig((1, 1, 1, 1))
+        result = exact_violation_probability(config, STRICT)
         assert result.value == Fraction(1, 8)
         assert isinstance(result.value, Fraction)
         assert result.method == "exact"
+        runs = timeit.repeat(lambda: exact_violation_probability(config, STRICT), number=1, repeat=25)
+        assert min(runs) < 1e-3
 
     def test_single_round_nonstrict(self):
         # 6 of the 16 sign patterns sit at C = 0; the rest reach |C| >= 2
@@ -213,7 +219,18 @@ class TestExactProbability:
 
     @pytest.mark.parametrize("threshold", [STRICT, NON_STRICT])
     @pytest.mark.parametrize(
-        "rounds", [(1, 1, 1, 1), (2, 2, 2, 2), (1, 2, 3, 4), (2, 1, 1, 2), (3, 3, 1, 1), (1, 1, 2, 5), (1, 1, 2, 3)]
+        "rounds",
+        [
+            (1, 1, 1, 1),
+            (2, 2, 2, 2),
+            (1, 2, 3, 4),
+            (2, 1, 1, 2),
+            (3, 3, 1, 1),
+            (1, 1, 2, 5),
+            (1, 1, 2, 3),
+            (3, 3, 3, 3),
+            (4, 4, 4, 4),
+        ],
     )
     def test_matches_raw_sequence_enumeration(self, rounds, threshold):
         expected = brute_force_violation_probability(rounds, threshold)
@@ -468,7 +485,8 @@ class TestAnalyticProbability:
         }
         assert 0.0 < tails["equal"] < tails["ratio10"] < tails["ratio100"]
 
-    @pytest.mark.parametrize("total", [4 * 31, 8 * 31, 16 * 31, 64 * 31])
+    # at 4 * 301 the ratio100 and equal splits are the integers (4, 400, 400, 400) and (301,) * 4
+    @pytest.mark.parametrize("total", [4 * 31, 8 * 31, 16 * 31, 64 * 31, 4 * 301])
     def test_uneven_splits_violate_more_often(self, total):
         equal = gaussian_tail_probability((total / 4,) * 4)
         ratio10 = gaussian_tail_probability(tuple(total / 31 * w for w in (1, 10, 10, 10)))
@@ -483,6 +501,7 @@ class TestAnalyticProbability:
             (-1.0, 1.0),
             (float("nan"), 1.0),
             (1.0, float("inf")),
+            (float("-inf"), 1.0),
             # a bool is not a count, though floats are taken for continuous sweeps
             (True, 1, 1, 1),
             (1.5, 2.5, True),
@@ -567,17 +586,16 @@ class TestInterlockingRoutes:
             assert 0.510 - 0.03 <= strict <= 0.571 + 0.03, (total, strict)
             assert with_boundary < strict
 
-    def test_halfspace_oracle_single_round(self):
-        config = ExperimentConfig((1, 1, 1, 1))
-        fraction = gaussian_halfspace_oracle(config.rounds, 10**6, seed=20260809)
+    @pytest.mark.parametrize(
+        "rounds, seed",
+        [((1, 1, 1, 1), 20260809), ((4, 4, 4, 4), 7), ((6, 1, 15, 5), 1010), ((1, 15, 13, 21), 1018)],
+        ids=["1-1-1-1", "4-4-4-4", "6-1-15-5", "1-15-13-21"],
+    )
+    def test_halfspace_oracle_matches_analytic(self, rounds, seed):
+        # an equal split cannot tell sum_k 1/n_k from 16/N; the unequal ones can
+        config = ExperimentConfig(rounds)
+        fraction = gaussian_halfspace_oracle(rounds, 10**6, seed=seed)
         p = analytic_violation_probability(config).value
-        tolerance = 3 * math.sqrt(p * (1 - p) / 10**6)
-        assert abs(fraction - p) <= tolerance
-
-    def test_halfspace_oracle_four_rounds(self):
-        config = ExperimentConfig((4, 4, 4, 4))
-        fraction = gaussian_halfspace_oracle(config.rounds, 10**6, seed=7)
-        p = math.erfc(math.sqrt(2.0))
         tolerance = 3 * math.sqrt(p * (1 - p) / 10**6)
         assert abs(fraction - p) <= tolerance
 
