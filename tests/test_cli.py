@@ -199,6 +199,27 @@ class TestProbabilityCommands:
         assert float(row["ci_low"]) <= 0.125 <= float(row["ci_high"])
         assert float(row["ci_low"]) <= float(row["value_decimal"]) <= float(row["ci_high"])
 
+    @pytest.mark.parametrize("workers", ["2", "4"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # rows of 2002 rounds in one batch of one round a plane
+            ("mc", "1", "1", "1000", "1000", "--trials", "50000"),
+            ("mc", "1", "1", "1000", "1000", "--trials", "40000"),
+            # rows of 55 rounds in three full batches and a short fourth
+            ("mc", "3", "5", "7", "40", "--trials", "200000"),
+            # a row of 8388928 rounds whose planes hold 1024 lanes of 64 trials
+            ("mc", "1", "1", "1", "8388928", "--trials", "64"),
+            # rows of 12 rounds in the same four batches
+            ("mc", "3", "3", "3", "3", "--trials", "200000"),
+        ],
+        ids=["mc", "mcuneven", "mcword", "mcpieces", "mcshort"],
+    )
+    def test_mc_stdout_is_the_same_at_any_worker_count(self, capsys, argv, workers):
+        single = run_cli(capsys, *argv, "--workers", "1")
+        assert single[0] == 0
+        assert run_cli(capsys, *argv, "--workers", workers) == single
+
     def test_mc_json_names_the_sampler_stream(self, capsys):
         argv = ("mc", "2", "2", "2", "2", "--trials", "5000", "--seed", "7")
         code, out, _ = run_cli(capsys, *argv, "--format", "json")
