@@ -6,14 +6,16 @@ dyadic-rational enumeration, by the Gaussian tail formula erfc(d), or by
 seeded Monte Carlo simulation.
 
 The package root holds the three routes, their inputs and their errors;
-everything else is importable from its submodule (``chshprob.model``,
-which also builds the binomial path-count rows, ``chshprob.montecarlo``
-and ``chshprob.cli``; ``chshprob.walks`` holds only the ``Fraction`` pmf
-view of a row that the benchmark times, and no command loads it).
-``estimate_violation_probability`` is loaded on first access, so importing
-the package does not load the sampler; nor does it import ``fractions``,
-which only the functions that build an exact value load when they are
-called.
+everything else is importable from its submodule (``chshprob.model``, the
+experiment's types and the tail formula; ``chshprob.exact``, the exact
+count with its budget and the binomial path-count rows;
+``chshprob.montecarlo`` and ``chshprob.cli``; ``chshprob.walks`` holds
+only the ``Fraction`` pmf view of a row that the benchmark times, and no
+command loads it).  ``exact_violation_probability`` and
+``estimate_violation_probability`` are loaded on first access, so
+importing the package loads neither the exact route nor the sampler; nor
+does it import ``fractions``, which only the functions that build a
+``Fraction`` load when they are called.
 """
 
 from .errors import CorruptRecordError, InvalidConfigError, LimitError
@@ -22,7 +24,6 @@ from .model import (
     STRICT,
     ExperimentConfig,
     analytic_violation_probability,
-    exact_violation_probability,
 )
 
 __version__ = "0.1.0"
@@ -41,7 +42,12 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # PEP 562: only mc needs the sampler, so it is imported on first use
+    # PEP 562: the exact route and the sampler are imported on first use,
+    # so that a command loads only the one it runs
+    if name == "exact_violation_probability":
+        from .exact import exact_violation_probability
+
+        return exact_violation_probability
     if name == "estimate_violation_probability":
         from .montecarlo import estimate_violation_probability
 

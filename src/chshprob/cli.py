@@ -8,7 +8,6 @@ stdout, 2 work budget exceeded (exact's enumeration or mc's round count).
 from __future__ import annotations
 
 import argparse
-import gc
 import os
 import sys
 
@@ -26,15 +25,10 @@ from .model import (
     _Record,
     analytic_violation_probability,
     chsh_correlation,
-    exact_violation_probability,
     gaussian_tail_probability,
     is_violation,
     tally,
 )
-
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 # Fixed default seed: runs are reproducible out of the box, never wall-clock.
 DEFAULT_SEED = 42
@@ -120,7 +114,7 @@ def split_rounds(variant: str, total: int) -> tuple[int, int, int, int] | None:
 
 
 def _result_row(
-    method: str, threshold: str, config: ExperimentConfig, value: Fraction | float
+    method: str, threshold: str, config: ExperimentConfig, text: str, decimal: float
 ) -> dict:
     rounds = config.rounds
     return {
@@ -131,8 +125,8 @@ def _result_row(
         "n2": rounds[1],
         "n3": rounds[2],
         "n4": rounds[3],
-        "value": repr(float(value)) if isinstance(value, float) else str(value),
-        "value_decimal": float(value),
+        "value": text,
+        "value_decimal": decimal,
     }
 
 
@@ -156,6 +150,10 @@ def _write_rows(rows: list[dict], fieldnames: tuple[str, ...], fmt: str, out) ->
 
 
 def cmd_toy(args: argparse.Namespace) -> int:
+    # imported here, as in cmd_exact and sweep_rows, so that only the
+    # commands that print an exact value load the exact route
+    from .exact import exact_violation_probability
+
     records = MAXIMAL_VIOLATION_RECORDS
     counts = tally(records)
     correlation = chsh_correlation(counts)
@@ -217,9 +215,11 @@ def cmd_toy(args: argparse.Namespace) -> int:
 
 
 def cmd_exact(args: argparse.Namespace) -> int:
+    from .exact import format_dyadic, violation_count
+
     config = ExperimentConfig(rounds=tuple(args.rounds))
-    result = exact_violation_probability(config, args.threshold, budget=args.budget)
-    row = _result_row(result.method, result.threshold, config, result.value)
+    count = violation_count(config, args.threshold, budget=args.budget)
+    row = _result_row("exact", args.threshold, config, *format_dyadic(count, config.total))
     _write_rows([row], RESULT_FIELDS, args.format, sys.stdout)
     return 0
 
@@ -227,7 +227,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
 def cmd_approx(args: argparse.Namespace) -> int:
     config = ExperimentConfig(rounds=tuple(args.rounds))
     result = analytic_violation_probability(config)
-    row = _result_row(result.method, result.threshold, config, result.value)
+    row = _result_row(result.method, result.threshold, config, repr(result.value), result.value)
     _write_rows([row], RESULT_FIELDS, args.format, sys.stdout)
     return 0
 
@@ -246,7 +246,9 @@ def cmd_mc(args: argparse.Namespace) -> int:
             "the estimate is mostly zeros. Use 'exact' or 'approx' for this regime.",
             file=sys.stderr,
         )
-    row = _result_row("monte-carlo", estimate.threshold, config, estimate.estimate)
+    row = _result_row(
+        "monte-carlo", estimate.threshold, config, repr(estimate.estimate), estimate.estimate
+    )
     row.update(
         trials=estimate.trials,
         hits=estimate.hits,
@@ -293,16 +295,15 @@ def sweep_rows(request: SweepRequest) -> list[dict]:
         row.update(n1=parts[0], n2=parts[1], n3=parts[2], n4=parts[3])
         row["p_analytic"] = gaussian_tail_probability(parts)
         if request.include_exact_intervals and integer:
+            from .exact import format_dyadic, violation_count
+
             config = ExperimentConfig(rounds=parts)
             try:
-                strict, nonstrict = (
-                    exact_violation_probability(config, t).value for t in (STRICT, NON_STRICT)
-                )
+                counts = [violation_count(config, t) for t in (STRICT, NON_STRICT)]
             except LimitError:
                 continue
-            for key, value in (("p_exact_strict", strict), ("p_exact_nonstrict", nonstrict)):
-                row[key] = str(value)
-                row[key + "_decimal"] = float(value)
+            for key, count in zip(("p_exact_strict", "p_exact_nonstrict"), counts):
+                row[key], row[key + "_decimal"] = format_dyadic(count, config.total)
     return rows
 
 
@@ -475,11 +476,12 @@ def main(argv: list[str] | None = None) -> int:
 def entry() -> None:
     """Run the command line and exit the process with its code.
 
-    Before exiting, every object left is moved out of the collector's reach
-    (``gc.freeze``): interpreter shutdown otherwise runs full collections
-    over them, about a tenth of a short command's time.  Under ``-X dev``
-    the full teardown stays, so that finalizers still report unclosed
-    resources.
+    Once stdout and stderr are flushed, the process ends at once
+    (``os._exit``), without the interpreter's teardown: no command leaves
+    a thread, an open file or an exit handler behind, and the teardown
+    would only run full collections over every object still alive and
+    free them, a few ms of a short command.  Under ``-X dev`` the full
+    teardown stays, so that finalizers still report unclosed resources.
 
     When stdout's reader has gone, the process exits 1 without a
     traceback: fd 1 is pointed at ``os.devnull``, so the flush at exit
@@ -491,6 +493,7 @@ def entry() -> None:
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
-    if not sys.flags.dev_mode:
-        gc.freeze()
-    sys.exit(code)
+    if sys.flags.dev_mode:
+        sys.exit(code)
+    sys.stderr.flush()
+    os._exit(code)

@@ -1,7 +1,7 @@
 """The fair walk's endpoint distribution as dyadic rationals.
 
 ``walk_pmf`` is a ``Fraction`` view of the binomial row that
-:mod:`chshprob.model` builds for the exact kernel.  No package code calls
+:mod:`chshprob.exact` builds for the exact kernel.  No package code calls
 it; ``benchmarks/tracing.py`` is its last reader, which times it.  It is
 pure, and its values are safe to share across threads.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .model import binomial_row
+from .exact import binomial_row
 
 
 def walk_pmf(n: int) -> dict[int, Fraction]:

@@ -1,5 +1,4 @@
 import csv
-import gc
 import io
 import json
 import os
@@ -20,9 +19,9 @@ from chshprob.model import (
     MeasurementRecord,
     analytic_violation_probability,
     chsh_correlation,
-    exact_violation_probability,
     tally,
 )
+from chshprob.exact import exact_violation_probability
 from oracles import one_long_channel_probability
 
 
@@ -186,6 +185,38 @@ class TestProbabilityCommands:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert out.splitlines()[1:] == [line]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("threshold", [STRICT, NON_STRICT])
+    @pytest.mark.parametrize(
+        "rounds",
+        # the exact commands of the CI's -X dev step, and one of four odd counts
+        [
+            (1, 1, 1, 1),
+            (2, 2, 2, 2),
+            (60, 70, 80, 90),
+            (2, 3, 5, 2000),
+            (1, 1, 1, 100000),
+            (1, 1, 300, 301),
+            (3, 5, 7, 9),
+        ],
+    )
+    def test_exact_rows_print_the_library_value(self, capsys, rounds, threshold, fmt):
+        flag = "--strict" if threshold == STRICT else "--nonstrict"
+        code, out, _ = run_cli(capsys, "exact", *map(str, rounds), flag, "--format", fmt)
+        assert code == 0
+        (row,) = parse_csv(out) if fmt == "csv" else json.loads(out)
+        value = exact_violation_probability(ExperimentConfig(rounds), threshold).value
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            # (1, 1, 1, 100000) is two integers of 30000 digits
+            sys.set_int_max_str_digits(0)
+        try:
+            assert row["value"] == str(value)
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+        assert float(row["value_decimal"]) == float(value)
 
     def test_mc_row(self, capsys):
         argv = ("mc", "1", "1", "1", "1", "--trials", "200000", "--seed", "42", "--strict")
@@ -436,7 +467,7 @@ class TestSweep:
                     (NON_STRICT, "p_exact_nonstrict"),
                 ):
                     value = exact_violation_probability(config, threshold).value
-                    assert Fraction(row[key]) == value
+                    assert row[key] == str(value)
                     assert float(row[key + "_decimal"]) == float(value)
 
     def test_json_format(self, capsys):
@@ -514,11 +545,49 @@ class TestModuleExecution:
             os.close(write_end)
         assert (result.returncode, result.stderr) == (1, "")
 
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (["exact", "1", "1", "1", "20000"], 0, ""),
+            (["sweep", "--intervals", "--format", "json"], 0, ""),
+            (["exact", "1", "1", "1", "1000000"], 2, "error: exact enumeration costs"),
+            (["exact", "0", "1", "1", "1"], 1, "error: round counts must be positive"),
+            (["mc", "25", "25", "25", "25", "--trials", "1000"], 0, "warning: only 0 hits"),
+        ],
+        ids=["exact-long", "sweep-json", "exact-over-budget", "exact-invalid", "mc-few-hits"],
+    )
+    def test_exit_without_teardown_matches_dev_mode(self, argv, code, err):
+        # outside -X dev the process ends with os._exit; what it wrote
+        # through the pipes must still arrive whole, as under -X dev, where
+        # the interpreter tears down as usual. stdout is block-buffered on
+        # a pipe unless PYTHONUNBUFFERED is set, so it is taken away.
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        fast, dev = (
+            subprocess.run(
+                [sys.executable, *flags, "-m", "chshprob", *argv],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+            for flags in ([], ["-X", "dev"])
+        )
+        assert (fast.returncode, fast.stdout, fast.stderr) == (dev.returncode, dev.stdout, dev.stderr)
+        assert fast.returncode == code
+        assert fast.stderr.startswith(err)
+        if code == 0:
+            assert fast.stdout.endswith("\n")
+        if "json" in argv:
+            assert [row["N"] for row in json.loads(fast.stdout)][-1] == 4096
+        elif code == 0 and argv[0] == "exact":
+            # a value of two 6000-digit integers, complete through its last row
+            (row,) = parse_csv(fast.stdout)
+            assert len(row["value"]) > 12000
+
 
 class TestEntry:
     """``entry`` is the process's way out: it exits with ``main``'s code
-    and, outside dev mode, freezes the collector once ``main`` has
-    returned."""
+    and, outside dev mode, flushes stdout and stderr once ``main`` has
+    returned and ends the process at once (``os._exit``)."""
 
     def run_entry(self, monkeypatch, argv, dev_mode):
         events = []
@@ -529,10 +598,16 @@ class TestEntry:
             events.append(("main", code))
             return code
 
+        def recorded_exit(code):
+            events.append(("_exit", code))
+            raise SystemExit(code)
+
         monkeypatch.setattr(sys, "argv", ["chshprob", *argv])
         monkeypatch.setattr(sys, "flags", SimpleNamespace(dev_mode=dev_mode))
         monkeypatch.setattr(cli, "main", recorded_main)
-        monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+        monkeypatch.setattr(sys.stdout, "flush", lambda: events.append("stdout"))
+        monkeypatch.setattr(sys.stderr, "flush", lambda: events.append("stderr"))
+        monkeypatch.setattr(os, "_exit", recorded_exit)
         with pytest.raises(SystemExit) as exit_info:
             cli.entry()
         return exit_info.value.code, events
@@ -549,13 +624,15 @@ class TestEntry:
     def test_freezes_once_after_main_and_exits_with_its_code(
         self, monkeypatch, capsys, argv, code
     ):
+        # the id is older than the exit: the process now skips its teardown
         assert self.run_entry(monkeypatch, argv, dev_mode=False) == (
             code,
-            [("main", code), "freeze"],
+            [("main", code), "stdout", "stderr", ("_exit", code)],
         )
 
     def test_dev_mode_keeps_the_full_teardown(self, monkeypatch, capsys):
-        assert self.run_entry(monkeypatch, ["toy"], dev_mode=True) == (0, [("main", 0)])
+        # sys.exit, not os._exit: the interpreter tears down as usual
+        assert self.run_entry(monkeypatch, ["toy"], dev_mode=True) == (0, [("main", 0), "stdout"])
 
     def test_main_leaves_the_environment_alone(self, capsys):
         before = dict(os.environ)

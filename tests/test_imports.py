@@ -1,10 +1,10 @@
 """Each command runs once in a fresh interpreter with site-packages on, so
 numpy is importable wherever it is installed, and must import neither
-numpy, a process pool nor ``chshprob.walks``; an ``mc`` run loads no
+numpy, a process pool nor ``chshprob.walks``; only the commands that print
+an exact value load ``chshprob.exact``, and an ``mc`` run loads no
 dataclasses, fractions or decimal either.  Under ``-S`` no command loads
-dataclasses, inspect or typing, only the commands that build an exact
-value load fractions, only CSV output loads csv and only JSON output loads
-json."""
+dataclasses, inspect or typing, only ``toy`` loads fractions or decimal,
+only CSV output loads csv and only JSON output loads json."""
 
 import csv
 import io
@@ -76,6 +76,11 @@ def run_child(argv, *, site=True, prelude="", path=()):
     return json.loads(result.stdout.splitlines()[-1])
 
 
+def prints_an_exact_value(argv):
+    """Whether the command prints an exact value, the exact route's job."""
+    return argv[0] in {"toy", "exact"} or "--intervals" in argv
+
+
 def numpy_or_the_pool(modules):
     """The names in modules that no command may import."""
     banned = {"concurrent.futures", "multiprocessing", "chshprob.walks"}
@@ -89,6 +94,7 @@ def test_command_imports_neither_numpy_nor_the_pool(argv):
     assert report["stdout"]
     modules = set(report["modules"])
     assert not numpy_or_the_pool(modules)
+    assert ("chshprob.exact" in modules) == prints_an_exact_value(argv)
     if argv[0] == "mc":
         assert not modules & {"dataclasses", "fractions", "decimal"}
         assert report["stdout"].startswith("method,")
@@ -109,8 +115,9 @@ def test_non_mc_commands_skip_dataclasses_and_typing_and_load_json_only_for_json
     assert ("json" in modules) == json_output
     csv_output = argv[0] in {"exact", "approx", "sweep"} and not json_output
     assert ("csv" in modules) == csv_output
-    exact_values = argv[0] in {"toy", "exact"} or "--intervals" in argv
-    assert ("fractions" in modules) == exact_values
+    # exact and sweep --intervals print k / 2**N without a Fraction; toy
+    # prints its correlation and probabilities as Fractions
+    assert ("fractions" in modules) == ("decimal" in modules) == (argv[0] == "toy")
 
 
 def test_the_check_sees_an_optional_numpy_import(tmp_path):

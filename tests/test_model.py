@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import timeit
 from bisect import bisect_left
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chshprob import model
+from chshprob import exact
 from chshprob.cli import default_totals, split_rounds
 from chshprob.errors import CorruptRecordError, InvalidConfigError, LimitError
 from chshprob.model import (
@@ -21,13 +22,17 @@ from chshprob.model import (
     MeasurementRecord,
     RoundTally,
     analytic_violation_probability,
-    binomial_row,
     chsh_correlation,
-    enumeration_cost,
-    exact_violation_probability,
     gaussian_tail_probability,
     is_violation,
     tally,
+)
+from chshprob.exact import (
+    binomial_row,
+    enumeration_cost,
+    exact_violation_probability,
+    format_dyadic,
+    violation_count,
     _distinct_sums,
     _plan,
     _product,
@@ -207,6 +212,14 @@ class TestExactProbability:
         runs = timeit.repeat(lambda: exact_violation_probability(config, STRICT), number=1, repeat=25)
         assert min(runs) < 1e-3
 
+    def test_model_still_answers_the_names_the_benchmark_reaches(self):
+        from chshprob import model
+
+        assert model.exact_violation_probability is exact_violation_probability
+        assert model.enumeration_cost is enumeration_cost
+        with pytest.raises(AttributeError):
+            model.binomial_row
+
     def test_single_round_nonstrict(self):
         # 6 of the 16 sign patterns sit at C = 0; the rest reach |C| >= 2
         result = exact_violation_probability(ExperimentConfig((1, 1, 1, 1)), NON_STRICT)
@@ -281,7 +294,7 @@ class TestExactProbability:
             calls.append(None)
             return bisect_left(*args)
 
-        monkeypatch.setattr(model, "bisect_left", counted)
+        monkeypatch.setattr(exact, "bisect_left", counted)
         outer, middle, (length, _), _ = _plan(rounds)
         exact_violation_probability(ExperimentConfig(rounds), threshold)
         runs = min(_distinct_sums(middle), length + 1)
@@ -411,7 +424,7 @@ class TestExactProbability:
             lengths.append(n)
             return binomial_row(n)
 
-        monkeypatch.setattr(model, "binomial_row", recorded)
+        monkeypatch.setattr(exact, "binomial_row", recorded)
         for n in (*range(1, 1001), 10**5):
             config = ExperimentConfig((1, 1, 1, n))
             for threshold in (STRICT, NON_STRICT):
@@ -426,6 +439,54 @@ class TestExactProbability:
         for rounds in ((10**6, 1, 1, 1), (1, 1, 1, 10**9)):
             with pytest.raises(LimitError, match="over the budget"):
                 exact_violation_probability(ExperimentConfig(rounds))
+
+
+class TestFormatDyadic:
+    """``format_dyadic`` prints k / 2**N byte for byte as ``str`` and
+    ``float`` of ``Fraction(k, 2**N)``, which the CLI printed before."""
+
+    @staticmethod
+    def via_fraction(count, bits):
+        value = Fraction(count, 1 << bits)
+        return str(value), float(value)
+
+    @pytest.mark.parametrize("bits", [1, 2, 3, 4, 52, 53, 54, 64, 1000, 1074, 1075, 1100])
+    def test_ends_and_halves(self, bits):
+        # 0 and 2**N print as integers; near 2**-1075 the float underflows
+        top = 1 << bits
+        for count in (0, 1, 2, 3, top // 2, top // 2 + 1, 3 * top // 4, top - 2, top - 1, top):
+            assert format_dyadic(count, bits) == self.via_fraction(count, bits), count
+
+    @given(bits=st.integers(min_value=1, max_value=300), data=st.data())
+    def test_odd_and_even_counts(self, bits, data):
+        count = data.draw(st.integers(min_value=0, max_value=(1 << bits) - 1))
+        for k in (count | 1, count & ~1, count << 1 if count < 1 << (bits - 1) else 0):
+            assert format_dyadic(k, bits) == self.via_fraction(k, bits), k
+
+    def test_past_the_int_digit_limit(self):
+        # 2**14285 has 4301 digits, past the interpreter's default limit,
+        # which is lifted here as main lifts it for its output
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            for bits in (14285, 20000):
+                top = 1 << bits
+                for count in (0, 1, 3 << 5000, top // 2 - 1, top - 1, top):
+                    assert format_dyadic(count, bits) == self.via_fraction(count, bits)
+            assert len(format_dyadic((1 << 14285) - 1, 14285)[0]) > 2 * 4300
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+
+    def test_prints_the_count_that_the_fraction_wraps(self):
+        for rounds in ((1, 1, 1, 1), (2, 3, 5, 7), (1, 1, 300, 301)):
+            config = ExperimentConfig(rounds)
+            for threshold in (STRICT, NON_STRICT):
+                value = exact_violation_probability(config, threshold).value
+                count = violation_count(config, threshold)
+                assert Fraction(count, 1 << config.total) == value
+                assert format_dyadic(count, config.total) == (str(value), float(value))
 
 
 class TestAnalyticProbability:

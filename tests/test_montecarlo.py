@@ -13,12 +13,11 @@ from hypothesis import strategies as st
 
 from chshprob.cli import main
 from chshprob.errors import InvalidConfigError, LimitError
+from chshprob.exact import binomial_row, exact_violation_probability
 from chshprob.model import (
     NON_STRICT,
     STRICT,
     ExperimentConfig,
-    binomial_row,
-    exact_violation_probability,
     is_violation,
 )
 from chshprob import montecarlo

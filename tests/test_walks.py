@@ -5,9 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chshprob import model
+from chshprob import exact, model
 from chshprob.errors import InvalidConfigError, LimitError
-from chshprob.model import binomial_row, gaussian_tail_probability
+from chshprob.exact import binomial_row
+from chshprob.model import gaussian_tail_probability
 from chshprob.walks import walk_pmf
 from oracles import (
     brute_force_walk_distribution,
@@ -69,16 +70,16 @@ class TestWalkPmf:
         def no_rows(n):
             raise AssertionError(f"binomial_row({n}) built before the refusal")
 
-        monkeypatch.setattr(model, "binomial_row", no_rows)
+        monkeypatch.setattr(exact, "binomial_row", no_rows)
         for rounds in ((10**6, 1, 1, 1), (10**9, 1, 1, 1), (1001, 1002, 1003, 1004)):
             with pytest.raises(LimitError, match="over the budget"):
-                model.exact_violation_probability(model.ExperimentConfig(rounds))
+                exact.exact_violation_probability(model.ExperimentConfig(rounds))
         monkeypatch.undo()
         # one long channel alone is cheap, and accepted past 4096 steps: with
         # one round in each other channel, |C| > 2 needs -m2 + m3 + m4 = +-3
         # (2 of 8 patterns) and then every m1 but the one that cancels it
         n = 4097
-        value = model.exact_violation_probability(model.ExperimentConfig((n, 1, 1, 1))).value
+        value = exact.exact_violation_probability(model.ExperimentConfig((n, 1, 1, 1))).value
         assert value == one_long_channel_probability(n, model.STRICT)
 
     @given(n=st.integers(min_value=1, max_value=4096))
