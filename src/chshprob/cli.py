@@ -446,20 +446,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse already printed usage; fold its exit codes into the 0/1 contract
-        code = exc.code if isinstance(exc.code, int) else 1
-        return 0 if code == 0 else 1
     # exact, and sweep with intervals, print p = k / 2**N with k in full:
     # N*log10(2) digits, past the interpreter's default 4300-digit
-    # int-to-str limit once N > 14284; the caller's limit comes back after
+    # int-to-str limit once N > 14284, and argparse's int reads counts of
+    # any length; the caller's limit comes back after
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         sys.set_int_max_str_digits(0)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:
+        # argparse already printed usage; fold its exit codes into the 0/1 contract
+        code = exc.code if isinstance(exc.code, int) else 1
+        return 0 if code == 0 else 1
     except LimitError as exc:
         # exact and mc refuse work over their budgets; approx answers any size at once
         print(f"error: {exc}", file=sys.stderr)

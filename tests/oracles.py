@@ -11,13 +11,17 @@ and the closed form of one long channel beside three single rounds.
 Slow but first-principles; nothing in here shares code with the
 implementation paths it checks (the replay judges its rows by the
 package's one-line ``is_violation``, which the sampler never calls).
+Beside them, ``int_digit_limit`` sets the interpreter's int-to-str limit
+for the tests that read or print integers of more than 4300 digits.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import sys
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 
@@ -30,6 +34,22 @@ TWO_OVER_SQRT_PI = Fraction(
 )
 
 _SERIES_TAIL = Fraction(1, 10**30)
+
+
+@contextmanager
+def int_digit_limit(digits: int = 0):
+    """Set the int-to-str digit limit to ``digits`` (0 lifts it) for the
+    block, and give the caller's limit back after it.  Python before
+    3.10.7 has no limit, and the block runs as it is."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def erfc_series(x) -> tuple[Fraction, Fraction]:

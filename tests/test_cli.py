@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -22,7 +23,7 @@ from chshprob.model import (
     tally,
 )
 from chshprob.exact import exact_violation_probability
-from oracles import one_long_channel_probability
+from oracles import int_digit_limit, one_long_channel_probability
 
 
 def run_cli(capsys, *argv):
@@ -107,35 +108,31 @@ class TestProbabilityCommands:
     def test_exact_prints_fractions_past_the_int_digit_limit(self, capsys):
         # 2**14303 has 4306 digits; (1,1,1,L) violates strictly with
         # p = (2**L - 1) / 2**(L + 2), its closed form
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        try:
-            code, out, _ = run_cli(capsys, "exact", "1", "1", "1", "14300")
-            assert code == 0
-            if limit:
-                # main gives the limit back; reading the value needs it lifted too
-                sys.set_int_max_str_digits(0)
+        code, out, _ = run_cli(capsys, "exact", "1", "1", "1", "14300")
+        assert code == 0
+        # main gives the limit back; reading the value needs it lifted too
+        with int_digit_limit():
             (row,) = parse_csv(out)
             assert Fraction(row["value"]) == one_long_channel_probability(14300, STRICT)
-        finally:
-            if limit:
-                sys.set_int_max_str_digits(limit)
 
     @pytest.mark.skipif(
         not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str limit before 3.10.7"
     )
     @pytest.mark.parametrize(
-        "argv", [["approx", "1", "1", "1", "1"], ["exact", "1", "1", "1", "14300"]]
+        "argv",
+        [
+            ["approx", "1", "1", "1", "1"],
+            ["exact", "1", "1", "1", "14300"],
+            # a count of 5000 digits, which argparse's int reads under the lift
+            ["approx", "1" * 5000, "1", "1", "1"],
+        ],
     )
     def test_main_gives_back_the_int_digit_limit(self, capsys, argv):
-        # main lifts the interpreter's 4300-digit guard for its own output,
-        # and an in-process caller has it back once main returns
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(4300)
-        try:
+        # main lifts the interpreter's 4300-digit guard for its own parsing
+        # and output, and an in-process caller has it back once main returns
+        with int_digit_limit(4300):
             assert run_cli(capsys, *argv)[0] == 0
             assert sys.get_int_max_str_digits() == 4300
-        finally:
-            sys.set_int_max_str_digits(limit)
 
     def test_exact_custom_budget_flag(self, capsys):
         code, _, err = run_cli(capsys, "exact", "2", "2", "2", "2", "--budget", "10")
@@ -207,15 +204,9 @@ class TestProbabilityCommands:
         assert code == 0
         (row,) = parse_csv(out) if fmt == "csv" else json.loads(out)
         value = exact_violation_probability(ExperimentConfig(rounds), threshold).value
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if limit:
-            # (1, 1, 1, 100000) is two integers of 30000 digits
-            sys.set_int_max_str_digits(0)
-        try:
+        # (1, 1, 1, 100000) is two integers of 30000 digits
+        with int_digit_limit():
             assert row["value"] == str(value)
-        finally:
-            if limit:
-                sys.set_int_max_str_digits(limit)
         assert float(row["value_decimal"]) == float(value)
 
     def test_mc_row(self, capsys):
@@ -493,54 +484,58 @@ class TestSweep:
     def test_intervals_past_the_int_digit_limit_and_the_budget(self, capsys):
         # N = 16000 prints 2**16000 (4817 digits) in full; (50000,)*4 is
         # over the enumeration budget, so its row keeps the formula alone
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if hasattr(sys, "set_int_max_str_digits"):
-            # the interpreter's default; main lifts it
-            sys.set_int_max_str_digits(4300)
-        try:
+        # under the interpreter's default; main lifts it
+        with int_digit_limit(4300):
             code, out, err = run_cli(capsys, "sweep", "--intervals", "--n-values", "16000", "200000")
-            assert (code, err) == (0, "")
-            if hasattr(sys, "set_int_max_str_digits"):
-                # main gives the limit back; reading the values needs it lifted too
-                sys.set_int_max_str_digits(0)
-            # the equal variant's interval rows N = 4..20 come first
-            *_, small, large = parse_csv(out)
-            assert (small["N"], large["N"]) == ("16000", "200000")
-            config = ExperimentConfig((4000, 4000, 4000, 4000))
+        assert (code, err) == (0, "")
+        # the equal variant's interval rows N = 4..20 come first
+        *_, small, large = parse_csv(out)
+        assert (small["N"], large["N"]) == ("16000", "200000")
+        config = ExperimentConfig((4000, 4000, 4000, 4000))
+        # main gives the limit back; reading the values needs it lifted too
+        with int_digit_limit():
             for threshold, key in ((STRICT, "p_exact_strict"), (NON_STRICT, "p_exact_nonstrict")):
                 assert len(small[key]) > 4300
                 assert Fraction(small[key]) == exact_violation_probability(config, threshold).value
                 assert large[key] == large[key + "_decimal"] == ""
-        finally:
-            if hasattr(sys, "set_int_max_str_digits"):
-                sys.set_int_max_str_digits(limit)
         assert large["error"] == ""
         assert float(large["p_analytic"]) == analytic_violation_probability(
             ExperimentConfig((50000,) * 4)
         ).value
 
 
+def run_module(flags, argv, **kwargs):
+    """``python *flags -m chshprob *argv`` on this package's source.
+
+    The child's PYTHONPATH is the source alone and PYTHONUNBUFFERED is
+    unset, so its stdout on a pipe is block-buffered unless ``flags`` holds
+    ``-u``, whatever the caller's environment says.
+    """
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, *flags, "-m", "chshprob", *argv], env=env, text=True, **kwargs)
+
+
+# a buffered stdout fails at entry's flush, an unbuffered one at main's first write
+BUFFERING = pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
+
+
 class TestModuleExecution:
-    def test_python_dash_m(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "chshprob", "toy"], capture_output=True, text=True
-        )
+    @BUFFERING
+    def test_python_dash_m(self, flags):
+        result = run_module(flags, ["toy"], capture_output=True)
         assert result.returncode == 0
         assert "C = 4" in result.stdout
 
+    @BUFFERING
     @pytest.mark.parametrize("argv", [["toy"], ["sweep", "--intervals"]])
-    def test_closed_stdout_exits_1_without_a_traceback(self, argv):
+    def test_closed_stdout_exits_1_without_a_traceback(self, flags, argv):
         # the pipe's read end is closed before the process starts, so its
         # first write to stdout fails
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            result = subprocess.run(
-                [sys.executable, "-m", "chshprob", *argv],
-                stdout=write_end,
-                stderr=subprocess.PIPE,
-                text=True,
-            )
+            result = run_module(flags, argv, stdout=write_end, stderr=subprocess.PIPE)
         finally:
             os.close(write_end)
         assert (result.returncode, result.stderr) == (1, "")
@@ -548,40 +543,58 @@ class TestModuleExecution:
     @pytest.mark.parametrize(
         "argv, code, err",
         [
-            (["exact", "1", "1", "1", "20000"], 0, ""),
+            (["toy"], 0, ""),
+            (["exact", "2", "2", "2", "2"], 0, ""),
+            # the exact kernel's long threshold runs (a middle table longer
+            # than the row), its short ones (a long row beside short
+            # channels), a row of 100000 steps, whose tails are summed
+            # without it, and mirrored thresholds whose weights cancel at
+            # their shared prefix point
+            (["exact", "60", "70", "80", "90"], 0, ""),
+            (["exact", "2", "3", "5", "2000"], 0, ""),
+            (["exact", "1", "1", "1", "100000"], 0, ""),
+            (["exact", "1", "1", "300", "301"], 0, ""),
+            (["approx", "25", "25", "25", "25"], 0, ""),
+            (["sweep", "--intervals"], 0, ""),
+            (["sweep", "--variant", "ratio10", "--intervals"], 0, ""),
+            (["sweep", "--variant", "ratio100", "--intervals"], 0, ""),
+            # the mc rows of test_mc_stdout_is_the_same_at_any_worker_count
+            (["mc", "1", "1", "1000", "1000", "--trials", "50000"], 0, ""),
+            (["mc", "1", "1", "1000", "1000", "--trials", "40000"], 0, ""),
+            (["mc", "3", "5", "7", "40", "--trials", "200000"], 0, ""),
+            (["mc", "1", "1", "1", "8388928", "--trials", "64"], 0, ""),
+            (["mc", "3", "3", "3", "3", "--trials", "200000"], 0, ""),
             (["sweep", "--intervals", "--format", "json"], 0, ""),
             (["exact", "1", "1", "1", "1000000"], 2, "error: exact enumeration costs"),
             (["exact", "0", "1", "1", "1"], 1, "error: round counts must be positive"),
             (["mc", "25", "25", "25", "25", "--trials", "1000"], 0, "warning: only 0 hits"),
         ],
-        ids=["exact-long", "sweep-json", "exact-over-budget", "exact-invalid", "mc-few-hits"],
+        ids=[
+            "toy", "exact", "exactlongruns", "exactshortruns", "exactlong", "exactmirrored",
+            "approx", "sweep", "sweep10", "sweep100",
+            "mc", "mcuneven", "mcword", "mcpieces", "mcshort",
+            "sweep-json", "exact-over-budget", "exact-invalid", "mc-few-hits",
+        ],
     )
     def test_exit_without_teardown_matches_dev_mode(self, argv, code, err):
         # outside -X dev the process ends with os._exit; what it wrote
         # through the pipes must still arrive whole, as under -X dev, where
-        # the interpreter tears down as usual. stdout is block-buffered on
-        # a pipe unless PYTHONUNBUFFERED is set, so it is taken away.
-        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-        fast, dev = (
-            subprocess.run(
-                [sys.executable, *flags, "-m", "chshprob", *argv],
-                capture_output=True,
-                text=True,
-                env=env,
-            )
-            for flags in ([], ["-X", "dev"])
-        )
+        # the interpreter tears down as usual and writes any warning or
+        # unclosed resource to stderr, which stays empty unless the command
+        # reports an error or a warning of its own
+        fast, dev = (run_module(flags, argv, capture_output=True) for flags in ([], ["-X", "dev"]))
         assert (fast.returncode, fast.stdout, fast.stderr) == (dev.returncode, dev.stdout, dev.stderr)
         assert fast.returncode == code
-        assert fast.stderr.startswith(err)
+        assert fast.stderr.startswith(err) and bool(fast.stderr) == bool(err)
         if code == 0:
             assert fast.stdout.endswith("\n")
         if "json" in argv:
             assert [row["N"] for row in json.loads(fast.stdout)][-1] == 4096
         elif code == 0 and argv[0] == "exact":
-            # a value of two 6000-digit integers, complete through its last row
+            # one row, complete through its last cell; (1, 1, 1, 100000)
+            # prints two integers of 30000 digits before it
             (row,) = parse_csv(fast.stdout)
-            assert len(row["value"]) > 12000
+            assert row["value_decimal"]
 
 
 class TestEntry:

@@ -4,7 +4,9 @@ numpy, a process pool nor ``chshprob.walks``; only the commands that print
 an exact value load ``chshprob.exact``, and an ``mc`` run loads no
 dataclasses, fractions or decimal either.  Under ``-S`` no command loads
 dataclasses, inspect or typing, only ``toy`` loads fractions or decimal,
-only CSV output loads csv and only JSON output loads json."""
+only CSV output loads csv, only JSON output loads json and again only the
+commands that print an exact value load ``chshprob.exact``; ``--help``
+shows what importing the CLI loads."""
 
 import csv
 import io
@@ -111,6 +113,7 @@ def test_non_mc_commands_skip_dataclasses_and_typing_and_load_json_only_for_json
     assert report["code"] == 0
     modules = set(report["modules"])
     assert not modules & {"dataclasses", "inspect", "typing", "chshprob.walks"}
+    assert ("chshprob.exact" in modules) == prints_an_exact_value(argv)
     json_output = any("json" in arg for arg in argv)
     assert ("json" in modules) == json_output
     csv_output = argv[0] in {"exact", "approx", "sweep"} and not json_output

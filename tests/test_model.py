@@ -1,6 +1,5 @@
 import itertools
 import math
-import sys
 import timeit
 from bisect import bisect_left
 from fractions import Fraction
@@ -40,6 +39,7 @@ from chshprob.exact import (
 from oracles import (
     brute_force_violation_probability,
     gaussian_halfspace_oracle,
+    int_digit_limit,
     large_deviation_exponent,
     lattice_violation_probability,
     one_long_channel_probability,
@@ -466,18 +466,12 @@ class TestFormatDyadic:
     def test_past_the_int_digit_limit(self):
         # 2**14285 has 4301 digits, past the interpreter's default limit,
         # which is lifted here as main lifts it for its output
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if limit:
-            sys.set_int_max_str_digits(0)
-        try:
+        with int_digit_limit():
             for bits in (14285, 20000):
                 top = 1 << bits
                 for count in (0, 1, 3 << 5000, top // 2 - 1, top - 1, top):
                     assert format_dyadic(count, bits) == self.via_fraction(count, bits)
             assert len(format_dyadic((1 << 14285) - 1, 14285)[0]) > 2 * 4300
-        finally:
-            if limit:
-                sys.set_int_max_str_digits(limit)
 
     def test_prints_the_count_that_the_fraction_wraps(self):
         for rounds in ((1, 1, 1, 1), (2, 3, 5, 7), (1, 1, 300, 301)):

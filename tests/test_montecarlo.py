@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from chshprob.cli import main
 from chshprob.errors import InvalidConfigError, LimitError
-from chshprob.exact import binomial_row, exact_violation_probability
+from chshprob.exact import binomial_row, exact_violation_probability, violation_count
 from chshprob.model import (
     NON_STRICT,
     STRICT,
@@ -274,6 +274,32 @@ class TestPathsAgainstExact:
         hits = estimate_violation_probability(ExperimentConfig(rounds), trials, seed, threshold).hits
         z = (hits - trials * p) / math.sqrt(trials * p * (1 - p))
         assert abs(z) <= 5, (hits, float(trials * p), z)
+
+    @pytest.mark.parametrize(
+        "rounds, threshold, seed, counts",
+        [
+            pytest.param((2, 2, 2, 2), STRICT, 42, [MAX_BATCH_TRIALS] * 300, id="short-rows"),
+            pytest.param((1, 1, 1, 61), NON_STRICT, 2**63 - 1, [1024] * 400, id="61-lanes"),
+            pytest.param((3, 5, 7, 9), STRICT, -12345, [MAX_BATCH_TRIALS] * 100, id="negative-seed"),
+            pytest.param(
+                (4, 4, 4, 4), NON_STRICT, 1, [MAX_BATCH_TRIALS] * 200 + [3392], id="partial-last-batch"
+            ),
+        ],
+    )
+    def test_batches_pool_and_spread_as_binomials(self, rounds, threshold, seed, counts):
+        # Batch b draws ``counts[b]`` trials from its own stream.  The pooled
+        # hits lie within |z| <= 5 of exact p, and the dispersion index
+        # sum_b (h_b - c_b*p)**2 / (c_b*p*(1 - p)), about chi-squared with one
+        # degree a batch, within |z| <= 5 of its mean.  Batches that share a
+        # stream fail it, and so does one extra hit in 2048 trials, which
+        # the single runs above do not see.
+        config = ExperimentConfig(rounds)
+        p = violation_count(config, threshold) / 2**config.total
+        hits = [_batch_hits(rounds, seed, b, count, threshold) for b, count in enumerate(counts)]
+        pooled = (sum(hits) - sum(counts) * p) / math.sqrt(sum(counts) * p * (1 - p))
+        dispersion = sum((h - c * p) ** 2 / (c * p * (1 - p)) for h, c in zip(hits, counts))
+        spread = (dispersion - len(counts)) / math.sqrt(2 * len(counts))
+        assert abs(pooled) <= 5 and abs(spread) <= 5, (pooled, spread)
 
 
 class TestSlicedViolations:
