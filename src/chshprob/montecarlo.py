@@ -26,6 +26,12 @@ into one count per trial.  Channel 2's planes are inverted, so its count
 is its -1 rounds.  The counts are weighed by q_k = lcm(n) / n_k, exact
 Python integers at any lcm, and a comparator tests every trial against
 the bounds, all in C loops over the whole batch.  No numpy is needed.
+The last channel can stop early: after its first
+ceil(2 * count.bit_length() / L) planes every trial is judged at the
+lowest and the highest count its remaining rounds allow, and when each
+verdict is the same at both the rest is never drawn.  Nothing is drawn
+after that channel, so every hit is that of the full draw, and a batch
+draws at most its rounds' bits.
 
 Python keeps the ``getrandbits`` sequence of a seed stable in practice,
 but promises it only for ``random()``.  The tests pin hit counts on every
@@ -36,12 +42,13 @@ A run's batches are drawn one after another in the calling thread.  Every
 batch holds the GIL, so threads could only take turns, and the worker
 count changes neither the hits nor the time.  Batches are made one at a
 time, so memory does not grow with the trial count.  A run is priced at
-trials * sum(n_k) rounds before any draw, and a run over RUN_ROUND_BUDGET
-is refused with LimitError.
+trials * sum(n_k) rounds before any draw, an upper bound on the rounds it
+draws, and a run over RUN_ROUND_BUDGET is refused with LimitError.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -59,7 +66,8 @@ MAX_BATCH_TRIALS = 1 << 16
 # The int8-era batch budget in bytes; only benchmarks/tracing.py reads it.
 BATCH_ELEMENT_BUDGET = 1 << 22
 STREAM_VERSION = 4
-# Rounds one run may draw, a generator bit each: under a minute of drawing.
+# Rounds one run is priced at, trials * sum(n_k), a generator bit each at
+# most: under a minute of drawing.
 RUN_ROUND_BUDGET = 1 << 37
 
 _MASK64 = (1 << 64) - 1
@@ -147,19 +155,14 @@ def _plane_sum(columns: list[list[int]]) -> list[int]:
     return sums
 
 
-def _count(planes, lanes: int, count: int) -> list[list[int]]:
-    """How many of ``planes``' rounds are set, trial by trial, as columns of planes.
+def _tally(columns: list[list[int]], planes) -> list[list[int]]:
+    """Streams ``planes`` into the carry-save counter ``columns`` and returns it.
 
-    Each plane holds ``lanes`` rounds as lanes of ``count`` bits, bit
-    l * count + t round l of trial t.  The planes stream into a carry-save
-    counter whose column p holds at most two planes of weight 2**p, so only
-    O(log rounds) planes are held at once; the count of a trial is
-    sum_p 2**p * (how many planes of column p have its bit set).  The
-    lanes are then folded, the upper ones added onto the lower ones until
-    one lane is left, in about log2(lanes) bit-sliced additions of
-    shrinking planes.
+    Column p holds at most two planes of weight 2**p, so only O(log rounds)
+    planes are held at once; the count of a bit is sum_p 2**p * (how many
+    planes of column p have it set).  A counter can take more planes later
+    and go on counting where it stopped.
     """
-    columns: list[list[int]] = []
     for plane in planes:
         for column in columns:
             column.append(plane)
@@ -171,6 +174,17 @@ def _count(planes, lanes: int, count: int) -> list[list[int]]:
             plane = a & b | total & c
         else:
             columns.append([plane])
+    return columns
+
+
+def _fold(columns: list[list[int]], lanes: int, count: int) -> list[list[int]]:
+    """A tally of planes of ``lanes`` rounds, folded into one count per trial.
+
+    Each plane holds ``lanes`` rounds as lanes of ``count`` bits, bit
+    l * count + t round l of trial t.  The upper lanes are added onto the
+    lower ones until one lane is left, in about log2(lanes) bit-sliced
+    additions of shrinking planes.  ``columns`` is left as it is.
+    """
     while lanes > 1:
         lanes = (lanes + 1) // 2
         shift = lanes * count
@@ -184,7 +198,7 @@ def _sliced_violations(counts: list[list[list[int]]], rounds: tuple[int, ...], t
     """The trials that violate, bit t for trial t, given each channel's count.
 
     ``counts[k]`` holds c_k, channel k's +1 rounds and channel 2's -1
-    rounds, as ``_count`` gives it, and ``ones`` has a bit set for every
+    rounds, as ``_fold`` gives it, and ``ones`` has a bit set for every
     trial.  With q_k = lcm(rounds) / n_k and m_k = 2*ones_k - n_k, the
     correlation inequality with denominators cleared is
     |sum_k sign_k*q_k*m_k| > 2*lcm, >= when non-strict.  V = sum_k q_k * c_k is half that sum plus 2*lcm,
@@ -237,14 +251,39 @@ def _batch_hits(
 
     Each channel in turn is drawn from the batch's MT19937 stream as planes
     of min(n_k, MAX_BATCH_TRIALS // count) lanes (see the module
-    docstring), counted by ``_count`` and judged by ``_sliced_violations``.
+    docstring), counted by ``_tally`` and ``_fold`` and judged by
+    ``_sliced_violations``.  The last channel's first
+    ceil(2 * count.bit_length() / L) planes are counted, and if rounds
+    remain every trial is judged at both ends of the count it can still
+    reach, its count so far p and p plus the rounds left.  V grows with
+    that count, by less than the 2*lcm between the bounds, so a trial with
+    the same verdict at both ends has it at every count between.  When
+    every trial does, the rest is not drawn; nothing is drawn after it, so
+    the hits are those of the full draw.
     """
     draw = random.Random(seed & _MASK64 | batch_index << 64).getrandbits
-    counts = []
+    ones = (1 << count) - 1
+    counts: list[list[list[int]]] = []
     for sign, n in zip(CHANNEL_SIGNS, rounds):
         lanes = min(n, MAX_BATCH_TRIALS // count)
-        counts.append(_count(_channel_planes(draw, n, lanes, count, sign < 0), lanes, count))
-    return _sliced_violations(counts, rounds, threshold, (1 << count) - 1).bit_count()
+        planes = _channel_planes(draw, n, lanes, count, sign < 0)
+        columns: list[list[int]] = []
+        head = -(-2 * count.bit_length() // lanes)
+        rest = n - head * lanes
+        if len(counts) == 3 and rest > 0:
+            # a trial on a bound's edge settles with probability 1/2 a round,
+            # so at this point a batch has settled with probability
+            # at least 1 - 1/count
+            low = _fold(_tally(columns, itertools.islice(planes, head)), lanes, count)
+            high = [
+                column + [ones] * (rest >> position & 1)
+                for position, column in enumerate(low + [[]] * (rest.bit_length() - len(low)))
+            ]
+            verdict = _sliced_violations(counts + [low], rounds, threshold, ones)
+            if verdict == _sliced_violations(counts + [high], rounds, threshold, ones):
+                return verdict.bit_count()
+        counts.append(_fold(_tally(columns, planes), lanes, count))
+    return _sliced_violations(counts, rounds, threshold, ones).bit_count()
 
 
 def estimate_violation_probability(

@@ -26,8 +26,9 @@ from chshprob.montecarlo import (
     RUN_ROUND_BUDGET,
     STREAM_VERSION,
     _batch_hits,
-    _count,
+    _fold,
     _sliced_violations,
+    _tally,
     estimate_violation_probability,
     wilson_interval,
 )
@@ -55,13 +56,13 @@ def replay_hits(rounds, seed, batch_index, count, threshold):
 
 
 def sliced_counts(planes, rounds, ones):
-    """Each channel's count, as ``_count`` gives it, of one plane per round
+    """Each channel's count, as ``_tally`` gives it, of one plane per round
     whose trials are the bits of ``ones``; channel 2's planes are inverted
     first."""
     counts, first = [], 0
     for sign, n in zip((1, -1, 1, 1), rounds):
         channel = planes[first : first + n]
-        counts.append(_count([plane ^ ones if sign < 0 else plane for plane in channel], 1, 1))
+        counts.append(_tally([], [plane ^ ones if sign < 0 else plane for plane in channel]))
         first += n
     return counts
 
@@ -91,7 +92,11 @@ class TestSimulateExperiment:
         # of the last three end inside a plane, on its edge and across
         # several planes.  (4,4,4,5) is drawn at the seed range's ends in
         # one lane (4096 trials) and in four, at trial counts that are and
-        # are not a multiple of the generator's 32-bit words
+        # are not a multiple of the generator's 32-bit words.  The last
+        # channel of (1,1,1,2000) settles before its end at 3, 60 and 4096
+        # trials, and that of (1,1,1,61) at 4096 and MAX_BATCH_TRIALS (16
+        # lanes and one), so its rest is not drawn; the other counts draw
+        # the channel in one plane
         cases = [
             (rounds, 13, 2048)
             for rounds in ((3, 5, 7, 2), (63, 1, 64, 2), (64, 64, 64, 64), (1, 1, 1000, 1000))
@@ -101,12 +106,22 @@ class TestSimulateExperiment:
             for seed in (0, -1, 2**63 - 1, -(2**63))
             for count in (1, 33, 4096)
         ]
-        for rounds, seed, count in cases:
+        cases = [(case, index) for case in cases for index in (0, 1)]
+        cases += [
+            ((rounds, seed, count), 0)
+            for rounds, counts in (
+                ((1, 1, 1, 2000), (1, 3, 60, 4096)),
+                ((1, 1, 1, 61), (1, 3, 60, 4096, MAX_BATCH_TRIALS)),
+            )
+            for seed in (2**63 - 1, -(2**63))
+            for count in counts
+        ]
+        for (rounds, seed, count), index in cases:
+            sums = plane_replay_sums(rounds, seed, index, count)
             for threshold in (STRICT, NON_STRICT):
-                for index in (0, 1):
-                    expected = replay_hits(rounds, seed, index, count, threshold)
-                    got = _batch_hits(rounds, seed, index, count, threshold)
-                    assert got == expected, (rounds, seed, count, threshold, index)
+                expected = plane_replay_hits(rounds, sums, threshold)
+                got = _batch_hits(rounds, seed, index, count, threshold)
+                assert got == expected, (rounds, seed, count, threshold, index)
 
     @pytest.mark.parametrize(
         "rounds",
@@ -170,24 +185,57 @@ class TestSimulateExperiment:
                 assert _batch_hits(rounds, 13, 0, 4096, threshold) == expected, (rounds, threshold)
 
     def test_a_huge_row_goes_straight_to_counting(self, monkeypatch):
-        # a row of 10**12 rounds is drawn plane by plane: the first plane
-        # holds MAX_BATCH_TRIALS lanes of one trial, and nothing of the
-        # row's length is built before it is counted
-        class Counted(Exception):
+        # a row of 10**12 rounds is drawn plane by plane, each plane at most
+        # MAX_BATCH_TRIALS bits: the first holds MAX_BATCH_TRIALS lanes of
+        # one trial, and nothing of the row's length is built before it is
+        # counted.  The trial settles on that plane, so nothing more is
+        # drawn.  All-ones planes put it on the non-strict bound at the
+        # channel's last round, so it does not settle, and its next planes
+        # are as wide; the stand-in stops that draw, which would take
+        # minutes
+        class Stopped(Exception):
             pass
 
         widths = []
 
-        def counted(planes, lanes, count):
-            widths.append(next(iter(planes)).bit_length())
-            if len(widths) == 4:
-                raise Counted
-            return []
+        class Recorded(random.Random):
+            all_ones = False
 
-        monkeypatch.setattr(montecarlo, "_count", counted)
-        with pytest.raises(Counted):
-            _batch_hits((1, 1, 1, 10**12), 13, 0, 1, STRICT)
-        assert widths[3] <= MAX_BATCH_TRIALS
+            def getrandbits(self, width):
+                widths.append(width)
+                if len(widths) > 8:
+                    raise Stopped
+                return (1 << width) - 1 if self.all_ones else super().getrandbits(width)
+
+        monkeypatch.setattr(montecarlo.random, "Random", Recorded)
+        _batch_hits((1, 1, 1, 10**12), 13, 0, 1, STRICT)
+        assert widths == [1, 1, 1, MAX_BATCH_TRIALS]
+        widths.clear()
+        Recorded.all_ones = True
+        with pytest.raises(Stopped):
+            _batch_hits((1, 1, 1, 10**12), 13, 0, 1, NON_STRICT)
+        assert widths == [1, 1, 1] + [MAX_BATCH_TRIALS] * 6
+
+    def test_a_batch_draws_its_last_channel_until_every_trial_settles(self, monkeypatch):
+        # in a full batch of (1,1,1,2000) the first three channels decide
+        # every trial but those a run of 34 equal rounds leaves on a bound,
+        # so the batch draws 37 of its 2003 rounds; the 1000-round third
+        # channel of (1,1,1000,1000) leaves trials on both sides of a
+        # bound, so that batch draws every round
+        drawn = []
+
+        class Counted(random.Random):
+            def getrandbits(self, width):
+                drawn.append(width)
+                return super().getrandbits(width)
+
+        monkeypatch.setattr(montecarlo.random, "Random", Counted)
+        for rounds, settles in (((1, 1, 1, 2000), True), ((1, 1, 1000, 1000), False)):
+            bits = MAX_BATCH_TRIALS * sum(rounds)
+            for threshold in (STRICT, NON_STRICT):
+                drawn.clear()
+                _batch_hits(rounds, 42, 0, MAX_BATCH_TRIALS, threshold)
+                assert sum(drawn) < bits / 20 if settles else sum(drawn) == bits, (rounds, threshold)
 
     @pytest.mark.parametrize(
         "n, count",
@@ -212,7 +260,7 @@ class TestSimulateExperiment:
             for lane in range(0, len(bits), count):
                 for t, bit in enumerate(bits[lane : lane + count]):
                     expected[t] += bit == "1"
-        columns = _count(iter(planes), lanes, count)
+        columns = _fold(_tally([], iter(planes)), lanes, count)
         got = [0] * count
         for position, column in enumerate(columns):
             for plane in column:
@@ -284,6 +332,7 @@ class TestPathsAgainstExact:
             pytest.param(
                 (4, 4, 4, 4), NON_STRICT, 1, [MAX_BATCH_TRIALS] * 200 + [3392], id="partial-last-batch"
             ),
+            pytest.param((1, 1, 1, 100000), STRICT, 100003, [MAX_BATCH_TRIALS] * 200, id="settling-row"),
         ],
     )
     def test_batches_pool_and_spread_as_binomials(self, rounds, threshold, seed, counts):
