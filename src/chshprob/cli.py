@@ -152,14 +152,15 @@ def _write_rows(rows: list[dict], fieldnames: tuple[str, ...], fmt: str, out) ->
 def cmd_toy(args: argparse.Namespace) -> int:
     # imported here, as in cmd_exact and sweep_rows, so that only the
     # commands that print an exact value load the exact route
-    from .exact import exact_violation_probability
+    from .exact import format_dyadic, violation_count
 
     records = MAXIMAL_VIOLATION_RECORDS
     counts = tally(records)
     correlation = chsh_correlation(counts)
     config = ExperimentConfig(rounds=counts.n)
-    strict_p = exact_violation_probability(config, STRICT).value
-    nonstrict_p = exact_violation_probability(config, NON_STRICT).value
+    strict_count = violation_count(config, STRICT)
+    strict_text, strict_decimal = format_dyadic(strict_count, config.total)
+    nonstrict_text, nonstrict_decimal = format_dyadic(violation_count(config, NON_STRICT), config.total)
     contributions = [
         CHANNEL_SIGNS[CHANNELS.index(r.channel)] * r.c for r in records
     ]
@@ -177,10 +178,10 @@ def cmd_toy(args: argparse.Namespace) -> int:
             "violation_strict": is_violation(correlation, STRICT),
             "config": list(config.rounds),
             "probability": {
-                "strict": str(strict_p),
-                "strict_decimal": float(strict_p),
-                "non-strict": str(nonstrict_p),
-                "non-strict_decimal": float(nonstrict_p),
+                "strict": strict_text,
+                "strict_decimal": strict_decimal,
+                "non-strict": nonstrict_text,
+                "non-strict_decimal": nonstrict_decimal,
             },
         }
         import json
@@ -203,13 +204,12 @@ def cmd_toy(args: argparse.Namespace) -> int:
     )
     print(
         f"probability of |C| > 2 from four fair single-round channels: "
-        f"p = {strict_p} = {float(strict_p)}"
+        f"p = {strict_text} = {strict_decimal}"
     )
-    patterns = 2**config.total
     print(
-        f"({strict_p.numerator * patterns // strict_p.denominator} of the {patterns} equally "
+        f"({strict_count} of the {2**config.total} equally "
         f"likely outcome patterns violate strictly; with the boundary included, "
-        f"p = {nonstrict_p} = {float(nonstrict_p)})"
+        f"p = {nonstrict_text} = {nonstrict_decimal})"
     )
     return 0
 

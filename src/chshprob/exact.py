@@ -16,9 +16,9 @@ budget prices every row of a plan (``enumeration_cost``) and refuses
 over-budget work before any row is built.
 
 Only the commands that print an exact value (``toy``, ``exact`` and
-``sweep --intervals``) load this module.  Only
-``exact_violation_probability`` imports ``fractions``, and of the commands
-only ``toy`` calls it.
+``sweep --intervals``) load this module, and each prints its values
+through ``format_dyadic``.  Only ``exact_violation_probability`` imports
+``fractions``, and no command calls it.
 """
 
 from __future__ import annotations

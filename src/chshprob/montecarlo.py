@@ -20,12 +20,14 @@ l * count + t is round i * L + l of trial t, a set bit a +1 round.  The
 channel's last plane holds the rounds left, drawn as that many lanes.  A
 full batch has one round per plane.  The batch is counted bit-sliced:
 every operation on a Python integer handles one bit of every trial at once
-(Biham 1997).  A channel's planes stream into a carry-save counter, so it
-holds O(log n_k) planes whatever its length, and its lanes are then added
-into one count per trial.  Channel 2's planes are inverted, so its count
-is its -1 rounds.  The counts are weighed by q_k = lcm(n) / n_k, exact
-Python integers at any lcm, and a comparator tests every trial against
-the bounds, all in C loops over the whole batch.  No numpy is needed.
+(Biham 1997).  One carry-save counter, ``_tally``, does every addition:
+a channel's planes stream into one, so it holds O(log n_k) planes whatever
+its length, and its lanes are folded into one count per trial.  Channel
+2's planes are inverted, so its count is its -1 rounds.  The counts,
+weighed by q_k = lcm(n) / n_k in exact Python integers at any lcm, are
+tallied into one more counter, which a comparator resolves with a ripple
+carry as it tests every trial against the bounds, all in C loops over
+the whole batch.  No numpy is needed.
 The last channel can stop early: after its first
 ceil(2 * count.bit_length() / L) planes every trial is judged at the
 lowest and the highest count its remaining rounds allow, and when each
@@ -126,45 +128,20 @@ def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
     return max(0.0, min(center - half, p)), min(1.0, max(center + half, p))
 
 
-def _plane_sum(columns: list[list[int]]) -> list[int]:
-    """The planes of sum_p 2**p * (how many planes of ``columns[p]`` are set), trial by trial.
+def _tally(columns: list[list[int]], planes, position: int = 0) -> list[list[int]]:
+    """Streams ``planes`` of weight 2**position into the carry-save counter ``columns``.
 
-    A plane holds one bit of every trial, bit t trial t's.  A
-    carry-save reduction: three planes of a column become their sum there
-    and their carry one column up (a full adder, five big-integer
-    operations), two become one and a carry (a half adder, two), until
-    every column holds one plane, or none, which reads as 0.  Consumes
-    ``columns``, and adds a column for a carry past the last one.  A carry
-    that is 0 is dropped.
-    """
-    sums = []
-    for position, column in enumerate(columns):
-        while len(column) > 1:
-            a, b = column.pop(), column.pop()
-            total, carry = a ^ b, a & b
-            if column:
-                c = column.pop()
-                carry |= total & c
-                total ^= c
-            column.append(total)
-            if carry:
-                if position + 1 == len(columns):
-                    columns.append([])
-                columns[position + 1].append(carry)
-        sums.append(column[0] if column else 0)
-    return sums
-
-
-def _tally(columns: list[list[int]], planes) -> list[list[int]]:
-    """Streams ``planes`` into the carry-save counter ``columns`` and returns it.
-
-    Column p holds at most two planes of weight 2**p, so only O(log rounds)
-    planes are held at once; the count of a bit is sum_p 2**p * (how many
-    planes of column p have it set).  A counter can take more planes later
-    and go on counting where it stopped.
+    The module's one adder.  A plane holds one bit of every trial, bit t
+    trial t's.  Column p holds at most two planes of weight 2**p, so only
+    O(log rounds) planes are held at once; the count of a bit is
+    sum_p 2**p * (how many planes of column p have it set).  A third plane
+    makes a full adder, five big-integer operations, whose carry goes one
+    column up.  ``position`` is at most ``len(columns)``.  The counter is
+    returned, and can take more planes later, at any position.
     """
     for plane in planes:
-        for column in columns:
+        # a channel streams at position 0, where a slice would copy for every plane
+        for column in columns[position:] if position else columns:
             column.append(plane)
             if len(column) < 3:
                 break
@@ -183,14 +160,18 @@ def _fold(columns: list[list[int]], lanes: int, count: int) -> list[list[int]]:
     Each plane holds ``lanes`` rounds as lanes of ``count`` bits, bit
     l * count + t round l of trial t.  The upper lanes are added onto the
     lower ones until one lane is left, in about log2(lanes) bit-sliced
-    additions of shrinking planes.  ``columns`` is left as it is.
+    additions of shrinking planes: each column's halves are tallied into a
+    fresh counter at that column's position.  ``columns`` is left as it is.
     """
     while lanes > 1:
         lanes = (lanes + 1) // 2
         shift = lanes * count
         low = (1 << shift) - 1
-        halves = [[half for plane in column for half in (plane & low, plane >> shift)] for column in columns]
-        columns = [[plane] for plane in _plane_sum(halves)]
+        folded: list[list[int]] = []
+        for position, column in enumerate(columns):
+            halves = [half for plane in column for half in (plane & low, plane >> shift)]
+            _tally(folded, halves, position)
+        columns = folded
     return columns
 
 
@@ -198,31 +179,42 @@ def _sliced_violations(counts: list[list[list[int]]], rounds: tuple[int, ...], t
     """The trials that violate, bit t for trial t, given each channel's count.
 
     ``counts[k]`` holds c_k, channel k's +1 rounds and channel 2's -1
-    rounds, as ``_fold`` gives it, and ``ones`` has a bit set for every
-    trial.  With q_k = lcm(rounds) / n_k and m_k = 2*ones_k - n_k, the
-    correlation inequality with denominators cleared is
+    rounds, as ``_tally`` and ``_fold`` give it, and ``ones`` has a bit set
+    for every trial.  With q_k = lcm(rounds) / n_k and m_k = 2*ones_k - n_k,
+    the correlation inequality with denominators cleared is
     |sum_k sign_k*q_k*m_k| > 2*lcm, >= when non-strict.  V = sum_k q_k * c_k is half that sum plus 2*lcm,
     so the test is V >= 3*lcm + strict or V <= lcm - strict, on integers
     V >= 3*lcm + strict or not V >= lcm + 1 - strict.  Each count plane
-    joins the column of every set bit of its q, shifted by its own
-    column, and ``_plane_sum`` gives V's planes.  They are compared
-    against both bounds from the lowest plane up, without building the
-    bounds' planes: V >= c on the planes so far is plane & r at a set bit
-    of c and plane | r at a clear one.
+    joins the position of every set bit of its q, shifted by its own
+    column, and each position is tallied once into a counter of
+    (4*lcm).bit_length() columns, enough for every bit of V <= 4*lcm and
+    of both bounds.  The columns' one or two planes are resolved from the
+    lowest up with a ripple carry, the sum a ^ b ^ carry and the carry the
+    majority of the three, and compared against both bounds on the way,
+    without building the bounds' planes: V >= c on the planes so far
+    is plane & r at a set bit of c and plane | r at a clear one.
     """
     scale = math.lcm(*rounds)
-    columns: list[list[int]] = [[] for _ in range((4 * scale).bit_length())]
+    gathered: list[list[int]] = [[] for _ in range((4 * scale).bit_length())]
     for n, channel in zip(rounds, counts):
         weight = scale // n
         for shift in range(weight.bit_length()):
             if weight >> shift & 1:
                 for position, planes in enumerate(channel, shift):
                     # a plane that is not 0 has a trial with q * c >= 2**position
-                    columns[position] += filter(None, planes)
+                    gathered[position] += filter(None, planes)
+    counter: list[list[int]] = [[] for _ in gathered]
+    for position, planes in enumerate(gathered):
+        _tally(counter, planes, position)
     strict = threshold == STRICT
     low_bound, high_bound = scale + 1 - strict, 3 * scale + strict
     low = high = ones
-    for position, plane in enumerate(_plane_sum(columns)):
+    carry = 0
+    for position, column in enumerate(counter):
+        plane, carry = carry, 0
+        for addend in column:
+            carry |= plane & addend
+            plane ^= addend
         low = plane & low if low_bound >> position & 1 else plane | low
         high = plane & high if high_bound >> position & 1 else plane | high
     # the trials at least the high bound are among those at least the low one

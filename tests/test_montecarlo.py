@@ -376,9 +376,10 @@ class TestSlicedViolations:
                 assert verdict == is_violation(correlation, threshold), (rounds, threshold, row)
 
     def test_every_short_shape_sums_within_its_columns(self):
-        # V <= 4*lcm has (4*lcm).bit_length() bits, and the adders' carries
-        # must stay in as many columns for every row of at most 16 rounds;
-        # one past them would raise IndexError
+        # V <= 4*lcm has at most (4*lcm).bit_length() bits, as have both
+        # bounds; the comparator's counter must span all of them for every
+        # row of at most 16 rounds, or their top bits go unread and the row
+        # below, V = 3*lcm on the non-strict bound, is misjudged
         shapes = [r for r in itertools.product(range(1, 14), repeat=4) if sum(r) <= 16]
         assert len(shapes) == 1820
         for rounds in shapes:

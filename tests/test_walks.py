@@ -53,16 +53,26 @@ class TestWalkPmf:
         assert n - 1 not in pmf
 
     def test_rejects_zero_steps(self):
-        for build in (walk_pmf, binomial_row):
-            with pytest.raises(InvalidConfigError):
-                build(0)
+        with pytest.raises(InvalidConfigError):
+            walk_pmf(0)
 
     def test_rejects_negative_and_non_integer(self):
-        for build in (walk_pmf, binomial_row):
-            with pytest.raises(InvalidConfigError):
-                build(-3)
-            with pytest.raises(InvalidConfigError):
-                build(2.0)
+        with pytest.raises(InvalidConfigError):
+            walk_pmf(-3)
+        with pytest.raises(InvalidConfigError):
+            walk_pmf(2.0)
+
+
+class TestBinomialRow:
+    def test_rejects_zero_steps(self):
+        with pytest.raises(InvalidConfigError):
+            binomial_row(0)
+
+    def test_rejects_negative_and_non_integer(self):
+        with pytest.raises(InvalidConfigError):
+            binomial_row(-3)
+        with pytest.raises(InvalidConfigError):
+            binomial_row(2.0)
 
     def test_step_limit(self, monkeypatch):
         # the exact route refuses over-budget work before it builds any row:
