@@ -405,8 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="accepted for existing scripts; every batch runs in the calling thread, "
-        "so it changes neither the hits nor the time",
+        help="processes to share the batches among, at most one per batch and per "
+        "usable CPU (default %(default)s); the hits are the same at any count",
     )
     mc.set_defaults(func=cmd_mc)
 

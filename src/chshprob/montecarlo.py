@@ -40,19 +40,30 @@ but promises it only for ``random()``.  The tests pin hit counts on every
 Python version the CI runs (3.10-3.13), so a change there would fail them
 rather than drift silently.
 
-A run's batches are drawn one after another in the calling thread.  Every
-batch holds the GIL, so threads could only take turns, and the worker
-count changes neither the hits nor the time.  Batches are made one at a
-time, so memory does not grow with the trial count.  A run is priced at
-trials * sum(n_k) rounds before any draw, an upper bound on the rounds it
-draws, and a run over RUN_ROUND_BUDGET is refused with LimitError.
+A run's batches fall into k = min(workers, batches, usable CPUs) strided
+shares: share j draws batches j, j + k, and so on.  The calling process
+forks a child for every share but share 0, which it sums itself; each
+child writes its count to a pipe of its own and leaves through
+``os._exit``, printing nothing and running none of the caller's cleanup.
+Processes, unlike threads, do not take turns on the GIL.  A share whose
+child gives no count (the fork failed, or the child raised or was killed)
+is run again in the calling process, where a real error is raised with
+its own type, since batches are deterministic.  An exception in the
+caller, an interrupt included, first kills and reaps every child.  k is 1
+where ``os.fork`` is missing or another thread is alive.  Every batch has
+its own stream, so the hits are the same at any k.  Batches are made one
+at a time, so memory does not grow with the trial count.  A run is priced
+at trials * sum(n_k) rounds before any draw, an upper bound on the rounds
+it draws, and a run over RUN_ROUND_BUDGET is refused with LimitError.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
+import sys
 
 from .errors import InvalidConfigError, LimitError
 from .model import (
@@ -290,7 +301,10 @@ def estimate_violation_probability(
 
     Deterministic in (seed, trials, config, threshold): trials are cut into
     fixed-size batches with per-batch substreams and hits are summed.
-    ``workers`` is checked and changes neither the hits nor the time.  The
+    ``workers`` caps the processes the batches are shared among, with the
+    batches and the usable CPUs (see the module docstring); it does not
+    change the hits.  An error in a forked share is raised once the
+    caller's own share is done.  The
     seed is a signed 64-bit integer, -2**63 .. 2**63 - 1, and the streams
     read its two's-complement pattern, so a negative seed s draws the
     stream of s + 2**64, which no accepted seed shares.  ``trials``, ``workers`` and
@@ -314,13 +328,59 @@ def estimate_violation_probability(
             f"Monte Carlo run draws {drawn} rounds, over the budget {RUN_ROUND_BUDGET}; "
             "the analytic method has no such limit"
         )
-    # batches are made one at a time, so no input makes the run hold a
-    # per-batch list; an error in a batch, an interrupt included, ends the
-    # run before the next one, and no partial sum is returned
-    hits = sum(
-        _batch_hits(config.rounds, seed, index, min(MAX_BATCH_TRIALS, trials - first), threshold)
-        for index, first in enumerate(range(0, trials, MAX_BATCH_TRIALS))
-    )
+    batches = -(-trials // MAX_BATCH_TRIALS)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    # a child forked while another thread runs may inherit a lock that
+    # thread holds; threading is only looked up, never imported
+    threading = sys.modules.get("threading")
+    alone = threading is None or threading.active_count() == 1
+    k = min(workers, batches, cpus) if hasattr(os, "fork") and alone else 1
+
+    def share_hits(share: int) -> int:
+        # batches are made one at a time, so no input makes the run hold a
+        # per-batch list; an error in a batch, an interrupt included, ends
+        # the share before its next batch
+        return sum(
+            _batch_hits(
+                config.rounds, seed, index, min(MAX_BATCH_TRIALS, trials - index * MAX_BATCH_TRIALS), threshold
+            )
+            for index in range(share, batches, k)
+        )
+
+    children: dict[int, tuple[int, int]] = {}  # share: (pid, read end of its pipe)
+    try:
+        for share in range(1, k):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+                if not pid:
+                    # the child writes its count, or nothing if its share
+                    # raised, and leaves without the caller's cleanup
+                    try:
+                        os.write(write, b"%d" % share_hits(share))
+                    finally:
+                        os._exit(0)
+                children[share] = pid, read
+            except OSError:
+                os.close(read)
+            finally:
+                os.close(write)
+        hits = share_hits(0)
+        for share in range(1, k):
+            # one write of a few bytes is atomic, so a read gets all of the
+            # count or, once the child is gone without one, nothing; batches
+            # are deterministic, so a share run again here gives its count,
+            # or raises its error with its own type
+            count = os.read(children[share][1], 32) if share in children else b""
+            hits += int(count) if count else share_hits(share)
+    finally:
+        # a child that has written its count is leaving anyway; 9 is
+        # SIGKILL, whose number POSIX fixes, and importing signal would
+        # cost every run about 0.6 ms
+        for pid, read in children.values():
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            os.close(read)
 
     low, high = wilson_interval(hits, trials)
     return McEstimate(

@@ -228,6 +228,8 @@ class TestProbabilityCommands:
             # rows of 2002 rounds in one batch of one round a plane
             ("mc", "1", "1", "1000", "1000", "--trials", "50000"),
             ("mc", "1", "1", "1000", "1000", "--trials", "40000"),
+            # rows of 2002 rounds in a full batch and a short second
+            ("mc", "1", "1", "1000", "1000", "--trials", "70000"),
             # rows of 55 rounds in three full batches and a short fourth
             ("mc", "3", "5", "7", "40", "--trials", "200000"),
             # a row of 8388928 rounds whose planes hold 1024 lanes of 64 trials
@@ -235,7 +237,7 @@ class TestProbabilityCommands:
             # rows of 12 rounds in the same four batches
             ("mc", "3", "3", "3", "3", "--trials", "200000"),
         ],
-        ids=["mc", "mcuneven", "mcword", "mcpieces", "mcshort"],
+        ids=["mc", "mcuneven", "mcbatches", "mcword", "mcpieces", "mcshort"],
     )
     def test_mc_stdout_is_the_same_at_any_worker_count(self, capsys, argv, workers):
         single = run_cli(capsys, *argv, "--workers", "1")
@@ -561,6 +563,8 @@ class TestModuleExecution:
             # the mc rows of test_mc_stdout_is_the_same_at_any_worker_count
             (["mc", "1", "1", "1000", "1000", "--trials", "50000"], 0, ""),
             (["mc", "1", "1", "1000", "1000", "--trials", "40000"], 0, ""),
+            # its row of two batches, at two workers, so that the run forks
+            (["mc", "1", "1", "1000", "1000", "--trials", "70000", "--workers", "2"], 0, ""),
             (["mc", "3", "5", "7", "40", "--trials", "200000"], 0, ""),
             (["mc", "1", "1", "1", "8388928", "--trials", "64"], 0, ""),
             (["mc", "3", "3", "3", "3", "--trials", "200000"], 0, ""),
@@ -572,7 +576,7 @@ class TestModuleExecution:
         ids=[
             "toy", "exact", "exactlongruns", "exactshortruns", "exactlong", "exactmirrored",
             "approx", "sweep", "sweep10", "sweep100",
-            "mc", "mcuneven", "mcword", "mcpieces", "mcshort",
+            "mc", "mcuneven", "mcbatches", "mcword", "mcpieces", "mcshort",
             "sweep-json", "exact-over-budget", "exact-invalid", "mc-few-hits",
         ],
     )

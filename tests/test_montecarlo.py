@@ -1,8 +1,13 @@
+import errno
 import itertools
 import math
+import os
 import random
+import signal
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
 from statistics import NormalDist
@@ -48,6 +53,12 @@ class IndexLike:
 
     def __index__(self):
         return self.value
+
+
+def pin_cpus(monkeypatch, cpus):
+    """Makes the run see ``cpus`` usable CPUs, whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
 
 
 def replay_hits(rounds, seed, batch_index, count, threshold):
@@ -469,9 +480,11 @@ class TestEstimate:
 
     @pytest.mark.parametrize("error", [KeyboardInterrupt, BatchFailed])
     def test_a_failed_batch_ends_the_run_before_the_next(self, monkeypatch, error):
-        # batch 1 of 120 raises, an interrupt or an error, at any worker
-        # count: the run raises it, draws no later batch and returns no
-        # partial sum
+        # batch 1 of 120 raises, an interrupt or an error, and the run raises
+        # it and returns no partial sum.  At one worker no later batch is
+        # drawn.  At two, batch 1 fails in the forked child's share: the
+        # calling process draws its own share, 0, 2, ..., 118, then runs
+        # share 1 again up to the failing batch
         batch_hits = montecarlo._batch_hits
         drawn = []
 
@@ -482,12 +495,13 @@ class TestEstimate:
             return batch_hits(rounds, seed, index, count, threshold)
 
         monkeypatch.setattr(montecarlo, "_batch_hits", batch)
+        pin_cpus(monkeypatch, 2)
         config = ExperimentConfig((1, 1, 1, 61))
-        for workers in (1, 2):
+        for workers, expected in ((1, [0, 1]), (2, [*range(0, 120, 2), 1])):
             drawn.clear()
             with pytest.raises(error):
                 estimate_violation_probability(config, 120 * MAX_BATCH_TRIALS, seed=7, workers=workers)
-            assert drawn == [0, 1]
+            assert drawn == expected
 
     def test_failed_batch_gives_one_error_line(self, monkeypatch, capsys):
         batch_hits = montecarlo._batch_hits
@@ -663,3 +677,142 @@ class TestEstimate:
         for threshold in (STRICT, NON_STRICT):
             expected = replay_hits(rounds, 13, 0, 4, threshold)
             assert _batch_hits(rounds, 13, 0, 4, threshold) == expected
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the shares fork only where os.fork exists")
+class TestWorkers:
+    """The forked shares of a run at more than one worker.  Each test pins
+    the usable CPUs, so that the share count does not depend on the
+    machine, and starts at most three processes."""
+
+    CONFIG = ExperimentConfig((1, 1, 1, 61))
+
+    def leftovers(self):
+        """Whether a child of this process is left, reaped or not."""
+        try:
+            os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            return False
+        return True
+
+    @pytest.mark.parametrize("outcome", ["returns", "raises", "interrupted"])
+    def test_no_child_or_pipe_outlives_the_run(self, monkeypatch, outcome):
+        # the children of a run that fails are still inside their first
+        # batch when the calling process raises, so only a kill ends them
+        # in time
+        batch_hits = montecarlo._batch_hits
+        caller = os.getpid()
+
+        def batch(rounds, seed, index, count, threshold):
+            if outcome != "returns":
+                if os.getpid() != caller:
+                    time.sleep(20)
+                elif index == 0:
+                    raise KeyboardInterrupt if outcome == "interrupted" else BatchFailed
+            return batch_hits(rounds, seed, index, count, threshold)
+
+        monkeypatch.setattr(montecarlo, "_batch_hits", batch)
+        pin_cpus(monkeypatch, 3)
+        assert not self.leftovers()
+        fds = set(os.listdir("/dev/fd"))
+        trials = 3 * MAX_BATCH_TRIALS
+        start = time.monotonic()
+        if outcome == "returns":
+            result = estimate_violation_probability(self.CONFIG, trials, seed=5, workers=3)
+            assert result == estimate_violation_probability(self.CONFIG, trials, seed=5)
+        else:
+            with pytest.raises(KeyboardInterrupt if outcome == "interrupted" else BatchFailed):
+                estimate_violation_probability(self.CONFIG, trials, seed=5, workers=3)
+        assert time.monotonic() - start < 10
+        assert not self.leftovers()
+        assert set(os.listdir("/dev/fd")) == fds
+
+    def test_a_killed_worker_costs_time_not_the_estimate(self, monkeypatch):
+        # the child of share 1 dies in its second batch, batch 3; the
+        # calling process then draws share 1 itself, from its first batch
+        batch_hits = montecarlo._batch_hits
+        caller = os.getpid()
+        drawn = []
+
+        def batch(rounds, seed, index, count, threshold):
+            if os.getpid() != caller and index == 3:
+                os.kill(os.getpid(), signal.SIGKILL)
+            drawn.append(index)
+            return batch_hits(rounds, seed, index, count, threshold)
+
+        monkeypatch.setattr(montecarlo, "_batch_hits", batch)
+        pin_cpus(monkeypatch, 2)
+        trials = 5 * MAX_BATCH_TRIALS + 7
+        pooled = estimate_violation_probability(self.CONFIG, trials, seed=11, workers=2)
+        assert drawn == [0, 2, 4, 1, 3, 5]
+        assert pooled == estimate_violation_probability(self.CONFIG, trials, seed=11)
+        assert not self.leftovers()
+
+    def test_a_failed_fork_runs_its_share_in_the_caller(self, monkeypatch):
+        batch_hits = montecarlo._batch_hits
+        drawn = []
+
+        def batch(rounds, seed, index, count, threshold):
+            drawn.append(index)
+            return batch_hits(rounds, seed, index, count, threshold)
+
+        def no_fork():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(montecarlo, "_batch_hits", batch)
+        monkeypatch.setattr(os, "fork", no_fork)
+        pin_cpus(monkeypatch, 2)
+        fds = set(os.listdir("/dev/fd"))
+        trials = 3 * MAX_BATCH_TRIALS
+        pooled = estimate_violation_probability(self.CONFIG, trials, seed=2, workers=2)
+        assert drawn == [0, 2, 1]
+        assert pooled == estimate_violation_probability(self.CONFIG, trials, seed=2)
+        assert set(os.listdir("/dev/fd")) == fds
+
+    @pytest.mark.parametrize(
+        "workers, batches, cpus, forks",
+        [(1, 4, 4, 0), (2, 4, 4, 1), (4, 2, 4, 1), (4, 4, 3, 2), (4, 4, 1, 0), (3, 1, 4, 0)],
+    )
+    def test_shares_never_outnumber_the_workers_batches_or_cpus(
+        self, monkeypatch, workers, batches, cpus, forks
+    ):
+        # the stand-in counts the forks and fails each, so no process starts
+        # and every share runs in the caller
+        calls = []
+
+        def counting_fork():
+            calls.append(1)
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        pin_cpus(monkeypatch, cpus)
+        trials = batches * MAX_BATCH_TRIALS
+        result = estimate_violation_probability(self.CONFIG, trials, seed=3, workers=workers)
+        assert len(calls) == forks
+        assert result == estimate_violation_probability(self.CONFIG, trials, seed=3)
+
+    @pytest.mark.parametrize("why", ["no-fork", "second-thread"])
+    def test_one_share_without_fork_or_beside_a_live_thread(self, monkeypatch, why):
+        calls = []
+
+        def counting_fork():
+            calls.append(1)
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        pin_cpus(monkeypatch, 4)
+        trials = 4 * MAX_BATCH_TRIALS
+        expected = estimate_violation_probability(self.CONFIG, trials, seed=3)
+        if why == "no-fork":
+            monkeypatch.delattr(os, "fork")
+            assert estimate_violation_probability(self.CONFIG, trials, seed=3, workers=4) == expected
+            return
+        monkeypatch.setattr(os, "fork", counting_fork)
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            assert estimate_violation_probability(self.CONFIG, trials, seed=3, workers=4) == expected
+        finally:
+            done.set()
+            thread.join()
+        assert calls == []
