@@ -683,17 +683,29 @@ class TestEstimate:
 class TestWorkers:
     """The forked shares of a run at more than one worker.  Each test pins
     the usable CPUs, so that the share count does not depend on the
-    machine, and starts at most three processes."""
+    machine, and forks at most two children."""
 
     CONFIG = ExperimentConfig((1, 1, 1, 61))
 
     def leftovers(self):
-        """Whether a child of this process is left, reaped or not."""
+        """Whether this process has a child left, running or unreaped."""
         try:
             os.waitpid(-1, os.WNOHANG)
         except ChildProcessError:
             return False
         return True
+
+    def fail_forks(self, monkeypatch):
+        """Makes every fork fail, as a full process table would, and returns
+        the list that counts the attempts; no process starts."""
+        calls = []
+
+        def fork():
+            calls.append(1)
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+        return calls
 
     @pytest.mark.parametrize("outcome", ["returns", "raises", "interrupted"])
     def test_no_child_or_pipe_outlives_the_run(self, monkeypatch, outcome):
@@ -756,11 +768,8 @@ class TestWorkers:
             drawn.append(index)
             return batch_hits(rounds, seed, index, count, threshold)
 
-        def no_fork():
-            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
-
         monkeypatch.setattr(montecarlo, "_batch_hits", batch)
-        monkeypatch.setattr(os, "fork", no_fork)
+        self.fail_forks(monkeypatch)
         pin_cpus(monkeypatch, 2)
         fds = set(os.listdir("/dev/fd"))
         trials = 3 * MAX_BATCH_TRIALS
@@ -776,15 +785,8 @@ class TestWorkers:
     def test_shares_never_outnumber_the_workers_batches_or_cpus(
         self, monkeypatch, workers, batches, cpus, forks
     ):
-        # the stand-in counts the forks and fails each, so no process starts
-        # and every share runs in the caller
-        calls = []
-
-        def counting_fork():
-            calls.append(1)
-            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
-
-        monkeypatch.setattr(os, "fork", counting_fork)
+        # every fork fails, so every share runs in the caller
+        calls = self.fail_forks(monkeypatch)
         pin_cpus(monkeypatch, cpus)
         trials = batches * MAX_BATCH_TRIALS
         result = estimate_violation_probability(self.CONFIG, trials, seed=3, workers=workers)
@@ -793,12 +795,6 @@ class TestWorkers:
 
     @pytest.mark.parametrize("why", ["no-fork", "second-thread"])
     def test_one_share_without_fork_or_beside_a_live_thread(self, monkeypatch, why):
-        calls = []
-
-        def counting_fork():
-            calls.append(1)
-            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
-
         pin_cpus(monkeypatch, 4)
         trials = 4 * MAX_BATCH_TRIALS
         expected = estimate_violation_probability(self.CONFIG, trials, seed=3)
@@ -806,7 +802,7 @@ class TestWorkers:
             monkeypatch.delattr(os, "fork")
             assert estimate_violation_probability(self.CONFIG, trials, seed=3, workers=4) == expected
             return
-        monkeypatch.setattr(os, "fork", counting_fork)
+        calls = self.fail_forks(monkeypatch)
         done = threading.Event()
         thread = threading.Thread(target=done.wait)
         thread.start()
@@ -814,5 +810,6 @@ class TestWorkers:
             assert estimate_violation_probability(self.CONFIG, trials, seed=3, workers=4) == expected
         finally:
             done.set()
-            thread.join()
+            thread.join(10)
+        assert not thread.is_alive()
         assert calls == []
