@@ -29,9 +29,11 @@ tallied into one more counter, which a comparator resolves with a ripple
 carry as it tests every trial against the bounds, all in C loops over
 the whole batch.  No numpy is needed.
 The last channel can stop early: after its first
-ceil(2 * count.bit_length() / L) planes every trial is judged at the
-lowest and the highest count its remaining rounds allow, and when each
-verdict is the same at both the rest is never drawn.  Nothing is drawn
+ceil(2 * count.bit_length() / L) planes the batch is weighed once, and
+its V is compared against both bounds and against both bounds lowered by
+q_4 times the rounds left.  That judges every trial at the lowest and the
+highest count its remaining rounds allow, and when each verdict is the
+same at both the rest is never drawn.  Nothing is drawn
 after that channel, so every hit is that of the full draw, and a batch
 draws at most its rounds' bits.
 
@@ -186,8 +188,11 @@ def _fold(columns: list[list[int]], lanes: int, count: int) -> list[list[int]]:
     return columns
 
 
-def _sliced_violations(counts: list[list[list[int]]], rounds: tuple[int, ...], threshold: str, ones: int) -> int:
-    """The trials that violate, bit t for trial t, given each channel's count.
+def _sliced_violations(
+    counts: list[list[list[int]]], rounds: tuple[int, ...], threshold: str, ones: int, rest: int = 0
+) -> tuple[int, int]:
+    """The trials that violate, bit t for trial t, given each channel's
+    count, and those that violate were channel 4's count ``rest`` higher.
 
     ``counts[k]`` holds c_k, channel k's +1 rounds and channel 2's -1
     rounds, as ``_tally`` and ``_fold`` give it, and ``ones`` has a bit set
@@ -203,7 +208,12 @@ def _sliced_violations(counts: list[list[list[int]]], rounds: tuple[int, ...], t
     lowest up with a ripple carry, the sum a ^ b ^ carry and the carry the
     majority of the three, and compared against both bounds on the way,
     without building the bounds' planes: V >= c on the planes so far
-    is plane & r at a set bit of c and plane | r at a clear one.
+    is plane & r at a set bit of c and plane | r at a clear one.  The
+    batch is weighed once.  With ``rest`` the same pass also compares V
+    against both bounds lowered by q_4 * rest, since V + q_4 * rest >= c
+    is V >= c - q_4 * rest; q_4 * rest < lcm keeps both lowered bounds at
+    least 1 and within the counter's columns.  Without it only the two
+    bounds are compared, and the one verdict is returned twice.
     """
     scale = math.lcm(*rounds)
     gathered: list[list[int]] = [[] for _ in range((4 * scale).bit_length())]
@@ -217,19 +227,20 @@ def _sliced_violations(counts: list[list[list[int]]], rounds: tuple[int, ...], t
     counter: list[list[int]] = [[] for _ in gathered]
     for position, planes in enumerate(gathered):
         _tally(counter, planes, position)
-    strict = threshold == STRICT
-    low_bound, high_bound = scale + 1 - strict, 3 * scale + strict
-    low = high = ones
-    carry = 0
+    bounds = (scale, 3 * scale + 1) if threshold == STRICT else (scale + 1, 3 * scale)
+    if rest:
+        bounds += tuple(bound - scale // rounds[-1] * rest for bound in bounds)
+    reached, carry = [ones] * len(bounds), 0
     for position, column in enumerate(counter):
         plane, carry = carry, 0
         for addend in column:
             carry |= plane & addend
             plane ^= addend
-        low = plane & low if low_bound >> position & 1 else plane | low
-        high = plane & high if high_bound >> position & 1 else plane | high
-    # the trials at least the high bound are among those at least the low one
-    return ones ^ low ^ high
+        for i, bound in enumerate(bounds):
+            reached[i] = plane & reached[i] if bound >> position & 1 else plane | reached[i]
+    # the trials at least a high bound are among those at least its low one
+    verdict = ones ^ reached[0] ^ reached[1]
+    return verdict, ones ^ reached[2] ^ reached[3] if rest else verdict
 
 
 def _channel_planes(draw, n: int, lanes: int, count: int, flip: bool):
@@ -258,7 +269,9 @@ def _batch_hits(
     ``_sliced_violations``.  The last channel's first
     ceil(2 * count.bit_length() / L) planes are counted, and if rounds
     remain every trial is judged at both ends of the count it can still
-    reach, its count so far p and p plus the rounds left.  V grows with
+    reach, its count so far p and p plus the rounds left: the batch is
+    weighed once at p, and V is compared against both bounds and against
+    both bounds lowered by q_4 times the rounds left.  V grows with
     that count, by less than the 2*lcm between the bounds, so a trial with
     the same verdict at both ends has it at every count between.  When
     every trial does, the rest is not drawn; nothing is drawn after it, so
@@ -277,16 +290,12 @@ def _batch_hits(
             # a trial on a bound's edge settles with probability 1/2 a round,
             # so at this point a batch has settled with probability
             # at least 1 - 1/count
-            low = _fold(_tally(columns, itertools.islice(planes, head)), lanes, count)
-            high = [
-                column + [ones] * (rest >> position & 1)
-                for position, column in enumerate(low + [[]] * (rest.bit_length() - len(low)))
-            ]
-            verdict = _sliced_violations(counts + [low], rounds, threshold, ones)
-            if verdict == _sliced_violations(counts + [high], rounds, threshold, ones):
+            head_count = _fold(_tally(columns, itertools.islice(planes, head)), lanes, count)
+            verdict, raised = _sliced_violations(counts + [head_count], rounds, threshold, ones, rest)
+            if verdict == raised:
                 return verdict.bit_count()
         counts.append(_fold(_tally(columns, planes), lanes, count))
-    return _sliced_violations(counts, rounds, threshold, ones).bit_count()
+    return _sliced_violations(counts, rounds, threshold, ones)[0].bit_count()
 
 
 def estimate_violation_probability(

@@ -362,29 +362,54 @@ class TestPathsAgainstExact:
         assert abs(pooled) <= 5 and abs(spread) <= 5, (pooled, spread)
 
 
+def row_correlation(row, rounds, rest=0):
+    """The correlation of the row whose round j is +1 where bit j of ``row``
+    is set, channel by channel, with channel 4's +1 count raised by ``rest``."""
+    offsets = [sum(rounds[:k]) for k in range(4)]
+    ones = [bin(row >> o & (1 << n) - 1).count("1") for o, n in zip(offsets, rounds)]
+    ones[3] += rest
+    return sum(sign * Fraction(2 * c - n, n) for sign, c, n in zip((1, -1, 1, 1), ones, rounds))
+
+
+SHORT_CONFIGS = [r for r in itertools.product(range(1, 5), repeat=4) if sum(r) <= 7]
+
+
 class TestSlicedViolations:
     """``_sliced_violations`` on planes that hold every possible row once,
     row r as trial r, against the correlation of each row, decoded bit by bit."""
 
-    @pytest.mark.parametrize(
-        "rounds",
-        [r for r in itertools.product(range(1, 5), repeat=4) if sum(r) <= 7],
-    )
-    def test_every_row_of_every_short_config(self, rounds):
-        offsets = [sum(rounds[:k]) for k in range(4)]
+    @staticmethod
+    def every_row(rounds):
         rows = range(1 << sum(rounds))
         planes = [sum(1 << row for row in rows if row >> j & 1) for j in range(sum(rounds))]
         ones = (1 << len(rows)) - 1
+        return rows, sliced_counts(planes, rounds, ones), ones
+
+    @pytest.mark.parametrize("rounds", SHORT_CONFIGS)
+    def test_every_row_of_every_short_config(self, rounds):
+        rows, counts, ones = self.every_row(rounds)
         for threshold in (STRICT, NON_STRICT):
-            table = _sliced_violations(sliced_counts(planes, rounds, ones), rounds, threshold, ones)
-            assert table >> len(rows) == 0
+            table, raised = _sliced_violations(counts, rounds, threshold, ones)
+            assert raised == table and table >> len(rows) == 0
             for row in rows:
-                correlation = sum(
-                    sign * Fraction(2 * bin((row >> o) & ((1 << n) - 1)).count("1") - n, n)
-                    for sign, o, n in zip((1, -1, 1, 1), offsets, rounds)
-                )
                 verdict = bool(table >> row & 1)
-                assert verdict == is_violation(correlation, threshold), (rounds, threshold, row)
+                assert verdict == is_violation(row_correlation(row, rounds), threshold), (rounds, threshold, row)
+
+    @pytest.mark.parametrize("rounds", SHORT_CONFIGS)
+    def test_every_row_raised_by_every_rest(self, rounds):
+        # the second verdict is the row's with channel 4's count raised by
+        # rest, read from V against both bounds lowered by q4 * rest; rest
+        # reaches n4 here, past the n4 - 1 a batch can leave, where the
+        # strict low bound lowers to 0
+        rows, counts, ones = self.every_row(rounds)
+        for threshold, rest in itertools.product((STRICT, NON_STRICT), range(rounds[3] + 1)):
+            table, raised = _sliced_violations(counts, rounds, threshold, ones, rest)
+            assert table == _sliced_violations(counts, rounds, threshold, ones)[0]
+            assert raised >> len(rows) == 0
+            for row in rows:
+                verdict = bool(raised >> row & 1)
+                expected = is_violation(row_correlation(row, rounds, rest), threshold)
+                assert verdict == expected, (rounds, threshold, rest, row)
 
     def test_every_short_shape_sums_within_its_columns(self):
         # V <= 4*lcm has at most (4*lcm).bit_length() bits, as have both
@@ -396,8 +421,8 @@ class TestSlicedViolations:
         for rounds in shapes:
             counts = sliced_counts([1] * sum(rounds), rounds, 1)
             # one trial, every round +1: C = 2, so only the non-strict test counts it
-            assert _sliced_violations(counts, rounds, STRICT, 1) == 0, rounds
-            assert _sliced_violations(counts, rounds, NON_STRICT, 1) == 1, rounds
+            assert _sliced_violations(counts, rounds, STRICT, 1) == (0, 0), rounds
+            assert _sliced_violations(counts, rounds, NON_STRICT, 1) == (1, 1), rounds
 
 
 class TestWilsonInterval:
@@ -573,6 +598,8 @@ class TestEstimate:
             pytest.param((4, 4, 4, 4), 200_000, 7, 4296, 15390, id="4-4-4-4"),
             pytest.param((4, 4, 4, 5), 200_000, 7, 8244, 9767, id="4-4-4-5"),
             pytest.param((1, 1, 1000, 1000), 50_000, 42, 12235, 12670, id="1-1-1000-1000"),
+            pytest.param((1, 1, 1, 2000), 100_000, 42, 25118, 25118, id="1-1-1-2000-1e5"),
+            pytest.param((1, 1, 1, 2000), 1_000, 42, 258, 258, id="1-1-1-2000-1e3"),
         ],
     )
     def test_pinned_hit_counts(self, rounds, trials, seed, strict, nonstrict):
@@ -580,8 +607,10 @@ class TestEstimate:
         # batches.  The short rows' counts are stream 3's too: their full
         # batches draw stream 3's planes, and their last batch's trial count
         # is a multiple of the generator's 32-bit words, so its lanes hold
-        # the bits stream 3 drew one plane per round.  A change to these
-        # values is a new stream and needs a new STREAM_VERSION
+        # the bits stream 3 drew one plane per round.  The (1,1,1,2000)
+        # batches stop drawing channel 4 early, at one lane a plane and at
+        # 65.  A change to these values is a new stream and needs a new
+        # STREAM_VERSION
         assert STREAM_VERSION == 4
         config = ExperimentConfig(rounds)
         for threshold, hits in ((STRICT, strict), (NON_STRICT, nonstrict)):
