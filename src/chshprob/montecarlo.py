@@ -30,12 +30,12 @@ carry as it tests every trial against the bounds, all in C loops over
 the whole batch.  No numpy is needed.
 The last channel can stop early: after its first
 ceil(2 * count.bit_length() / L) planes the batch is weighed once, and
-its V is compared against both bounds and against both bounds lowered by
-q_4 times the rounds left.  That judges every trial at the lowest and the
-highest count its remaining rounds allow, and when each verdict is the
-same at both the rest is never drawn.  Nothing is drawn
-after that channel, so every hit is that of the full draw, and a batch
-draws at most its rounds' bits.
+its weighed sum V is compared against both bounds and against both
+bounds lowered by q_4 times the rounds left.  That judges every trial at
+the lowest and the highest count its remaining rounds allow, and when
+each verdict is the same at both the rest is never drawn.  Nothing is
+drawn after that channel, so every hit is that of the full draw, and a
+batch draws at most its rounds' bits.
 
 Python keeps the ``getrandbits`` sequence of a seed stable in practice,
 but promises it only for ``random()``.  The tests pin hit counts on every
