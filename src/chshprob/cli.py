@@ -234,11 +234,16 @@ def cmd_approx(args: argparse.Namespace) -> int:
 
 def cmd_mc(args: argparse.Namespace) -> int:
     # imported here so that only mc loads the sampler
-    from .montecarlo import estimate_violation_probability
+    from .montecarlo import FORK_FLOOR_ROUNDS, estimate_violation_probability
 
     config = ExperimentConfig(rounds=tuple(args.rounds))
+    workers = args.workers
+    if workers is None:
+        # one process per floor of priced rounds; the library caps it at
+        # the batches and the usable CPUs
+        workers = max(1, args.trials * config.total // FORK_FLOOR_ROUNDS)
     estimate = estimate_violation_probability(
-        config, args.trials, args.seed, args.threshold, workers=args.workers
+        config, args.trials, args.seed, args.threshold, workers=workers
     )
     if estimate.hits < 10:
         print(
@@ -404,9 +409,10 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument(
         "--workers",
         type=int,
-        default=1,
         help="processes to share the batches among, at most one per batch and per "
-        "usable CPU (default %(default)s); the hits are the same at any count",
+        "usable CPU; the hits are the same at any count. Default: one per 2**24 "
+        "of the run's trials * N rounds, so a smaller run uses one process; "
+        "--workers 1 always uses one, as when many mc jobs run side by side",
     )
     mc.set_defaults(func=cmd_mc)
 

@@ -52,7 +52,9 @@ child gives no count (the fork failed, or the child raised or was killed)
 is run again in the calling process, where a real error is raised with
 its own type, since batches are deterministic.  An exception in the
 caller, an interrupt included, first kills and reaps every child.  k is 1
-where ``os.fork`` is missing or another thread is alive.  Every batch has
+where ``os.fork`` is missing or another thread is alive.  The CLI asks for
+one worker per FORK_FLOOR_ROUNDS priced rounds unless told otherwise, so a
+run too small to pay for a fork draws in one process.  Every batch has
 its own stream, so the hits are the same at any k.  Batches are made one
 at a time, so memory does not grow with the trial count.  A run is priced
 at trials * sum(n_k) rounds before any draw, an upper bound on the rounds
@@ -84,6 +86,12 @@ STREAM_VERSION = 4
 # Rounds one run is priced at, trials * sum(n_k), a generator bit each at
 # most: under a minute of drawing.
 RUN_ROUND_BUDGET = 1 << 37
+# Priced rounds a forked share must have to pay for its fork; the CLI's
+# default is one process per floor.  On a 2-core host a fork, exit and reap
+# cost about 1.7 ms: (2,2,2,2) x1e6, 8e6 rounds, went from 2.8 to 4.1 ms at
+# two workers, a loss, and (1,1,1,61) x1e6, 6.4e7 rounds, from 18.7 to
+# 11.1 ms, a win.
+FORK_FLOOR_ROUNDS = 1 << 24
 
 _MASK64 = (1 << 64) - 1
 

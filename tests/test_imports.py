@@ -45,13 +45,15 @@ NON_MC_COMMANDS = [
 ]
 
 # short rows in one batch and in 62, rows of 64 rounds in one batch, and
-# rows of 2002 rounds in two batches at two workers, a run that forks
+# rows of 2002 rounds in two batches at two workers and at the default,
+# runs that fork where two CPUs are usable
 SMALL_MC = ["mc", "2", "2", "2", "2", "--trials", "10000", "--seed", "42"]
 MC_COMMANDS = [
     SMALL_MC,
     ["mc", "2", "2", "2", "2", "--trials", "4000000"],
     ["mc", "1", "1", "1", "61", "--trials", "32769"],
     ["mc", "1", "1", "1000", "1000", "--trials", "100000", "--workers", "2"],
+    ["mc", "1", "1", "1000", "1000", "--trials", "100000"],
 ]
 
 

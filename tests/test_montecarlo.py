@@ -822,6 +822,26 @@ class TestWorkers:
         assert len(calls) == forks
         assert result == estimate_violation_probability(self.CONFIG, trials, seed=3)
 
+    @pytest.mark.parametrize(
+        "argv, forks",
+        [
+            # 1e6 trials of 8 rounds, 8e6 priced rounds, under the floor
+            (["mc", "2", "2", "2", "2"], 0),
+            # 2.002e8 priced rounds in two batches
+            (["mc", "1", "1", "1000", "1000", "--trials", "100000"], 1),
+            (["mc", "1", "1", "1000", "1000", "--trials", "100000", "--workers", "1"], 0),
+            # 8.4e6 priced rounds in two batches: an explicit count is not floored
+            (["mc", "1", "1", "1", "61", "--trials", "131072", "--workers", "2"], 1),
+        ],
+        ids=["default-small", "default-large", "one-worker", "explicit-small"],
+    )
+    def test_the_cli_forks_by_default_once_a_run_pays_for_it(self, monkeypatch, argv, forks):
+        # the default asks for one worker per FORK_FLOOR_ROUNDS priced rounds
+        calls = self.fail_forks(monkeypatch)
+        pin_cpus(monkeypatch, 2)
+        assert main(argv) == 0
+        assert len(calls) == forks
+
     @pytest.mark.parametrize("why", ["no-fork", "second-thread"])
     def test_one_share_without_fork_or_beside_a_live_thread(self, monkeypatch, why):
         pin_cpus(monkeypatch, 4)
