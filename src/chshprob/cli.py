@@ -411,8 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         help="processes to share the batches among, at most one per batch and per "
         "usable CPU; the hits are the same at any count. Default: one per 2**24 "
-        "of the run's trials * N rounds, so a smaller run uses one process; "
-        "--workers 1 always uses one, as when many mc jobs run side by side",
+        "rounds of trials * N, so a smaller run uses one process; --workers 1 "
+        "always uses one, as when many mc jobs run side by side",
     )
     mc.set_defaults(func=cmd_mc)
 
