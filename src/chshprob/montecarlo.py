@@ -87,10 +87,10 @@ STREAM_VERSION = 4
 # most: under a minute of drawing.
 RUN_ROUND_BUDGET = 1 << 37
 # Priced rounds a forked share must have to pay for its fork; the CLI's
-# default is one process per floor.  On a 2-core host a fork, exit and reap
-# cost about 1.7 ms: (2,2,2,2) x1e6, 8e6 rounds, went from 2.8 to 4.1 ms at
-# two workers, a loss, and (1,1,1,61) x1e6, 6.4e7 rounds, from 18.7 to
-# 11.1 ms, a win.
+# default is one process per floor.  In-process on a 2-core host a fork,
+# exit and reap cost about 1.7 ms: (2,2,2,2) x1e6, 8e6 rounds, went from
+# 2.8 to 4.1 ms at two workers, a loss, and (1,1,1,61) x1e6, 6.4e7 rounds,
+# from 18.7 to 11.1 ms, a win.
 FORK_FLOOR_ROUNDS = 1 << 24
 
 _MASK64 = (1 << 64) - 1
