@@ -121,15 +121,15 @@ def _plan(rounds: Sequence[int]) -> tuple[list, list, tuple[int, int], int]:
     Channels with equal counts share the coefficient q = lcm/n, so they
     add up to one fair walk of their combined length (Vandermonde's
     identity).  The 1 to 4 groups, as (length, q) sorted by length, split
-    into the outer part (the shortest group when there are four), the
-    tabulated middle part, and the longest group.
+    into the longest group and the rest, whose shorter half is the streamed
+    outer part and the other half the tabulated middle part.
 
     The price follows the kernel's work, counted before any row is built:
     the tables and the middle table's suffix sums; per outer sum, at most
     min(middle sums, L + 2) visits, each a bisection into the sorted table
-    and one product; one product per threshold, which bounds the kernel's
-    one product per prefix point; and the walk along the longest row to
-    the deepest prefix point (``_walk_reach``).
+    and one product; one product per prefix point min(k - 1, L - k), no
+    more than (L + 1) // 2, the visits, or the side groups' distinct sums
+    s + t, on which k depends; and the walk to the deepest (``_walk_reach``).
 
     Returns (outer, middle, longest, cost).  cost, the run's price, is the
     larger of two: time (that work, a fixed cost per call, and the
@@ -139,7 +139,7 @@ def _plan(rounds: Sequence[int]) -> tuple[list, list, tuple[int, int], int]:
     """
     scale = math.lcm(*rounds)
     *rest, longest = sorted((n * rounds.count(n), scale // n) for n in set(rounds))
-    outer, middle = rest[: len(rest) // 3], rest[len(rest) // 3 :]
+    outer, middle = rest[: len(rest) // 2], rest[len(rest) // 2 :]
     length = longest[0]
     entries = products = 0
     for part in (outer, middle):
@@ -154,7 +154,7 @@ def _plan(rounds: Sequence[int]) -> tuple[list, list, tuple[int, int], int]:
     middle_words = _words(sum(n for n, _ in middle))
     row_words = _words(length)
     visits = outer_sums * min(middle_sums, length + 2)
-    thresholds = min(visits, length)
+    thresholds = min(visits, (length + 1) // 2, _distinct_sums(rest[:-2]) * _distinct_sums(rest[-2:]))
     reach = _walk_reach(rest, longest, scale)
     entries += middle_sums + visits + thresholds + reach
     products += visits * _product(outer_words, middle_words)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import timeit
+import tracemalloc
 from bisect import bisect_left
 from fractions import Fraction
 from types import SimpleNamespace
@@ -243,6 +244,7 @@ class TestExactProbability:
             (1, 1, 2, 3),
             (3, 3, 3, 3),
             (4, 4, 4, 4),
+            (1, 3, 3, 5),
         ],
     )
     def test_matches_raw_sequence_enumeration(self, rounds, threshold):
@@ -282,7 +284,8 @@ class TestExactProbability:
 
     @pytest.mark.parametrize("threshold", [STRICT, NON_STRICT])
     @pytest.mark.parametrize(
-        "rounds", [(1, 1, 1, 4096), (2, 3, 5, 2000), (4, 4, 4, 4), (60, 70, 80, 90), (626, 627, 627, 628)]
+        "rounds",
+        [(1, 1, 1, 4096), (2, 3, 5, 2000), (4, 4, 4, 4), (60, 70, 80, 90), (626, 627, 627, 628), (5, 5, 7, 9)],
     )
     def test_bisections_stay_within_the_priced_visits(self, rounds, threshold, monkeypatch):
         # the price's visits term: per outer sum one bisection to the first
@@ -324,9 +327,12 @@ class TestExactProbability:
     @example(rounds=(2, 7, 7, 7))
     @example(rounds=(5, 1, 5, 2))
     @example(rounds=(4, 1, 6, 9))
+    @example(rounds=(2, 3, 3, 5))
+    @example(rounds=(1, 4, 4, 9))
     @settings(max_examples=25, deadline=None)
     def test_repeated_counts_match_lattice_sum(self, rounds):
-        # repeated counts merge into one walk per distinct count
+        # repeated counts merge into one walk per distinct count; a plan of
+        # three groups, as in (2, 3, 3, 5), streams the shortest
         config = ExperimentConfig(rounds)
         for threshold in (STRICT, NON_STRICT):
             expected = lattice_violation_probability(rounds, threshold)
@@ -394,6 +400,48 @@ class TestExactProbability:
         # 16384-step walk of (4096,)*4 (about 0.01 s) is within it
         assert enumeration_cost(ExperimentConfig((1, 1, 1, 10**6))) > DEFAULT_ENUMERATION_BUDGET
         assert enumeration_cost(ExperimentConfig((4096,) * 4)) <= DEFAULT_ENUMERATION_BUDGET
+
+    @pytest.mark.parametrize(
+        "rounds, streamed",
+        [((5, 5, 5, 5), []), ((1, 1, 1, 30), []), ((1, 3, 3, 5), [1]), ((2, 3, 5, 20), [2])],
+        ids=["1-group", "2-group", "3-group", "4-group"],
+    )
+    def test_the_shortest_side_group_is_streamed_once_there_are_two(self, rounds, streamed):
+        # the groups beside the longest split in half: the shorter half is
+        # streamed and the rest tabulated, so no table joins two groups
+        # unless there are four
+        outer, _, _, _ = _plan(rounds)
+        assert [n for n, _ in outer] == streamed
+
+    @pytest.mark.parametrize(
+        "rounds",
+        [
+            (1000, 1001, 1001, 1002),
+            (39, 3861, 13995, 13995),
+            (38863, 1041, 21, 38863),
+            (10516, 10516, 10683, 10683),
+        ],
+        ids=["table", "points", "sums", "half-row"],
+    )
+    def test_plans_are_priced_as_the_kernel_runs_them(self, rounds):
+        # each is over the budget if the price counts a term the kernel does
+        # not pay: a table of both side groups, 1.43e8; a wide product per
+        # threshold up to L, 7.37e7 for the streamed plan; one per (outer,
+        # middle) visit, though k follows the side sum s + t and 10425 of
+        # the 22924 pairs repeat a sum, 9.58e7; and one per threshold where
+        # mirrored thresholds share a prefix point, 1.22e8
+        assert enumeration_cost(ExperimentConfig(rounds)) <= DEFAULT_ENUMERATION_BUDGET
+
+    def test_a_three_group_plan_tabulates_one_group(self):
+        # the table holds the 103 sums of the 102-step side group; one of
+        # both side groups' up to 101 * 103 sums peaks near 1.1 MiB
+        tracemalloc.start()
+        try:
+            violation_count(ExperimentConfig((100, 101, 101, 102)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
 
     def test_budget_must_be_a_non_negative_python_int(self):
         # the rule round counts follow: a float, a bool or a numpy integer
