@@ -8,34 +8,49 @@ the trials left over, and batch b of a run with seed s has a stream of its
 own, so runs are reproducible bit-for-bit.  ``STREAM_VERSION`` names the
 streams: version 1 drew one int8 per round per channel, version 2 drew
 every row as PCG64 words, version 3 drew rows of at most 16 rounds as bit
-planes, and version 4 draws every row as bit planes.  Hit counts differ
-between versions for the same seed.
+planes, version 4 drew every row as bit planes in channel order, and
+version 5 draws them shortest channel first and splits a batch by its
+short channels' sum.  Hit counts differ between versions for the same
+seed.
 
-Stream 4.  Batch b of seed s draws from ``random.Random((s & (2**64 - 1))
-| b << 64)``, the standard library's MT19937, channel by channel, each
-channel's rounds in order.  In a batch of ``count`` trials a plane holds
-L = min(n_k, MAX_BATCH_TRIALS // count) rounds of channel k as L lanes of
-``count`` bits: plane i is ``getrandbits(L * count)``, and its bit
-l * count + t is round i * L + l of trial t, a set bit a +1 round.  The
-channel's last plane holds the rounds left, drawn as that many lanes.  A
-full batch has one round per plane.  The batch is counted bit-sliced:
-every operation on a Python integer handles one bit of every trial at once
-(Biham 1997).  One carry-save counter, ``_tally``, does every addition:
-a channel's planes stream into one, so it holds O(log n_k) planes whatever
-its length, and its lanes are folded into one count per trial.  Channel
-2's planes are inverted, so its count is its -1 rounds.  The counts,
-weighed by q_k = lcm(n) / n_k in exact Python integers at any lcm, are
-tallied into one more counter, which a comparator resolves with a ripple
-carry as it tests every trial against the bounds, all in C loops over
-the whole batch.  No numpy is needed.
-The last channel can stop early: after its first
-ceil(2 * count.bit_length() / L) planes the batch is weighed once, and
-its weighed sum V is compared against both bounds and against both
-bounds lowered by q_4 times the rounds left.  That judges every trial at
-the lowest and the highest count its remaining rounds allow, and when
-each verdict is the same at both the rest is never drawn.  Nothing is
-drawn after that channel, so every hit is that of the full draw, and a
-batch draws at most its rounds' bits.
+Stream 5.  Batch b of seed s draws from ``random.Random((s & (2**64 - 1))
+| b << 64)``, the standard library's MT19937, channel by channel in stable
+ascending order of n_k, each channel's rounds in order.  In a batch of
+``count`` trials a plane holds L = min(n_k, MAX_BATCH_TRIALS // count)
+rounds of channel k as L lanes of ``count`` bits: plane i is
+``getrandbits(L * count)``, and its bit l * count + t is round i * L + l
+of trial t, a set bit a +1 round.  The channel's last plane holds the
+rounds left, drawn as that many lanes.  A full batch has one round per
+plane.  The batch is counted bit-sliced: every operation on a Python
+integer handles one bit of every trial at once (Biham 1997).  One
+carry-save counter, ``_tally``, does every addition: a channel's planes
+stream into one, so it holds O(log n_k) planes whatever its length, and
+its lanes are folded into one count per trial.  Channel 2's planes are
+inverted, so its count is its -1 rounds.  The counts, weighed by
+q_k = lcm(n) / n_k in exact Python integers at any lcm, are tallied into
+one more counter, which a ripple carry resolves into the planes of
+V = sum_k q_k * c_k, and a comparator tests every trial against the
+bounds, all in C loops over the whole batch.  No numpy is needed.
+
+A batch splits at most once, after the channel where a rule on the round
+and trial counts alone says the split pays (see STRATUM_BITS).  The
+channels drawn give each trial a partial sum v, to which the channels
+left can add 0 to R = sum q_k * n_k.  Where v and v + R lie on the same
+side of both bounds the trial is settled, and v gives its verdict.  The
+trials of every other v form a stratum, counted by an equality mask over
+the planes of v: the strata, in ascending v, each draw the channels left
+from the same generator as a batch of their own trial count, against the
+bounds lowered by v, and a stratum may split again.  A stratum's trials
+share v, so which of the batch's trials they were does not matter.  The
+last channel of a batch or stratum can stop early: after its first
+ceil(2 * count.bit_length() / L) planes the trials are weighed once, and
+V is compared against both bounds and against both bounds lowered by q_k
+times the rounds left.  That judges every trial at the lowest and the
+highest count its remaining rounds allow, and when each verdict is the
+same at both the rest is never drawn.  So every verdict is the one the
+full draw would give, and a batch draws at most its rounds' bits.  A
+batch that does not split, of a row whose counts never decrease, draws
+stream 4's bits and gives its hits.
 
 Python keeps the ``getrandbits`` sequence of a seed stable in practice,
 but promises it only for ``random()``.  The tests pin hit counts on every
@@ -63,6 +78,7 @@ it draws, and a run over RUN_ROUND_BUDGET is refused with LimitError.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -82,16 +98,34 @@ from .model import (
 MAX_BATCH_TRIALS = 1 << 16
 # The int8-era batch budget in bytes; only benchmarks/tracing.py reads it.
 BATCH_ELEMENT_BUDGET = 1 << 22
-STREAM_VERSION = 4
+STREAM_VERSION = 5
 # Rounds one run is priced at, trials * sum(n_k), a generator bit each at
 # most: under a minute of drawing.
 RUN_ROUND_BUDGET = 1 << 37
 # Priced rounds a forked share must have to pay for its fork; the CLI's
-# default is one process per floor.  In-process on a 2-core host a fork,
-# exit and reap cost about 1.7 ms: (2,2,2,2) x1e6, 8e6 rounds, went from
-# 2.8 to 4.1 ms at two workers, a loss, and (1,1,1,61) x1e6, 6.4e7 rounds,
-# from 18.7 to 11.1 ms, a win.
+# default is one process per floor.  In-process on a 2-core host, medians
+# of 41 runs alternating one worker and two, a fork, exit and reap cost
+# about 1.3 ms: (2,2,2,2) x1e6, 8e6 rounds, took 2.3 ms at one worker and
+# 2.4-2.5 ms at two, a loss, and x2e6, 1.6e7 rounds, 4.6 and 3.7-3.8 ms, a
+# win; (1,1,1,61) x1e6, 6.4e7 rounds, took 6.0 and 4.5 ms.  Rounds are
+# priced, not drawn: (1,1,1,2000) x1e5 draws under 2% of its 2e8 and took
+# 1.0 ms at one worker and 1.75 ms at two, while (1,1,1000,1000) x1e5, which
+# draws about half of its 2e8, took 25.5 and 18.6 ms.
 FORK_FLOOR_ROUNDS = 1 << 24
+# Work a batch's split costs, in drawn bits, for the weighing at the split
+# and for each channel each open stratum draws: a split is taken where the
+# bits its settled trials leave undrawn, the channels left's rounds with
+# the last one's cut to the 2 * count.bit_length() of its head, pass
+# STRATUM_BITS * (1 + open strata * channels left) by the most.  A bit
+# drawn and counted costs about 0.23 ns, and a stratum's channel 20-60 us
+# of fixed work.  In-process on a 2-core host, a batch of 65,536 trials of
+# (1,1,1000,1000) took 30.0 ms whole and 15.6 ms split after its 1-round
+# channels, and of (1,1,16,16) 538 and 450 us, splits the rule takes; of
+# (1,1,4,4) 178 and 210 us, and of (2,2,2,2) 147 us whole and 209 us split
+# after three channels, splits it leaves.
+STRATUM_BITS = 1 << 17
+# Partial sums a split may tell apart; past it no later channel splits.
+MAX_STRATA = 64
 
 _MASK64 = (1 << 64) - 1
 
@@ -196,37 +230,19 @@ def _fold(columns: list[list[int]], lanes: int, count: int) -> list[list[int]]:
     return columns
 
 
-def _sliced_violations(
-    counts: list[list[list[int]]], rounds: tuple[int, ...], threshold: str, ones: int, rest: int = 0
-) -> tuple[int, int]:
-    """The trials that violate, bit t for trial t, given each channel's
-    count, and those that violate were channel 4's count ``rest`` higher.
+def _weigh(counts: list[list[list[int]]], weights: list[int], width: int) -> list[int]:
+    """The planes of V = sum_k q_k * c_k, bit t of plane p bit p of trial t's V.
 
-    ``counts[k]`` holds c_k, channel k's +1 rounds and channel 2's -1
-    rounds, as ``_tally`` and ``_fold`` give it, and ``ones`` has a bit set
-    for every trial.  With q_k = lcm(rounds) / n_k and m_k = 2*ones_k - n_k,
-    the correlation inequality with denominators cleared is
-    |sum_k sign_k*q_k*m_k| > 2*lcm, >= when non-strict.  V = sum_k q_k * c_k is half that sum plus 2*lcm,
-    so the test is V >= 3*lcm + strict or V <= lcm - strict, on integers
-    V >= 3*lcm + strict or not V >= lcm + 1 - strict.  Each count plane
-    joins the position of every set bit of its q, shifted by its own
-    column, and each position is tallied once into a counter of
-    (4*lcm).bit_length() columns, enough for every bit of V <= 4*lcm and
-    of both bounds.  The columns' one or two planes are resolved from the
-    lowest up with a ripple carry, the sum a ^ b ^ carry and the carry the
-    majority of the three, and compared against both bounds on the way,
-    without building the bounds' planes: V >= c on the planes so far
-    is plane & r at a set bit of c and plane | r at a clear one.  The
-    batch is weighed once.  With ``rest`` the same pass also compares V
-    against both bounds lowered by q_4 * rest, since V + q_4 * rest >= c
-    is V >= c - q_4 * rest; q_4 * rest < lcm keeps both lowered bounds at
-    least 1 and within the counter's columns.  Without it only the two
-    bounds are compared, and the one verdict is returned twice.
+    ``counts[k]`` holds c_k as ``_tally`` and ``_fold`` give it, and
+    ``weights[k]`` is q_k.  Each count plane joins the position of every
+    set bit of its q, shifted by its own column, and each position is
+    tallied once into a counter of ``width`` columns, which must hold every
+    bit of V.  The columns' one or two planes are resolved from the lowest
+    up with a ripple carry, the sum a ^ b ^ carry and the carry the
+    majority of the three.  The batch is weighed once.
     """
-    scale = math.lcm(*rounds)
-    gathered: list[list[int]] = [[] for _ in range((4 * scale).bit_length())]
-    for n, channel in zip(rounds, counts):
-        weight = scale // n
+    gathered: list[list[int]] = [[] for _ in range(width)]
+    for weight, channel in zip(weights, counts):
         for shift in range(weight.bit_length()):
             if weight >> shift & 1:
                 for position, planes in enumerate(channel, shift):
@@ -235,20 +251,34 @@ def _sliced_violations(
     counter: list[list[int]] = [[] for _ in gathered]
     for position, planes in enumerate(gathered):
         _tally(counter, planes, position)
-    bounds = (scale, 3 * scale + 1) if threshold == STRICT else (scale + 1, 3 * scale)
-    if rest:
-        bounds += tuple(bound - scale // rounds[-1] * rest for bound in bounds)
-    reached, carry = [ones] * len(bounds), 0
-    for position, column in enumerate(counter):
+    resolved, carry = [], 0
+    for column in counter:
         plane, carry = carry, 0
         for addend in column:
             carry |= plane & addend
             plane ^= addend
-        for i, bound in enumerate(bounds):
-            reached[i] = plane & reached[i] if bound >> position & 1 else plane | reached[i]
-    # the trials at least a high bound are among those at least its low one
-    verdict = ones ^ reached[0] ^ reached[1]
-    return verdict, ones ^ reached[2] ^ reached[3] if rest else verdict
+        resolved.append(plane)
+    return resolved
+
+
+def _sliced_violations(planes: list[int], bounds: tuple[int, int], ones: int) -> int:
+    """The trials that violate, bit t for trial t, given the planes of V.
+
+    ``ones`` has a bit set for every trial, and a trial violates when
+    V < low or V >= high, ``bounds`` = (low, high).  V >= c is found on the
+    way up the planes without building the planes of c: on the planes so
+    far it is plane & r at a set bit of c and plane | r at a clear one.  A
+    bound below 1 is reached by every trial, and no bound may pass the
+    planes' top bit.
+    """
+    verdict = ones
+    for bound in bounds:
+        reached, bound = ones, max(bound, 0)
+        for position, plane in enumerate(planes):
+            reached = plane & reached if bound >> position & 1 else plane | reached
+        # the trials at least the high bound are among those at least the low one
+        verdict ^= reached
+    return verdict
 
 
 def _channel_planes(draw, n: int, lanes: int, count: int, flip: bool):
@@ -262,6 +292,115 @@ def _channel_planes(draw, n: int, lanes: int, count: int, flip: bool):
         yield draw(width) ^ (mask >> (lanes * count - width))
 
 
+# a channel as it is drawn: (n_k, q_k, whether its planes are inverted)
+_Channels = tuple[tuple[int, int, bool], ...]
+
+
+@functools.lru_cache(maxsize=64)
+def _channels(rounds: tuple[int, ...], threshold: str) -> tuple[_Channels, tuple[int, int], int]:
+    """The channels in the order they are drawn, the bounds on V, and the
+    planes V and the bounds need.
+
+    The channels are in stable ascending order of n_k.  With
+    q_k = lcm(rounds) / n_k and m_k = 2*ones_k - n_k, the correlation
+    inequality with denominators cleared is |sum_k sign_k*q_k*m_k| > 2*lcm,
+    >= when non-strict.  With c_k channel k's +1 rounds and channel 2's -1
+    rounds, V = sum_k q_k * c_k is half that sum plus 2*lcm, so a trial
+    violates when V < low or V >= high, the bounds (low, high) being
+    (lcm, 3*lcm + 1) strict and (lcm + 1, 3*lcm) non-strict.  V <= 4*lcm.
+    """
+    scale = math.lcm(*rounds)
+    signed = ((n, scale // n, sign < 0) for sign, n in zip(CHANNEL_SIGNS, rounds))
+    channels = tuple(sorted(signed, key=lambda channel: channel[0]))
+    bounds = (scale, 3 * scale + 1) if threshold == STRICT else (scale + 1, 3 * scale)
+    return channels, bounds, (4 * scale).bit_length()
+
+
+def _open_sums(sums, rest: _Channels, bounds: tuple[int, int]) -> list[int]:
+    """The partial sums v, in ascending order, whose verdict the channels
+    ``rest`` can still change.
+
+    Those channels add 0 to R = sum q_k * n_k to V, in steps of at most
+    lcm, fewer than the at least 2*lcm - 1 sums between the bounds.  So the
+    verdicts of v .. v + R are all the same when v and v + R lie on the same
+    side of both bounds, and otherwise they reach both verdicts.
+    """
+    reach = sum(q * n for n, q, _ in rest)
+    low, high = bounds
+    return sorted(v for v in sums if low - reach <= v < low or high - reach <= v < high)
+
+
+@functools.lru_cache(maxsize=256)
+def _split(channels: _Channels, count: int, bounds: tuple[int, int]) -> tuple[int, tuple[int, ...]] | None:
+    """(i, open sums) when ``count`` trials of ``channels`` split after the
+    first i channels, or None when no split pays (see STRATUM_BITS)."""
+    sums, drawn = {0: 1}, 0  # V's reachable values so far, by path count
+    best, margin = None, 0  # margin is the best split's gain times 2**drawn
+    for i, (n, q, _) in enumerate(channels[:-1]):
+        if len(sums) * (n + 1) > MAX_STRATA:
+            break
+        grown: dict[int, int] = {}
+        for v, paths in sums.items():
+            for c in range(n + 1):
+                grown[v + q * c] = grown.get(v + q * c, 0) + paths * math.comb(n, c)
+        sums, drawn, rest = grown, drawn + n, channels[i + 1 :]
+        strata = _open_sums(sums, rest, bounds)
+        saved = sum(n for n, _, _ in rest[:-1]) + min(rest[-1][0], 2 * count.bit_length())
+        settled = (1 << drawn) - sum(sums[v] for v in strata)
+        gain = settled * count * saved - (STRATUM_BITS * (1 + len(strata) * len(rest)) << drawn)
+        margin <<= n
+        if gain > margin:
+            best, margin = (i + 1, tuple(strata)), gain
+    return best
+
+
+def _hits(draw, count: int, channels: _Channels, bounds: tuple[int, int], width: int) -> int:
+    """Violations among ``count`` trials of ``channels``, drawn by ``draw``
+    against ``bounds``, which a stratum's caller has lowered by its sum.
+
+    Each channel is drawn as planes of min(n_k, MAX_BATCH_TRIALS // count)
+    lanes, counted by ``_tally`` and ``_fold``, weighed by ``_weigh`` and
+    judged by ``_sliced_violations``; see the module docstring for the
+    split and the last channel's early stop.  The last channel's count
+    grows V by less than the 2*lcm between the bounds, so a trial with the
+    same verdict at both ends of the count it can reach has it at every
+    count between.
+    """
+    ones = (1 << count) - 1
+    counts: list[list[list[int]]] = []
+    weights = [q for _, q, _ in channels]
+    split, strata = _split(channels, count, bounds) or (0, ())
+    for i, (n, q, flip) in enumerate(channels):
+        lanes = min(n, MAX_BATCH_TRIALS // count)
+        planes = _channel_planes(draw, n, lanes, count, flip)
+        columns: list[list[int]] = []
+        head = -(-2 * count.bit_length() // lanes)
+        rest = n - head * lanes
+        if i == len(channels) - 1 and rest > 0:
+            # a trial on a bound's edge settles with probability 1/2 a round,
+            # so at this point a batch has settled with probability
+            # at least 1 - 1/count
+            head_count = _fold(_tally(columns, itertools.islice(planes, head)), lanes, count)
+            weighed = _weigh(counts + [head_count], weights, width)
+            verdict = _sliced_violations(weighed, bounds, ones)
+            if verdict == _sliced_violations(weighed, tuple(bound - q * rest for bound in bounds), ones):
+                return verdict.bit_count()
+        counts.append(_fold(_tally(columns, planes), lanes, count))
+        if i + 1 == split:
+            weighed = _weigh(counts, weights, width)
+            verdict, hits = _sliced_violations(weighed, bounds, ones), 0
+            for v in strata:
+                stratum = ones
+                for position, plane in enumerate(weighed):
+                    stratum &= plane if v >> position & 1 else ~plane
+                verdict &= ~stratum
+                if stratum:
+                    lowered = (bounds[0] - v, bounds[1] - v)
+                    hits += _hits(draw, stratum.bit_count(), channels[split:], lowered, width)
+            return hits + verdict.bit_count()
+    return _sliced_violations(_weigh(counts, weights, width), bounds, ones).bit_count()
+
+
 def _batch_hits(
     rounds: tuple[int, ...],
     seed: int,
@@ -269,41 +408,9 @@ def _batch_hits(
     count: int,
     threshold: str,
 ) -> int:
-    """Violations among ``count`` experiments drawn from batch ``batch_index``'s stream.
-
-    Each channel in turn is drawn from the batch's MT19937 stream as planes
-    of min(n_k, MAX_BATCH_TRIALS // count) lanes (see the module
-    docstring), counted by ``_tally`` and ``_fold`` and judged by
-    ``_sliced_violations``.  The last channel's first
-    ceil(2 * count.bit_length() / L) planes are counted, and if rounds
-    remain every trial is judged at both ends of the count it can still
-    reach, its count so far p and p plus the rounds left: the batch is
-    weighed once at p, and V is compared against both bounds and against
-    both bounds lowered by q_4 times the rounds left.  V grows with
-    that count, by less than the 2*lcm between the bounds, so a trial with
-    the same verdict at both ends has it at every count between.  When
-    every trial does, the rest is not drawn; nothing is drawn after it, so
-    the hits are those of the full draw.
-    """
+    """Violations among ``count`` experiments drawn from batch ``batch_index``'s stream (see ``_hits``)."""
     draw = random.Random(seed & _MASK64 | batch_index << 64).getrandbits
-    ones = (1 << count) - 1
-    counts: list[list[list[int]]] = []
-    for sign, n in zip(CHANNEL_SIGNS, rounds):
-        lanes = min(n, MAX_BATCH_TRIALS // count)
-        planes = _channel_planes(draw, n, lanes, count, sign < 0)
-        columns: list[list[int]] = []
-        head = -(-2 * count.bit_length() // lanes)
-        rest = n - head * lanes
-        if len(counts) == 3 and rest > 0:
-            # a trial on a bound's edge settles with probability 1/2 a round,
-            # so at this point a batch has settled with probability
-            # at least 1 - 1/count
-            head_count = _fold(_tally(columns, itertools.islice(planes, head)), lanes, count)
-            verdict, raised = _sliced_violations(counts + [head_count], rounds, threshold, ones, rest)
-            if verdict == raised:
-                return verdict.bit_count()
-        counts.append(_fold(_tally(columns, planes), lanes, count))
-    return _sliced_violations(counts, rounds, threshold, ones)[0].bit_count()
+    return _hits(draw, count, *_channels(rounds, threshold))
 
 
 def estimate_violation_probability(

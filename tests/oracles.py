@@ -3,7 +3,7 @@
 Deliberately separate from the package and deliberately naive: raw
 enumeration over every possible sign sequence, a plain sum over every
 displacement tuple with exact-rational C, a replay of the Monte Carlo
-sampler's bit planes bit by bit, an exact-rational Maclaurin
+sampler's bit planes and strata bit by bit, an exact-rational Maclaurin
 series for erfc, the continuous Gaussian density that approximates a long
 walk, a Monte Carlo integral of the Gaussian measure outside the
 violation boundary, Cramer's large-deviation exponent of the exact tail,
@@ -106,50 +106,128 @@ def brute_force_violation_probability(rounds, threshold: str) -> Fraction:
     return Fraction(hits, 2**total)
 
 
+def _replay_planes(rng, n: int, count: int):
+    """Each plane of a channel of ``n`` rounds in a batch of ``count``
+    trials, as every trial's +1 rounds in it.
+
+    A plane holds L = min(n, 2**16 // count) of the channel's rounds, in
+    round order, as lanes of ``count`` bits: it is ``getrandbits(L *
+    count)``, bit l * count + t round l of the plane's rounds for trial t,
+    and the channel's last plane holds only the rounds left.  A set bit is
+    a +1 round and a clear one a -1 round.
+    """
+    lanes = min(n, 2**16 // count)
+    for first in range(0, n, lanes):
+        width = min(lanes, n - first) * count
+        # the plane as a string of its bits, bit 0 first
+        bits = format(rng.getrandbits(width), f"0{width}b")[::-1]
+        if count <= width // count:
+            # trial t's rounds are every count-th bit from bit t
+            yield [bits[t::count].count("1") for t in range(count)]
+        else:
+            ones = [0] * count
+            for lane in range(0, width, count):
+                ones = [k + (bit == "1") for k, bit in zip(ones, bits[lane : lane + count])]
+            yield ones
+
+
+def _batch_generator(seed: int, batch_index: int) -> random.Random:
+    """Batch ``batch_index``'s generator: seed s draws from
+    ``random.Random((s mod 2**64) | batch_index << 64)``."""
+    return random.Random((seed & 0xFFFFFFFFFFFFFFFF) | batch_index << 64)
+
+
+def _drawing_order(rounds) -> list[int]:
+    """The channels' indices in stable ascending order of their counts."""
+    return sorted(range(4), key=lambda k: rounds[k])
+
+
 def plane_replay_sums(rounds, seed: int, batch_index: int, count: int) -> Counter:
     """How many of ``count`` trials have each tuple of channel sums
-    (m1, m2, m3, m4), redrawn bit by bit from stream 4's planes.
+    (m1, m2, m3, m4), every round redrawn bit by bit from stream 5's planes.
 
-    Batch ``batch_index`` of seed s draws from
-    ``random.Random((s mod 2**64) | batch_index << 64)``, channel by
-    channel.  A plane of channel k holds L = min(n_k, 2**16 // count) of
-    its rounds, in round order, as lanes of ``count`` bits: it is
-    ``getrandbits(L * count)``, bit l * count + t round l of the plane's
-    rounds for trial t, and the channel's last plane holds only the rounds
-    left.  A set bit is a +1 round and a clear one a -1 round.
+    The batch's generator draws the channels in stable ascending order of
+    their counts, each as ``_replay_planes`` reads it.
     """
-    rng = random.Random((seed & 0xFFFFFFFFFFFFFFFF) | batch_index << 64)
-    channels = []
-    for n in rounds:
-        lanes = min(n, 2**16 // count)
-        ones = [0] * count
-        for first in range(0, n, lanes):
-            width = min(lanes, n - first) * count
-            # the plane as a string of its bits, bit 0 first
-            bits = format(rng.getrandbits(width), f"0{width}b")[::-1]
-            if count <= width // count:
-                # trial t's rounds are every count-th bit from bit t
-                for t in range(count):
-                    ones[t] += bits[t::count].count("1")
-            else:
-                for lane in range(0, width, count):
-                    ones = [k + (bit == "1") for k, bit in zip(ones, bits[lane : lane + count])]
-        channels.append(ones)
+    rng = _batch_generator(seed, batch_index)
+    channels = [[0] * count for _ in rounds]
+    for k in _drawing_order(rounds):
+        for plane in _replay_planes(rng, rounds[k], count):
+            channels[k] = [a + b for a, b in zip(channels[k], plane)]
     return Counter(tuple(2 * k - n for k, n in zip(trial, rounds)) for trial in zip(*channels))
 
 
-def plane_replay_hits(rounds, sums: Counter, threshold: str) -> int:
-    """Violations among the trials of ``plane_replay_sums``, each judged by
-    ``is_violation`` on its exact correlation, with the minus sign on the
-    (1,2) channel."""
-    n1, n2, n3, n4 = rounds
-    return sum(
-        times
-        for (m1, m2, m3, m4), times in sums.items()
-        if is_violation(
-            Fraction(m1, n1) - Fraction(m2, n2) + Fraction(m3, n3) + Fraction(m4, n4), threshold
-        )
-    )
+def plane_replay_hits(rounds, seed: int, batch_index: int, count: int, threshold: str, split: int = 0) -> int:
+    """Violations among ``count`` trials of a batch, redrawn bit by bit from
+    stream 5's planes and strata, each trial judged by ``is_violation`` on
+    its exact correlation; the batch splits after its first ``split``
+    channels, or not at all if that is 0.
+
+    Channel k adds sign_k * (2*ones - n_k) / n_k, between -1 and 1, to a
+    trial's correlation.  The batch draws its channels in stable ascending
+    order of their counts (see ``plane_replay_sums``).  At a split its
+    trials are grouped by their correlation so far.  Raising the channels
+    left from -1 to 1 a round at a time walks from the lowest correlation
+    any completion can reach to the highest, by at most 2 a step, less than
+    the 4 between -2 and 2; so a group meets one verdict on the walk when
+    every completion gives it, and takes it.  Every other group, in
+    ascending order of its correlation so far, draws the channels left as
+    a batch of its own size from the same generator, and does not split
+    again.  The last channel of a batch or group stops after its first
+    ceil(2 * size.bit_length() / L) planes, L its lanes, if rounds remain
+    and every trial has one verdict at its +1 rounds so far and at those
+    plus every round left.
+    """
+    rng = _batch_generator(seed, batch_index)
+    order = _drawing_order(rounds)
+
+    def share(k: int, ones: int) -> Fraction:
+        return (1, -1, 1, 1)[k] * Fraction(2 * ones - rounds[k], rounds[k])
+
+    def replay(channels, size: int, start: Fraction, last: bool) -> Counter:
+        # how many of ``size`` trials end at each correlation
+        drawn: list[list[int]] = []
+        for i, k in enumerate(channels):
+            ones = [0] * size
+            lanes = min(rounds[k], 2**16 // size)
+            head = -(-2 * size.bit_length() // lanes)
+            left = rounds[k] - head * lanes
+            for p, plane in enumerate(_replay_planes(rng, rounds[k], size), 1):
+                ones = [a + b for a, b in zip(ones, plane)]
+                if last and i == len(channels) - 1 and p == head and left > 0:
+                    # each trial's correlation before this channel, and its +1 rounds here
+                    states = {
+                        (start + sum(share(j, o) for j, o in zip(channels, state)), state[-1])
+                        for state in set(zip(*drawn, ones))
+                    }
+                    if all(
+                        is_violation(c + share(k, o), threshold) == is_violation(c + share(k, o + left), threshold)
+                        for c, o in states
+                    ):
+                        break
+            drawn.append(ones)
+        ends: Counter = Counter()
+        for state, times in Counter(zip(*drawn)).items():
+            ends[start + sum(share(k, o) for k, o in zip(channels, state))] += times
+        return ends
+
+    def violations(ends: Counter) -> int:
+        return sum(times for c, times in ends.items() if is_violation(c, threshold))
+
+    if not split:
+        return violations(replay(order, count, Fraction(0), True))
+    rest, hits = order[split:], 0
+    groups = replay(order[:split], count, Fraction(0), False)
+    for start in sorted(groups):
+        walk = [start - len(rest)]
+        for k in rest:
+            walk += [walk[-1] + Fraction(2 * r, rounds[k]) for r in range(1, rounds[k] + 1)]
+        verdicts = {is_violation(c, threshold) for c in walk}
+        if len(verdicts) == 1:
+            hits += groups[start] * verdicts.pop()
+        else:
+            hits += violations(replay(rest, groups[start], start, True))
+    return hits
 
 
 def lattice_violation_probability(rounds, threshold: str) -> Fraction:

@@ -249,7 +249,7 @@ class TestProbabilityCommands:
         code, out, _ = run_cli(capsys, *argv, "--format", "json")
         assert code == 0
         (row,) = json.loads(out)
-        assert row["stream"] == 4
+        assert row["stream"] == 5
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert out.splitlines()[0].split(",") == list(MC_FIELDS)

@@ -1,5 +1,8 @@
-"""The README's library example runs as written and prints what it says."""
+"""The README's library example runs as written and prints what it says,
+and its CLI block's comments state what the commands give."""
 
+import csv
+import io
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -7,6 +10,9 @@ from pathlib import Path
 import pytest
 
 import chshprob
+from chshprob.cli import main
+from chshprob.exact import enumeration_cost
+from chshprob.model import DEFAULT_ENUMERATION_BUDGET, ExperimentConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -16,12 +22,45 @@ def _library_example() -> str:
     return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
 
 
+def _cli_comment(command: str) -> str:
+    """The comment on the line of the README's CLI block that runs ``command``."""
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", README.read_text(), re.DOTALL).group(1)
+    (comment,) = (
+        line.split("#", 1)[1].strip() for line in block.splitlines() if line.split("#", 1)[0].strip() == command
+    )
+    return comment
+
+
+def _run(capsys, command: str) -> str:
+    assert main(command.split()[1:]) == 0
+    return capsys.readouterr().out
+
+
+def test_cli_block_comments_state_what_the_commands_give(capsys):
+    assert "p = 1/8 = 0.125" in _cli_comment("chshprob toy")
+    assert "p = 1/8 = 0.125" in _run(capsys, "chshprob toy")
+    command = "chshprob exact 1 1 1 1 --strict"
+    (row,) = csv.DictReader(io.StringIO(_run(capsys, command)))
+    assert _cli_comment(command).startswith(f"{row['value']} ({row['value_decimal']})")
+    assert (row["value"], row["value_decimal"]) == ("1/8", "0.125")
+    command = "chshprob approx 25 25 25 25"
+    (row,) = csv.DictReader(io.StringIO(_run(capsys, command)))
+    stated = float(re.search(r"~ (\S+)$", _cli_comment(command)).group(1))
+    assert stated == 5.73e-7 and abs(float(row["value"]) / stated - 1) < 0.001
+    # priced without running it, which takes seconds
+    command = "chshprob exact 1 1 1 800000 --budget 80000000 > p.csv"
+    priced, budget = re.fullmatch(r"priced (\S+), past the default budget (\S+)", _cli_comment(command)).groups()
+    cost = enumeration_cost(ExperimentConfig((1, 1, 1, 800000)))
+    assert (priced, float(budget)) == ("7.8e7", DEFAULT_ENUMERATION_BUDGET)
+    assert round(cost, -6) == float(priced) and DEFAULT_ENUMERATION_BUDGET < cost <= 80_000_000
+
+
 def test_library_example_runs_and_matches_its_comments():
     namespace: dict = {}
     exec(_library_example(), namespace)
     assert namespace["exact"] == Fraction(9, 128)
     assert namespace["approx"] == 0.15729920705028513
-    assert namespace["mc"].stream == 4
+    assert namespace["mc"].stream == 5
 
 
 def test_package_root_is_the_documented_api():
