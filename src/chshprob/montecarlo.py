@@ -113,10 +113,11 @@ RUN_ROUND_BUDGET = 1 << 37
 # draws about half of its 2e8, took 25.5 and 18.6 ms.
 FORK_FLOOR_ROUNDS = 1 << 24
 # Work a batch's split costs, in drawn bits, for the weighing at the split
-# and for each channel each open stratum draws: a split is taken where the
-# bits its settled trials leave undrawn, the channels left's rounds with
-# the last one's cut to the 2 * count.bit_length() of its head, pass
-# STRATUM_BITS * (1 + open strata * channels left) by the most.  A bit
+# and for each channel each open stratum draws.  A batch splits after the
+# channel where the bits its settled trials leave undrawn (the rounds of
+# the channels left, the last one's cut to the 2 * count.bit_length() of
+# its head) exceed STRATUM_BITS * (1 + open strata * channels left) by
+# the most, and does not split where they exceed it nowhere.  A bit
 # drawn and counted costs about 0.23 ns, and a stratum's channel 20-60 us
 # of fixed work.  In-process on a 2-core host, a batch of 65,536 trials of
 # (1,1,1000,1000) took 30.0 ms whole and 15.6 ms split after its 1-round
