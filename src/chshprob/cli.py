@@ -234,14 +234,12 @@ def cmd_approx(args: argparse.Namespace) -> int:
 
 def cmd_mc(args: argparse.Namespace) -> int:
     # imported here so that only mc loads the sampler
-    from .montecarlo import FORK_FLOOR_ROUNDS, estimate_violation_probability
+    from .montecarlo import estimate_violation_probability
 
     config = ExperimentConfig(rounds=tuple(args.rounds))
-    workers = args.workers
-    if workers is None:
-        # one process per floor of priced rounds; the library caps it at
-        # the batches and the usable CPUs
-        workers = max(1, args.trials * config.total // FORK_FLOOR_ROUNDS)
+    # an unset --workers asks for every CPU, and the library forks no more
+    # than the run's batches, usable CPUs and priced rounds pay for
+    workers = (os.cpu_count() or 1) if args.workers is None else args.workers
     estimate = estimate_violation_probability(
         config, args.trials, args.seed, args.threshold, workers=workers
     )
@@ -409,10 +407,10 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument(
         "--workers",
         type=int,
-        help="processes to share the batches among, at most one per batch and per "
-        "usable CPU; the hits are the same at any count. Default: one per 2**24 "
-        "rounds of trials * N, so a smaller run uses one process; --workers 1 "
-        "always uses one, as when many mc jobs run side by side",
+        help="most processes to share the batches among (default: the CPU count). "
+        "A run uses at most one per batch, per usable CPU and per 2**24 rounds of "
+        "trials * N, so a smaller run uses one; the hits are the same at any count. "
+        "--workers 1 always uses one, as when many mc jobs run side by side",
     )
     mc.set_defaults(func=cmd_mc)
 

@@ -6,12 +6,8 @@ experiments estimates the same probability the exact and analytic routes
 compute.  Trials are cut into batches of MAX_BATCH_TRIALS, the last taking
 the trials left over, and batch b of a run with seed s has a stream of its
 own, so runs are reproducible bit-for-bit.  ``STREAM_VERSION`` names the
-streams: version 1 drew one int8 per round per channel, version 2 drew
-every row as PCG64 words, version 3 drew rows of at most 16 rounds as bit
-planes, version 4 drew every row as bit planes in channel order, and
-version 5 draws them shortest channel first and splits a batch by its
-short channels' sum.  Hit counts differ between versions for the same
-seed.
+stream, whose hit counts differ from earlier versions' for the same seed;
+README describes those.
 
 Stream 5.  Batch b of seed s draws from ``random.Random((s & (2**64 - 1))
 | b << 64)``, the standard library's MT19937, channel by channel in stable
@@ -26,10 +22,10 @@ integer handles one bit of every trial at once (Biham 1997).  One
 carry-save counter, ``_tally``, does every addition: a channel's planes
 stream into one, so it holds O(log n_k) planes whatever its length, and
 its lanes are folded into one count per trial.  Channel 2's planes are
-inverted, so its count is its -1 rounds.  The counts, weighed by
-q_k = lcm(n) / n_k in exact Python integers at any lcm, are tallied into
-one more counter, which a ripple carry resolves into the planes of
-V = sum_k q_k * c_k, and a comparator tests every trial against the
+inverted, so its count is its -1 rounds.  Each count, weighed by
+q_k = lcm(n) / n_k in exact Python integers at any lcm, is tallied once
+into one more counter, V's, which a ripple carry resolves into the planes
+of V = sum_k q_k * c_k, and a comparator tests every trial against the
 bounds, all in C loops over the whole batch.  No numpy is needed.
 
 A batch splits at most once, after the channel where a rule on the round
@@ -43,37 +39,38 @@ from the same generator as a batch of their own trial count, against the
 bounds lowered by v, and a stratum may split again.  A stratum's trials
 share v, so which of the batch's trials they were does not matter.  The
 last channel of a batch or stratum can stop early: after its first
-ceil(2 * count.bit_length() / L) planes the trials are weighed once, and
-V is compared against both bounds and against both bounds lowered by q_k
-times the rounds left.  That judges every trial at the lowest and the
-highest count its remaining rounds allow, and when each verdict is the
-same at both the rest is never drawn.  So every verdict is the one the
-full draw would give, and a batch draws at most its rounds' bits.  A
-batch that does not split, of a row whose counts never decrease, draws
-stream 4's bits and gives its hits.
+ceil(2 * count.bit_length() / L) planes their count is weighed into a
+copy of V's counter, and V is compared against both bounds and against
+both bounds lowered by q_k times the rounds left.  That judges every
+trial at the lowest and the highest count its remaining rounds allow,
+and when each verdict is the same at both the rest is never drawn.  So
+every verdict is the one the full draw would give, and a batch draws at
+most its rounds' bits.  A batch that does not split, of a row whose
+counts never decrease, draws stream 4's bits and gives its hits.
 
 Python keeps the ``getrandbits`` sequence of a seed stable in practice,
 but promises it only for ``random()``.  The tests pin hit counts on every
 Python version the CI runs (3.10-3.13), so a change there would fail them
 rather than drift silently.
 
-A run's batches fall into k = min(workers, batches, usable CPUs) strided
-shares: share j draws batches j, j + k, and so on.  The calling process
-forks a child for every share but share 0, which it sums itself; each
-child writes its count to a pipe of its own and leaves through
-``os._exit``, printing nothing and running none of the caller's cleanup.
-Processes, unlike threads, do not take turns on the GIL.  A share whose
+A run is priced at trials * sum(n_k) rounds before any draw, an upper
+bound on the rounds it draws, and a run over RUN_ROUND_BUDGET is refused
+with LimitError.  The same figure decides how many processes draw: the
+batches fall into k = min(workers, batches, usable CPUs,
+max(1, priced // FORK_FLOOR_ROUNDS)) strided shares, so ``workers`` is a
+cap and a run too small to pay for a fork draws in one process.  Share j
+draws batches j, j + k, and so on.  The calling process forks a child
+for every share but share 0, which it sums itself; each child writes its
+count to a pipe of its own and leaves through ``os._exit``, printing
+nothing and running none of the caller's cleanup.  Processes, unlike
+threads, do not take turns on the GIL.  A share whose
 child gives no count (the fork failed, or the child raised or was killed)
 is run again in the calling process, where a real error is raised with
 its own type, since batches are deterministic.  An exception in the
 caller, an interrupt included, first kills and reaps every child.  k is 1
-where ``os.fork`` is missing or another thread is alive.  The CLI asks for
-one worker per FORK_FLOOR_ROUNDS priced rounds unless told otherwise, so a
-run too small to pay for a fork draws in one process.  Every batch has
+where ``os.fork`` is missing or another thread is alive.  Every batch has
 its own stream, so the hits are the same at any k.  Batches are made one
-at a time, so memory does not grow with the trial count.  A run is priced
-at trials * sum(n_k) rounds before any draw, an upper bound on the rounds
-it draws, and a run over RUN_ROUND_BUDGET is refused with LimitError.
+at a time, so memory does not grow with the trial count.
 """
 
 from __future__ import annotations
@@ -102,15 +99,12 @@ STREAM_VERSION = 5
 # Rounds one run is priced at, trials * sum(n_k), a generator bit each at
 # most: under a minute of drawing.
 RUN_ROUND_BUDGET = 1 << 37
-# Priced rounds a forked share must have to pay for its fork; the CLI's
-# default is one process per floor.  In-process on a 2-core host, medians
-# of 41 runs alternating one worker and two, a fork, exit and reap cost
-# about 1.3 ms: (2,2,2,2) x1e6, 8e6 rounds, took 2.3 ms at one worker and
-# 2.4-2.5 ms at two, a loss, and x2e6, 1.6e7 rounds, 4.6 and 3.7-3.8 ms, a
-# win; (1,1,1,61) x1e6, 6.4e7 rounds, took 6.0 and 4.5 ms.  Rounds are
-# priced, not drawn: (1,1,1,2000) x1e5 draws under 2% of its 2e8 and took
-# 1.0 ms at one worker and 1.75 ms at two, while (1,1,1000,1000) x1e5, which
-# draws about half of its 2e8, took 25.5 and 18.6 ms.
+# Priced rounds each process of a run must pay for: a run draws in at most
+# one process per floor, whatever its ``workers``.  mc-heavy's group2_s,
+# two rows of 2e8 priced rounds that fork at this floor, read 0.905 of one
+# process's time at seed 1 and 0.895 at seed 9 (BENCH_ced6267.json ->
+# BENCH_8205a10.json).  Rounds are priced, not drawn: (1,1,1,2000) x1e5
+# draws under 2% of its 2e8 and forks all the same.
 FORK_FLOOR_ROUNDS = 1 << 24
 # Work a batch's split costs, in drawn bits, for the weighing at the split
 # and for each channel each open stratum draws.  A batch splits after the
@@ -231,29 +225,31 @@ def _fold(columns: list[list[int]], lanes: int, count: int) -> list[list[int]]:
     return columns
 
 
-def _weigh(counts: list[list[list[int]]], weights: list[int], width: int) -> list[int]:
-    """The planes of V = sum_k q_k * c_k, bit t of plane p bit p of trial t's V.
+def _weigh(total: list[list[int]], count: list[list[int]], weight: int) -> list[list[int]]:
+    """Tallies q * c into the carry-save counter ``total`` and returns it.
 
-    ``counts[k]`` holds c_k as ``_tally`` and ``_fold`` give it, and
-    ``weights[k]`` is q_k.  Each count plane joins the position of every
-    set bit of its q, shifted by its own column, and each position is
-    tallied once into a counter of ``width`` columns, which must hold every
-    bit of V.  The columns' one or two planes are resolved from the lowest
-    up with a ripple carry, the sum a ^ b ^ carry and the carry the
-    majority of the three.  The batch is weighed once.
+    ``count`` holds one channel's c as ``_tally`` and ``_fold`` give it,
+    and ``weight`` is its q.  Each count plane joins the position of every
+    set bit of q, shifted by its own column.  ``total`` has the ``width``
+    columns of ``_channels``, which hold every bit of V = sum_k q_k * c_k.
     """
-    gathered: list[list[int]] = [[] for _ in range(width)]
-    for weight, channel in zip(weights, counts):
-        for shift in range(weight.bit_length()):
-            if weight >> shift & 1:
-                for position, planes in enumerate(channel, shift):
-                    # a plane that is not 0 has a trial with q * c >= 2**position
-                    gathered[position] += filter(None, planes)
-    counter: list[list[int]] = [[] for _ in gathered]
-    for position, planes in enumerate(gathered):
-        _tally(counter, planes, position)
+    for shift in range(weight.bit_length()):
+        if weight >> shift & 1:
+            for position, planes in enumerate(count, shift):
+                # a plane that is not 0 has a trial with q * c >= 2**position
+                _tally(total, filter(None, planes), position)
+    return total
+
+
+def _resolve(total: list[list[int]]) -> list[int]:
+    """The planes of V, bit t of plane p bit p of trial t's V, from its counter.
+
+    Each column's one or two planes are resolved from the lowest up with a
+    ripple carry, the sum a ^ b ^ carry and the carry the majority of the
+    three.  ``total`` is left as it is, and can take more counts.
+    """
     resolved, carry = [], 0
-    for column in counter:
+    for column in total:
         plane, carry = carry, 0
         for addend in column:
             carry |= plane & addend
@@ -360,17 +356,17 @@ def _hits(draw, count: int, channels: _Channels, bounds: tuple[int, int], width:
     against ``bounds``, which a stratum's caller has lowered by its sum.
 
     Each channel is drawn as planes of min(n_k, MAX_BATCH_TRIALS // count)
-    lanes, counted by ``_tally`` and ``_fold``, weighed by ``_weigh`` and
-    judged by ``_sliced_violations``; see the module docstring for the
-    split and the last channel's early stop.  The last channel's count
-    grows V by less than the 2*lcm between the bounds, so a trial with the
-    same verdict at both ends of the count it can reach has it at every
-    count between.
+    lanes, counted by ``_tally`` and ``_fold`` and weighed once into V's
+    counter by ``_weigh``; V's planes, from ``_resolve``, are judged by
+    ``_sliced_violations``.  See the module docstring for the split and
+    the last channel's early stop.  The last channel's count grows V by
+    less than the 2*lcm between the bounds, so a trial with the same
+    verdict at both ends of the count it can reach has it at every count
+    between.
     """
     ones = (1 << count) - 1
-    counts: list[list[list[int]]] = []
-    weights = [q for _, q, _ in channels]
-    split, strata = _split(channels, count, bounds) or (0, ())
+    total: list[list[int]] = [[] for _ in range(width)]
+    split, strata = _split(channels, count, bounds) or (len(channels), ())
     for i, (n, q, flip) in enumerate(channels):
         lanes = min(n, MAX_BATCH_TRIALS // count)
         planes = _channel_planes(draw, n, lanes, count, flip)
@@ -382,13 +378,14 @@ def _hits(draw, count: int, channels: _Channels, bounds: tuple[int, int], width:
             # so at this point a batch has settled with probability
             # at least 1 - 1/count
             head_count = _fold(_tally(columns, itertools.islice(planes, head)), lanes, count)
-            weighed = _weigh(counts + [head_count], weights, width)
+            weighed = _resolve(_weigh([column[:] for column in total], head_count, q))
             verdict = _sliced_violations(weighed, bounds, ones)
             if verdict == _sliced_violations(weighed, tuple(bound - q * rest for bound in bounds), ones):
                 return verdict.bit_count()
-        counts.append(_fold(_tally(columns, planes), lanes, count))
+        _weigh(total, _fold(_tally(columns, planes), lanes, count), q)
         if i + 1 == split:
-            weighed = _weigh(counts, weights, width)
+            # the last channel ends every batch or stratum that does not split
+            weighed = _resolve(total)
             verdict, hits = _sliced_violations(weighed, bounds, ones), 0
             for v in strata:
                 stratum = ones
@@ -399,7 +396,6 @@ def _hits(draw, count: int, channels: _Channels, bounds: tuple[int, int], width:
                     lowered = (bounds[0] - v, bounds[1] - v)
                     hits += _hits(draw, stratum.bit_count(), channels[split:], lowered, width)
             return hits + verdict.bit_count()
-    return _sliced_violations(_weigh(counts, weights, width), bounds, ones).bit_count()
 
 
 def _batch_hits(
@@ -426,9 +422,10 @@ def estimate_violation_probability(
 
     Deterministic in (seed, trials, config, threshold): trials are cut into
     fixed-size batches with per-batch substreams and hits are summed.
-    ``workers`` caps the processes the batches are shared among, with the
-    batches and the usable CPUs (see the module docstring); it does not
-    change the hits.  An error in a forked share is raised once the
+    ``workers`` caps the processes the batches are shared among, as do the
+    batches, the usable CPUs and the priced rounds, one process per
+    FORK_FLOOR_ROUNDS (see the module docstring); it does not change the
+    hits.  An error in a forked share is raised once the
     caller's own share is done.  The
     seed is a signed 64-bit integer, -2**63 .. 2**63 - 1, and the streams
     read its two's-complement pattern, so a negative seed s draws the
@@ -447,10 +444,10 @@ def estimate_violation_probability(
         raise InvalidConfigError(f"workers must be >= 1, got {workers}")
     if not -(1 << 63) <= seed < 1 << 63:
         raise InvalidConfigError(f"seed must be in -2**63 .. 2**63 - 1, got {seed}")
-    drawn = trials * sum(config.rounds)
-    if drawn > RUN_ROUND_BUDGET:
+    priced = trials * sum(config.rounds)
+    if priced > RUN_ROUND_BUDGET:
         raise LimitError(
-            f"Monte Carlo run draws {drawn} rounds, over the budget {RUN_ROUND_BUDGET}; "
+            f"Monte Carlo run draws {priced} rounds, over the budget {RUN_ROUND_BUDGET}; "
             "the analytic method has no such limit"
         )
     batches = -(-trials // MAX_BATCH_TRIALS)
@@ -459,7 +456,8 @@ def estimate_violation_probability(
     # thread holds; threading is only looked up, never imported
     threading = sys.modules.get("threading")
     alone = threading is None or threading.active_count() == 1
-    k = min(workers, batches, cpus) if hasattr(os, "fork") and alone else 1
+    # a share under the floor saves less than its fork costs, whatever workers asks
+    k = min(workers, batches, cpus, max(1, priced // FORK_FLOOR_ROUNDS)) if hasattr(os, "fork") and alone else 1
 
     def share_hits(share: int) -> int:
         # batches are made one at a time, so no input makes the run hold a

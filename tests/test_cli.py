@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from chshprob import cli
+from chshprob import cli, montecarlo
 from chshprob.cli import MC_FIELDS, SweepRequest, default_totals, main, split_rounds, sweep_rows
 from chshprob.errors import InvalidConfigError
 from chshprob.model import (
@@ -83,8 +83,6 @@ class TestProbabilityCommands:
 
     def test_mc_over_the_round_budget_exits_2_before_any_draw(self, monkeypatch, capsys):
         # a trial of 10**12 + 3 rounds is past the 2**37-round budget
-        from chshprob import montecarlo
-
         def no_draws(*args):
             raise AssertionError("drew before pricing the run")
 
@@ -209,10 +207,12 @@ class TestProbabilityCommands:
             assert row["value"] == str(value)
         assert float(row["value_decimal"]) == float(value)
 
-    def test_mc_row(self, capsys):
+    def test_mc_row(self, capsys, monkeypatch):
         argv = ("mc", "1", "1", "1", "1", "--trials", "200000", "--seed", "42", "--strict")
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
+        # a run this small forks only under a lowered floor
+        monkeypatch.setattr(montecarlo, "FORK_FLOOR_ROUNDS", 1)
         assert run_cli(capsys, *argv, "--workers", "3") == (0, out, "")
         (row,) = parse_csv(out)
         assert row["method"] == "monte-carlo"
@@ -239,7 +239,9 @@ class TestProbabilityCommands:
         ],
         ids=["mc", "mcuneven", "mcbatches", "mcword", "mcpieces", "mcshort"],
     )
-    def test_mc_stdout_is_the_same_at_any_worker_count(self, capsys, argv, workers):
+    def test_mc_stdout_is_the_same_at_any_worker_count(self, capsys, monkeypatch, argv, workers):
+        # the floor is lowered, so that each row of more than one batch forks
+        monkeypatch.setattr(montecarlo, "FORK_FLOOR_ROUNDS", 1)
         single = run_cli(capsys, *argv, "--workers", "1")
         assert single[0] == 0
         assert run_cli(capsys, *argv, "--workers", workers) == single

@@ -34,6 +34,7 @@ from chshprob.montecarlo import (
     _channels,
     _fold,
     _open_sums,
+    _resolve,
     _sliced_violations,
     _split,
     _tally,
@@ -65,6 +66,12 @@ def pin_cpus(monkeypatch, cpus):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
 
 
+def fork_at_any_size(monkeypatch):
+    """Lowers the fork floor to one priced round, so that a test of the
+    forked shares forks however few rounds its run is priced at."""
+    monkeypatch.setattr(montecarlo, "FORK_FLOOR_ROUNDS", 1)
+
+
 def split_after(rounds, count, threshold):
     """How many channels a batch of ``count`` trials draws before it
     splits, 0 when it does not split."""
@@ -76,8 +83,10 @@ def weigh_and_judge(counts, rounds, threshold, ones, lowered=0):
     """``_sliced_violations`` of counts in channel order, the bounds
     lowered by ``lowered``."""
     _, (low, high), width = _channels(rounds, threshold)
-    weights = [math.lcm(*rounds) // n for n in rounds]
-    return _sliced_violations(_weigh(counts, weights, width), (low - lowered, high - lowered), ones)
+    total = [[] for _ in range(width)]
+    for count, n in zip(counts, rounds):
+        _weigh(total, count, math.lcm(*rounds) // n)
+    return _sliced_violations(_resolve(total), (low - lowered, high - lowered), ones)
 
 
 def sliced_counts(planes, rounds, ones):
@@ -573,8 +582,9 @@ class TestEstimate:
         b = estimate_violation_probability(config, 200_000, seed=2)
         assert a.hits != b.hits
 
-    def test_worker_count_does_not_change_the_result(self):
+    def test_worker_count_does_not_change_the_result(self, monkeypatch):
         # both runs are several batches, the last one short
+        fork_at_any_size(monkeypatch)
         for rounds, trials, workers in (
             ((1, 1, 1, 1), 300_000, 4),
             ((1, 1, 1000, 1000), 3 * MAX_BATCH_TRIALS + 7, 2),
@@ -606,6 +616,7 @@ class TestEstimate:
 
         monkeypatch.setattr(montecarlo, "_batch_hits", batch)
         pin_cpus(monkeypatch, 2)
+        fork_at_any_size(monkeypatch)
         config = ExperimentConfig((1, 1, 1, 61))
         for workers, expected in ((1, [0, 1]), (2, [*range(0, 120, 2), 1])):
             drawn.clear()
@@ -622,6 +633,8 @@ class TestEstimate:
             return batch_hits(rounds, seed, index, count, threshold)
 
         monkeypatch.setattr(montecarlo, "_batch_hits", batch)
+        pin_cpus(monkeypatch, 2)
+        fork_at_any_size(monkeypatch)
         trials = 2 * MAX_BATCH_TRIALS
         code = main(["mc", "1", "1", "1", "61", "--trials", str(trials), "--workers", "2"])
         assert code == 1
@@ -801,7 +814,8 @@ class TestEstimate:
 class TestWorkers:
     """The forked shares of a run at more than one worker.  Each test pins
     the usable CPUs, so that the share count does not depend on the
-    machine, and forks at most two children."""
+    machine, and forks at most two children.  A test of the shares
+    themselves lowers the fork floor, so that its small run still forks."""
 
     CONFIG = ExperimentConfig((1, 1, 1, 61))
 
@@ -843,6 +857,7 @@ class TestWorkers:
 
         monkeypatch.setattr(montecarlo, "_batch_hits", batch)
         pin_cpus(monkeypatch, 3)
+        fork_at_any_size(monkeypatch)
         assert not self.leftovers()
         fds = set(os.listdir("/dev/fd"))
         trials = 3 * MAX_BATCH_TRIALS
@@ -872,6 +887,7 @@ class TestWorkers:
 
         monkeypatch.setattr(montecarlo, "_batch_hits", batch)
         pin_cpus(monkeypatch, 2)
+        fork_at_any_size(monkeypatch)
         trials = 5 * MAX_BATCH_TRIALS + 7
         pooled = estimate_violation_probability(self.CONFIG, trials, seed=11, workers=2)
         assert drawn == [0, 2, 4, 1, 3, 5]
@@ -889,6 +905,7 @@ class TestWorkers:
         monkeypatch.setattr(montecarlo, "_batch_hits", batch)
         self.fail_forks(monkeypatch)
         pin_cpus(monkeypatch, 2)
+        fork_at_any_size(monkeypatch)
         fds = set(os.listdir("/dev/fd"))
         trials = 3 * MAX_BATCH_TRIALS
         pooled = estimate_violation_probability(self.CONFIG, trials, seed=2, workers=2)
@@ -906,6 +923,7 @@ class TestWorkers:
         # every fork fails, so every share runs in the caller
         calls = self.fail_forks(monkeypatch)
         pin_cpus(monkeypatch, cpus)
+        fork_at_any_size(monkeypatch)
         trials = batches * MAX_BATCH_TRIALS
         result = estimate_violation_probability(self.CONFIG, trials, seed=3, workers=workers)
         assert len(calls) == forks
@@ -919,21 +937,61 @@ class TestWorkers:
             # 2.002e8 priced rounds in two batches
             (["mc", "1", "1", "1000", "1000", "--trials", "100000"], 1),
             (["mc", "1", "1", "1000", "1000", "--trials", "100000", "--workers", "1"], 0),
-            # 8.4e6 priced rounds in two batches: an explicit count is not floored
-            (["mc", "1", "1", "1", "61", "--trials", "131072", "--workers", "2"], 1),
+            # 8.4e6 priced rounds in two batches: an explicit count is
+            # floored too
+            (["mc", "1", "1", "1", "61", "--trials", "131072", "--workers", "2"], 0),
         ],
         ids=["default-small", "default-large", "one-worker", "explicit-small"],
     )
     def test_the_cli_forks_by_default_once_a_run_pays_for_it(self, monkeypatch, argv, forks):
-        # the default asks for one worker per FORK_FLOOR_ROUNDS priced rounds
+        # the default asks for every CPU, and the library forks at most one
+        # process per FORK_FLOOR_ROUNDS priced rounds
         calls = self.fail_forks(monkeypatch)
         pin_cpus(monkeypatch, 2)
         assert main(argv) == 0
         assert len(calls) == forks
 
+    @pytest.mark.parametrize("batches, forks", [(3, 0), (8, 1), (16, 3)])
+    def test_the_library_forks_one_process_per_floor_at_most(self, monkeypatch, batches, forks):
+        # a batch of (1,1,1,61) is 2**22 priced rounds, a quarter of the
+        # floor: 3 batches are under it, 8 are two floors and 16 are four
+        calls = self.fail_forks(monkeypatch)
+        pin_cpus(monkeypatch, 4)
+        trials = batches * MAX_BATCH_TRIALS
+        result = estimate_violation_probability(self.CONFIG, trials, seed=3, workers=4)
+        assert len(calls) == forks
+        assert result == estimate_violation_probability(self.CONFIG, trials, seed=3)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    @pytest.mark.parametrize(
+        "argv, forks",
+        [
+            # cli-small: one batch each
+            (["mc", "2", "2", "2", "2", "--trials", "10000"], 0),
+            (["mc", "2", "2", "2", "2", "--trials", "10000", "--nonstrict"], 0),
+            # mc-heavy group 1: 3.2e7 priced rounds each, one floor
+            (["mc", "2", "2", "2", "2", "--trials", "4000000"], 0),
+            (["mc", "2", "2", "2", "2", "--trials", "4000000", "--nonstrict"], 0),
+            # group 2: about 2.0e8 priced rounds each, 11 floors, in two batches
+            (["mc", "1", "1", "1000", "1000", "--trials", "100000"], 1),
+            (["mc", "1", "1", "1", "2000", "--trials", "100000"], 1),
+            # group 3: the group 2 row at two workers
+            (["mc", "1", "1", "1000", "1000", "--trials", "100000", "--workers", "2"], 1),
+        ],
+        ids=["small", "small-nonstrict", "short", "short-nonstrict", "long", "long-last", "long-w2"],
+    )
+    def test_the_benchmark_commands_keep_their_process_counts(self, monkeypatch, argv, forks, cpus):
+        # the mc commands of the cli-small and mc-heavy workloads, whose
+        # times would move with their process counts
+        calls = self.fail_forks(monkeypatch)
+        pin_cpus(monkeypatch, cpus)
+        assert main(argv) == 0
+        assert len(calls) == min(forks, cpus - 1)
+
     @pytest.mark.parametrize("why", ["no-fork", "second-thread"])
     def test_one_share_without_fork_or_beside_a_live_thread(self, monkeypatch, why):
         pin_cpus(monkeypatch, 4)
+        fork_at_any_size(monkeypatch)
         trials = 4 * MAX_BATCH_TRIALS
         expected = estimate_violation_probability(self.CONFIG, trials, seed=3)
         if why == "no-fork":
