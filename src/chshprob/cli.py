@@ -130,23 +130,23 @@ def _result_row(
     }
 
 
-def _write_rows(rows: list[dict], fieldnames: tuple[str, ...], fmt: str, out) -> None:
+def _write_rows(rows: list[dict], fieldnames: tuple[str, ...], fmt: str) -> None:
     # each writer is imported in its own branch, so that CSV output never
     # loads json and JSON output never loads csv
     if fmt == "csv":
         import csv
 
-        writer = csv.DictWriter(out, fieldnames=fieldnames, restval="", lineterminator="\n")
+        writer = csv.DictWriter(sys.stdout, fieldnames=fieldnames, restval="", lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
         return
     import json
 
-    out.write("[\n")
+    sys.stdout.write("[\n")
     for index, row in enumerate(rows):
         tail = "," if index + 1 < len(rows) else ""
-        out.write("  " + json.dumps(row) + tail + "\n")
-    out.write("]\n")
+        sys.stdout.write("  " + json.dumps(row) + tail + "\n")
+    sys.stdout.write("]\n")
 
 
 def cmd_toy(args: argparse.Namespace) -> int:
@@ -220,7 +220,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
     config = ExperimentConfig(rounds=tuple(args.rounds))
     count = violation_count(config, args.threshold, budget=args.budget)
     row = _result_row("exact", args.threshold, config, *format_dyadic(count, config.total))
-    _write_rows([row], RESULT_FIELDS, args.format, sys.stdout)
+    _write_rows([row], RESULT_FIELDS, args.format)
     return 0
 
 
@@ -228,7 +228,7 @@ def cmd_approx(args: argparse.Namespace) -> int:
     config = ExperimentConfig(rounds=tuple(args.rounds))
     result = analytic_violation_probability(config)
     row = _result_row(result.method, result.threshold, config, repr(result.value), result.value)
-    _write_rows([row], RESULT_FIELDS, args.format, sys.stdout)
+    _write_rows([row], RESULT_FIELDS, args.format)
     return 0
 
 
@@ -262,7 +262,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
     if args.format == "json":
         # the CSV columns stay byte-stable; only JSON names the sampler stream
         row["stream"] = estimate.stream
-    _write_rows([row], MC_FIELDS, args.format, sys.stdout)
+    _write_rows([row], MC_FIELDS, args.format)
     return 0
 
 
@@ -317,7 +317,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         include_exact_intervals=args.intervals,
         continuous=args.continuous,
     )
-    _write_rows(sweep_rows(request), SWEEP_FIELDS, args.format, sys.stdout)
+    _write_rows(sweep_rows(request), SWEEP_FIELDS, args.format)
     return 0
 
 

@@ -33,12 +33,13 @@ and trial counts alone says the split pays (see STRATUM_BITS).  The
 channels drawn give each trial a partial sum v, to which the channels
 left can add 0 to R = sum q_k * n_k.  Where v and v + R lie on the same
 side of both bounds the trial is settled, and v gives its verdict.  The
-trials of every other v form a stratum, counted by an equality mask over
-the planes of v: the strata, in ascending v, each draw the channels left
-from the same generator as a batch of their own trial count, against the
-bounds lowered by v, and a stratum may split again.  A stratum's trials
-share v, so which of the batch's trials they were does not matter.  The
-last channel of a batch or stratum can stop early: after its first
+trials of every other v form a stratum, which the comparator finds as
+the trials whose partial sum is neither below v nor at least v + 1: the
+strata, in ascending v, each draw the channels left from the same
+generator as a batch of their own trial count, against the bounds
+lowered by v, and a stratum may split again.  A stratum's trials share
+v, so which of the batch's trials they were does not matter.  The last
+channel of a batch or stratum can stop early: after its first
 ceil(2 * count.bit_length() / L) planes their count is weighed into a
 copy of V's counter, and V is compared against both bounds and against
 both bounds lowered by q_k times the rounds left.  That judges every
@@ -355,19 +356,20 @@ def _hits(draw, count: int, channels: _Channels, bounds: tuple[int, int], width:
     """Violations among ``count`` trials of ``channels``, drawn by ``draw``
     against ``bounds``, which a stratum's caller has lowered by its sum.
 
-    Each channel is drawn as planes of min(n_k, MAX_BATCH_TRIALS // count)
-    lanes, counted by ``_tally`` and ``_fold`` and weighed once into V's
-    counter by ``_weigh``; V's planes, from ``_resolve``, are judged by
-    ``_sliced_violations``.  See the module docstring for the split and
-    the last channel's early stop.  The last channel's count grows V by
-    less than the 2*lcm between the bounds, so a trial with the same
-    verdict at both ends of the count it can reach has it at every count
-    between.
+    Each channel up to the split is drawn as planes of
+    min(n_k, MAX_BATCH_TRIALS // count) lanes, counted by ``_tally`` and
+    ``_fold`` and weighed once into V's counter by ``_weigh``.  After them
+    V's planes, from ``_resolve``, are judged once by
+    ``_sliced_violations``, which also finds each open stratum.  See the
+    module docstring for the split and the last channel's early stop.  The
+    last channel's count grows V by less than the 2*lcm between the
+    bounds, so a trial with the same verdict at both ends of the count it
+    can reach has it at every count between.
     """
     ones = (1 << count) - 1
     total: list[list[int]] = [[] for _ in range(width)]
     split, strata = _split(channels, count, bounds) or (len(channels), ())
-    for i, (n, q, flip) in enumerate(channels):
+    for i, (n, q, flip) in enumerate(channels[:split]):
         lanes = min(n, MAX_BATCH_TRIALS // count)
         planes = _channel_planes(draw, n, lanes, count, flip)
         columns: list[list[int]] = []
@@ -383,19 +385,15 @@ def _hits(draw, count: int, channels: _Channels, bounds: tuple[int, int], width:
             if verdict == _sliced_violations(weighed, tuple(bound - q * rest for bound in bounds), ones):
                 return verdict.bit_count()
         _weigh(total, _fold(_tally(columns, planes), lanes, count), q)
-        if i + 1 == split:
-            # the last channel ends every batch or stratum that does not split
-            weighed = _resolve(total)
-            verdict, hits = _sliced_violations(weighed, bounds, ones), 0
-            for v in strata:
-                stratum = ones
-                for position, plane in enumerate(weighed):
-                    stratum &= plane if v >> position & 1 else ~plane
-                verdict &= ~stratum
-                if stratum:
-                    lowered = (bounds[0] - v, bounds[1] - v)
-                    hits += _hits(draw, stratum.bit_count(), channels[split:], lowered, width)
-            return hits + verdict.bit_count()
+    weighed = _resolve(total)
+    verdict, hits = _sliced_violations(weighed, bounds, ones), 0
+    for v in strata:
+        # the trials whose V is neither below v nor at least v + 1
+        stratum = ones ^ _sliced_violations(weighed, (v, v + 1), ones)
+        verdict &= ~stratum
+        if stratum:
+            hits += _hits(draw, stratum.bit_count(), channels[split:], (bounds[0] - v, bounds[1] - v), width)
+    return hits + verdict.bit_count()
 
 
 def _batch_hits(

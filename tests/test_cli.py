@@ -473,8 +473,7 @@ class TestSweep:
         assert rows[0]["variant"] == "equal"
         assert rows[0]["N"] == 4
 
-    def test_intervals_ignored_for_ratio_variants(self, capsys):
-        # the id is older than the rule: ratio rows now get exact brackets too
+    def test_ratio_rows_get_exact_brackets(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--variant", "ratio10", "--n-values", "31", "--intervals")
         assert (code, err) == (0, "")
         (row,) = parse_csv(out)
@@ -640,10 +639,9 @@ class TestEntry:
             (["exact", "0", "1", "1", "1"], 1),
         ],
     )
-    def test_freezes_once_after_main_and_exits_with_its_code(
+    def test_exits_at_once_after_main_with_its_code(
         self, monkeypatch, capsys, argv, code
     ):
-        # the id is older than the exit: the process now skips its teardown
         assert self.run_entry(monkeypatch, argv, dev_mode=False) == (
             code,
             [("main", code), "stdout", "stderr", ("_exit", code)],

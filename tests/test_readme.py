@@ -1,5 +1,6 @@
 """The README's library example runs as written and prints what it says,
-and its CLI block's comments state what the commands give."""
+its CLI block's comments state what the commands give, and every time it
+states cites the BENCH file that records it."""
 
 import csv
 import io
@@ -15,6 +16,8 @@ from chshprob.exact import enumeration_cost
 from chshprob.model import DEFAULT_ENUMERATION_BUDGET, ExperimentConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+# a number with a unit of time, as in "0.3 s", "51.4 ms" or "2 minutes"
+DURATION = re.compile(r"\d\s?(?:[mµun]?s|seconds?|minutes?)\b")
 
 
 def _library_example() -> str:
@@ -53,6 +56,28 @@ def test_cli_block_comments_state_what_the_commands_give(capsys):
     cost = enumeration_cost(ExperimentConfig((1, 1, 1, 800000)))
     assert (priced, float(budget)) == ("7.8e7", DEFAULT_ENUMERATION_BUDGET)
     assert round(cost, -6) == float(priced) and DEFAULT_ENUMERATION_BUDGET < cost <= 80_000_000
+
+
+def _unbacked_durations(text: str) -> list[str]:
+    """The sentences of ``text`` that state a duration but name no BENCH
+    file at the repo root."""
+    sentences = re.split(r"(?<=[.!?])\s+(?=[A-Z`(])", " ".join(text.split()))
+    return [
+        sentence
+        for sentence in sentences
+        if DURATION.search(sentence)
+        and not any((README.parent / name).is_file() for name in re.findall(r"BENCH_\w+\.json", sentence))
+    ]
+
+
+def test_every_stated_duration_cites_a_bench_file():
+    # a time figure that no BENCH file records cannot be reproduced
+    assert _unbacked_durations(README.read_text()) == []
+    bench = min(path.name for path in README.parent.glob("BENCH_*.json"))
+    stated = "It took 0.3 s.\nIt ran in 51.4\nms. It took 2 s (`BENCH_0000000.json`). Done in 45 ms (`%s`)."
+    assert _unbacked_durations(stated % bench) == [
+        "It took 0.3 s.", "It ran in 51.4 ms.", "It took 2 s (`BENCH_0000000.json`)."
+    ]
 
 
 def test_library_example_runs_and_matches_its_comments():
