@@ -116,18 +116,8 @@ def split_rounds(variant: str, total: int) -> tuple[int, int, int, int] | None:
 def _result_row(
     method: str, threshold: str, config: ExperimentConfig, text: str, decimal: float
 ) -> dict:
-    rounds = config.rounds
-    return {
-        "method": method,
-        "threshold": threshold,
-        "N": config.total,
-        "n1": rounds[0],
-        "n2": rounds[1],
-        "n3": rounds[2],
-        "n4": rounds[3],
-        "value": text,
-        "value_decimal": decimal,
-    }
+    values = (method, threshold, config.total, *config.rounds, text, decimal)
+    return dict(zip(RESULT_FIELDS, values, strict=True))
 
 
 def _write_rows(rows: list[dict], fieldnames: tuple[str, ...], fmt: str) -> None:
@@ -167,10 +157,7 @@ def cmd_toy(args: argparse.Namespace) -> int:
 
     if args.json:
         payload = {
-            "records": [
-                {"time_index": r.time_index, "a": r.a, "b": r.b, "c": r.c, "i": r.i, "j": r.j}
-                for r in records
-            ],
+            "records": [{name: getattr(r, name) for name in r.__slots__} for r in records],
             "contributions": contributions,
             "correlation": str(correlation),
             "correlation_decimal": float(correlation),
@@ -252,13 +239,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
     row = _result_row(
         "monte-carlo", estimate.threshold, config, repr(estimate.estimate), estimate.estimate
     )
-    row.update(
-        trials=estimate.trials,
-        hits=estimate.hits,
-        ci_low=estimate.ci_low,
-        ci_high=estimate.ci_high,
-        seed=estimate.seed,
-    )
+    row.update((name, getattr(estimate, name)) for name in MC_FIELDS[len(RESULT_FIELDS) :])
     if args.format == "json":
         # the CSV columns stay byte-stable; only JSON names the sampler stream
         row["stream"] = estimate.stream
@@ -428,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         type=int,
         nargs="+",
-        help="total round counts (default: variant divisor times powers of 2 up to 4096)",
+        help=f"total round counts (default: variant divisor times powers of 2 up to {SWEEP_MAX_TOTAL})",
     )
     sweep.add_argument(
         "--intervals",
@@ -484,8 +465,8 @@ def entry() -> None:
     (``os._exit``), without the interpreter's teardown: no command leaves
     a thread, an open file or an exit handler behind, and the teardown
     would only run full collections over every object still alive and
-    free them, a few ms of a short command.  Under ``-X dev`` the full
-    teardown stays, so that finalizers still report unclosed resources.
+    free them, which changes no output.  Under ``-X dev`` the full teardown
+    stays, so that finalizers still report unclosed resources.
 
     When stdout's reader has gone, the process exits 1 without a
     traceback: fd 1 is pointed at ``os.devnull``, so the flush at exit

@@ -38,12 +38,12 @@ from .model import (
     _check_threshold,
 )
 
-# Weights of the price, in units of about 10 ns of work on the host they
-# were fitted on.  A unit is one 64-bit word of linear integer work: a row
-# step multiplies and divides a path count by small ints, and a table word
-# held costs about as much again in cache misses.  Besides those: a fixed
-# cost per call, a loop step or dict update per entry visited, and a fifth
-# of a unit per word-by-word product of two wide integers.
+# Weights of the price, fitted on one host.  A unit is one 64-bit word of
+# linear integer work: a row step multiplies and divides a path count by
+# small ints, and a table word held costs about as much again in cache
+# misses.  Besides those: a fixed cost per call, a loop step or dict update
+# per entry visited, and a fifth of a unit per word-by-word product of two
+# wide integers.
 _BASE_COST = 2000
 _ENTRY_COST = 12
 _PRODUCTS_PER_UNIT = 5
@@ -162,8 +162,8 @@ def _plan(rounds: Sequence[int]) -> tuple[list, list, tuple[int, int], int]:
     linear = middle_sums * middle_words + reach * row_words
     time = _ENTRY_COST * entries + products // _PRODUCTS_PER_UNIT + linear
     # the result k / 2**N is reduced and printed in time quadratic in its
-    # N/64 words: about 11 ns per square word on Python 3.10 and 3.11 (3.12
-    # prints long ints faster), priced at half a unit
+    # N/64 words on Python 3.10 and 3.11 (3.12 prints long ints faster),
+    # priced at half a unit per square word
     time += _BASE_COST + (-(-sum(rounds) // 64)) ** 2 // 2
     held_bytes = middle_sums * (8 * -(-sum(n for n, _ in middle) // 64) + _TABLE_SUM_BYTES)
     memory = held_bytes * 5 // 12
@@ -177,10 +177,10 @@ def enumeration_cost(config: ExperimentConfig) -> int:
     counts the entries the kernel visits, its word-by-word products and
     its linear integer work on the middle table and along the longest
     row, plus a fixed cost per call and the result's reduction and
-    printing, quadratic in its N/64 words; a unit is about 10 ns on the
-    host the weights were fitted on.  Memory counts the bytes the middle
-    table holds, 5 units per 12 bytes.  Computed from the counts alone,
-    before any row is built.
+    printing, quadratic in its N/64 words; a unit is one 64-bit word of
+    linear integer work.  Memory counts the bytes the middle table holds,
+    5 units per 12 bytes.  Computed from the counts alone, before any row
+    is built.
     """
     return _plan(config.rounds)[-1]
 
@@ -337,9 +337,9 @@ def format_dyadic(count: int, bits: int) -> tuple[str, float]:
 
     Byte for byte what ``str`` and ``float`` of ``Fraction(count, 2**bits)``
     give ("0", "1", "p/q"), for 0 <= count <= 2**bits, without building the
-    ``Fraction``: the only common factors are the 2s that ``count``'s
-    trailing zero bits hold, and int division rounds correctly, as
-    ``Fraction.__float__`` does.
+    ``Fraction``: the only common factors are the factors of 2 that
+    ``count``'s trailing zero bits hold, and int division rounds correctly,
+    as ``Fraction.__float__`` does.
     """
     shift = min(bits, (count & -count).bit_length() - 1) if count else bits
     numerator, denominator = count >> shift, 1 << (bits - shift)

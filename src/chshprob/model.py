@@ -45,7 +45,7 @@ NON_STRICT = "non-strict"
 THRESHOLDS = (STRICT, NON_STRICT)
 
 # Default ceiling on ``exact.enumeration_cost``, set so that any run it
-# accepts ends within seconds; here so that the CLI's parser can show it
+# accepts stays interactive; here so that the CLI's parser can show it
 # without loading the exact route.
 DEFAULT_ENUMERATION_BUDGET = 7 * 10**7
 

@@ -98,7 +98,7 @@ MAX_BATCH_TRIALS = 1 << 16
 BATCH_ELEMENT_BUDGET = 1 << 22
 STREAM_VERSION = 5
 # Rounds one run is priced at, trials * sum(n_k), a generator bit each at
-# most: under a minute of drawing.
+# most, so the budget bounds the drawing a run may ask for before any draw.
 RUN_ROUND_BUDGET = 1 << 37
 # Priced rounds each process of a run must pay for: a run draws in at most
 # one process per floor, whatever its ``workers``.  mc-heavy's group2_s,
@@ -112,13 +112,14 @@ FORK_FLOOR_ROUNDS = 1 << 24
 # channel where the bits its settled trials leave undrawn (the rounds of
 # the channels left, the last one's cut to the 2 * count.bit_length() of
 # its head) exceed STRATUM_BITS * (1 + open strata * channels left) by
-# the most, and does not split where they exceed it nowhere.  A bit
-# drawn and counted costs about 0.23 ns, and a stratum's channel 20-60 us
-# of fixed work.  In-process on a 2-core host, a batch of 65,536 trials of
-# (1,1,1000,1000) took 30.0 ms whole and 15.6 ms split after its 1-round
-# channels, and of (1,1,16,16) 538 and 450 us, splits the rule takes; of
-# (1,1,4,4) 178 and 210 us, and of (2,2,2,2) 147 us whole and 209 us split
-# after three channels, splits it leaves.
+# the most, and does not split where they exceed it nowhere.  A drawn bit
+# is cheap and a stratum's channel is fixed work, many bits' worth, so a
+# split pays only where it leaves many bits undrawn: the rule splits
+# (1,1,1000,1000) after its 1-round channels, and (1,1,16,16), but leaves
+# whole (1,1,4,4) and (2,2,2,2), whose splits ran slower in-process.
+# Stream 5, which brought the split, took mc-heavy's group3_s,
+# (1,1,1000,1000) x1e5 at two workers, from 0.138 to 0.112 s at seed 1
+# (BENCH_8d28718.json -> BENCH_d97b42f.json).
 STRATUM_BITS = 1 << 17
 # Partial sums a split may tell apart; past it no later channel splits.
 MAX_STRATA = 64
@@ -497,7 +498,7 @@ def estimate_violation_probability(
     finally:
         # a child that has written its count is leaving anyway; 9 is
         # SIGKILL, whose number POSIX fixes, and importing signal would
-        # cost every run about 0.6 ms
+        # add a module to every run's startup
         for pid, read in children.values():
             os.kill(pid, 9)
             os.waitpid(pid, 0)

@@ -11,7 +11,16 @@ from types import SimpleNamespace
 import pytest
 
 from chshprob import cli, montecarlo
-from chshprob.cli import MC_FIELDS, SweepRequest, default_totals, main, split_rounds, sweep_rows
+from chshprob.cli import (
+    MC_FIELDS,
+    RESULT_FIELDS,
+    SWEEP_FIELDS,
+    SweepRequest,
+    default_totals,
+    main,
+    split_rounds,
+    sweep_rows,
+)
 from chshprob.errors import InvalidConfigError
 from chshprob.model import (
     NON_STRICT,
@@ -257,6 +266,31 @@ class TestProbabilityCommands:
         assert out.splitlines()[0].split(",") == list(MC_FIELDS)
         (csv_row,) = parse_csv(out)
         assert int(csv_row["hits"]) == row["hits"]
+
+    def test_json_keys_follow_the_csv_columns(self, capsys):
+        # a JSON row leaves out the cells CSV prints empty, and mc names its stream last
+        commands = (
+            (("exact", "2", "3", "4", "5"), RESULT_FIELDS),
+            (("approx", "2", "3", "4", "5"), RESULT_FIELDS),
+            (("mc", "2", "2", "2", "2", "--trials", "5000"), MC_FIELDS + ("stream",)),
+            (("sweep", "--n-values", "4", "6"), SWEEP_FIELDS),
+            (("sweep", "--intervals"), SWEEP_FIELDS),
+            (("sweep", "--variant", "ratio10", "--continuous", "--n-values", "5"), SWEEP_FIELDS),
+        )
+        keys = set()
+        for argv, fields in commands:
+            code, out, _ = run_cli(capsys, *argv, "--format", "json")
+            assert code == 0
+            for row in json.loads(out):
+                assert list(row) == [name for name in fields if name in row]
+                keys.add(tuple(row))
+        assert {RESULT_FIELDS, MC_FIELDS + ("stream",), ("variant", "N", "error")} <= keys
+        assert {SWEEP_FIELDS[:7], SWEEP_FIELDS[:-1]} <= keys
+        code, out, _ = run_cli(capsys, "toy", "--json")
+        assert code == 0
+        assert [list(record) for record in json.loads(out)["records"]] == [
+            list(MeasurementRecord.__slots__)
+        ] * 4
 
     def test_mc_warns_when_hits_unreachable(self, capsys):
         code, out, err = run_cli(capsys, "mc", "25", "25", "25", "25", "--trials", "1000")

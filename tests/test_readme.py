@@ -1,6 +1,7 @@
 """The README's library example runs as written and prints what it says,
-its CLI block's comments state what the commands give, and every time it
-states cites the BENCH file that records it."""
+its CLI block's comments state what the commands give, it and ``mc
+--help`` state the fork floor the sampler uses, and every time that it or
+the package's source states cites the BENCH file that records it."""
 
 import csv
 import io
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import chshprob
+from chshprob import montecarlo
 from chshprob.cli import main
 from chshprob.exact import enumeration_cost
 from chshprob.model import DEFAULT_ENUMERATION_BUDGET, ExperimentConfig
@@ -72,12 +74,22 @@ def _unbacked_durations(text: str) -> list[str]:
 
 def test_every_stated_duration_cites_a_bench_file():
     # a time figure that no BENCH file records cannot be reproduced
-    assert _unbacked_durations(README.read_text()) == []
+    for path in (README, *sorted(Path(chshprob.__file__).parent.glob("*.py"))):
+        assert _unbacked_durations(path.read_text()) == [], path.name
     bench = min(path.name for path in README.parent.glob("BENCH_*.json"))
     stated = "It took 0.3 s.\nIt ran in 51.4\nms. It took 2 s (`BENCH_0000000.json`). Done in 45 ms (`%s`)."
     assert _unbacked_durations(stated % bench) == [
         "It took 0.3 s.", "It ran in 51.4 ms.", "It took 2 s (`BENCH_0000000.json`)."
     ]
+
+
+def test_mc_help_and_readme_state_the_fork_floor(capsys):
+    # the parser does not import montecarlo, so its help writes the floor out
+    exponent = montecarlo.FORK_FLOOR_ROUNDS.bit_length() - 1
+    assert montecarlo.FORK_FLOOR_ROUNDS == 1 << exponent
+    assert main(["mc", "--help"]) == 0
+    assert f"per 2**{exponent} rounds" in " ".join(capsys.readouterr().out.split())
+    assert f"per 2^{exponent} rounds" in " ".join(README.read_text().split())
 
 
 def test_library_example_runs_and_matches_its_comments():
