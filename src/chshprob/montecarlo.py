@@ -3,15 +3,19 @@
 Round-level sampling: every channel round is an independent fair +-1 draw,
 an experiment is a full tally, and the violation frequency over many
 experiments estimates the same probability the exact and analytic routes
-compute.  Trials are cut into batches of MAX_BATCH_TRIALS, the last taking
-the trials left over, and batch b of a run with seed s has a stream of its
-own, so runs are reproducible bit-for-bit.  ``STREAM_VERSION`` names the
-stream, whose hit counts differ from earlier versions' for the same seed;
-README describes those.
+compute.  Trials are cut into batches of at most MAX_BATCH_TRIALS, and
+batch b of a run with seed s has a stream of its own, so runs are
+reproducible bit-for-bit.  ``STREAM_VERSION`` names the stream, whose hit
+counts differ from earlier versions' for the same seed; README describes
+those.
 
-Stream 5.  Batch b of seed s draws from ``random.Random((s & (2**64 - 1))
-| b << 64)``, the standard library's MT19937, channel by channel in stable
-ascending order of n_k, each channel's rounds in order.  In a batch of
+Stream 6.  A run of T trials has B = ceil(T / MAX_BATCH_TRIALS) batches.
+Batches 1 .. B - 2 are full, and batches 0 and B - 1 share the E trials
+left, batch 0 taking E - E // 2 and batch B - 1 E // 2; a run of one
+batch holds all T.  Batch b of seed s draws from
+``random.Random((s & (2**64 - 1)) | b << 64)``, the standard library's
+MT19937, channel by channel in stable ascending order of n_k, each
+channel's rounds in order.  In a batch of
 ``count`` trials a plane holds L = min(n_k, MAX_BATCH_TRIALS // count)
 rounds of channel k as L lanes of ``count`` bits: plane i is
 ``getrandbits(L * count)``, and its bit l * count + t is round i * L + l
@@ -60,12 +64,15 @@ with LimitError.  The same figure decides how many processes draw: the
 batches fall into k = min(workers, batches, usable CPUs,
 max(1, priced // FORK_FLOOR_ROUNDS)) strided shares, so ``workers`` is a
 cap and a run too small to pay for a fork draws in one process.  Share j
-draws batches j, j + k, and so on.  The calling process forks a child
-for every share but share 0, which it sums itself; each child writes its
-count to a pipe of its own and leaves through ``os._exit``, printing
-nothing and running none of the caller's cleanup.  Processes, unlike
-threads, do not take turns on the GIL.  A share whose
-child gives no count (the fork failed, or the child raised or was killed)
+draws batches j, j + k, and so on.  Share 0 holds the most batches at any
+k, batch 0 among them, so a short batch 0 evens the shares out: the
+largest is never larger than with a full batch 0 and a short last one,
+and a run of two batches splits evenly.  The calling process forks a
+child for every share but share 0, which it sums itself; each child
+writes its count to a pipe of its own and leaves through ``os._exit``,
+printing nothing and running none of the caller's cleanup.  Processes,
+unlike threads, do not take turns on the GIL.  A share whose child
+gives no count (the fork failed, or the child raised or was killed)
 is run again in the calling process, where a real error is raised with
 its own type, since batches are deterministic.  An exception in the
 caller, an interrupt included, first kills and reaps every child.  k is 1
@@ -96,7 +103,7 @@ from .model import (
 MAX_BATCH_TRIALS = 1 << 16
 # The int8-era batch budget in bytes; only benchmarks/tracing.py reads it.
 BATCH_ELEMENT_BUDGET = 1 << 22
-STREAM_VERSION = 5
+STREAM_VERSION = 6
 # Rounds one run is priced at, trials * sum(n_k), a generator bit each at
 # most, so the budget bounds the drawing a run may ask for before any draw.
 RUN_ROUND_BUDGET = 1 << 37
@@ -409,6 +416,19 @@ def _batch_hits(
     return _hits(draw, count, *_channels(rounds, threshold))
 
 
+def _batch_trials(trials: int, index: int) -> int:
+    """Trials of batch ``index`` of a run of ``trials``: all full but the
+    first and the last, which share the trials left (see the module
+    docstring)."""
+    batches = -(-trials // MAX_BATCH_TRIALS)
+    if batches == 1:
+        return trials
+    if 0 < index < batches - 1:
+        return MAX_BATCH_TRIALS
+    ends = trials - (batches - 2) * MAX_BATCH_TRIALS
+    return ends // 2 if index else ends - ends // 2
+
+
 def estimate_violation_probability(
     config: ExperimentConfig,
     trials: int,
@@ -420,7 +440,8 @@ def estimate_violation_probability(
     """Estimate the violation probability from ``trials`` simulated experiments.
 
     Deterministic in (seed, trials, config, threshold): trials are cut into
-    fixed-size batches with per-batch substreams and hits are summed.
+    batches of at most MAX_BATCH_TRIALS (see ``_batch_trials``) with
+    per-batch substreams and hits are summed.
     ``workers`` caps the processes the batches are shared among, as do the
     batches, the usable CPUs and the priced rounds, one process per
     FORK_FLOOR_ROUNDS (see the module docstring); it does not change the
@@ -463,9 +484,7 @@ def estimate_violation_probability(
         # per-batch list; an error in a batch, an interrupt included, ends
         # the share before its next batch
         return sum(
-            _batch_hits(
-                config.rounds, seed, index, min(MAX_BATCH_TRIALS, trials - index * MAX_BATCH_TRIALS), threshold
-            )
+            _batch_hits(config.rounds, seed, index, _batch_trials(trials, index), threshold)
             for index in range(share, batches, k)
         )
 

@@ -144,7 +144,8 @@ def _drawing_order(rounds) -> list[int]:
 
 def plane_replay_sums(rounds, seed: int, batch_index: int, count: int) -> Counter:
     """How many of ``count`` trials have each tuple of channel sums
-    (m1, m2, m3, m4), every round redrawn bit by bit from stream 5's planes.
+    (m1, m2, m3, m4), every round redrawn bit by bit from the planes of
+    streams 5 and 6.
 
     The batch's generator draws the channels in stable ascending order of
     their counts, each as ``_replay_planes`` reads it.
@@ -159,9 +160,9 @@ def plane_replay_sums(rounds, seed: int, batch_index: int, count: int) -> Counte
 
 def plane_replay_hits(rounds, seed: int, batch_index: int, count: int, threshold: str, split: int = 0) -> int:
     """Violations among ``count`` trials of a batch, redrawn bit by bit from
-    stream 5's planes and strata, each trial judged by ``is_violation`` on
-    its exact correlation; the batch splits after its first ``split``
-    channels, or not at all if that is 0.
+    the planes and strata of streams 5 and 6, each trial judged by
+    ``is_violation`` on its exact correlation; the batch splits after its
+    first ``split`` channels, or not at all if that is 0.
 
     Channel k adds sign_k * (2*ones - n_k) / n_k, between -1 and 1, to a
     trial's correlation.  The batch draws its channels in stable ascending

@@ -103,7 +103,7 @@ def test_command_imports_neither_numpy_nor_the_pool(argv):
         assert not modules & {"dataclasses", "fractions", "decimal"}
         assert report["stdout"].startswith("method,")
     if argv == SMALL_MC:
-        # 10000 short rows of stream 5
+        # 10000 short rows in one batch, the same under streams 4 to 6
         (row,) = csv.DictReader(io.StringIO(report["stdout"]))
         assert row["hits"] == "763"
 

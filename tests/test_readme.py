@@ -18,8 +18,15 @@ from chshprob.exact import enumeration_cost
 from chshprob.model import DEFAULT_ENUMERATION_BUDGET, ExperimentConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-# a number with a unit of time, as in "0.3 s", "51.4 ms" or "2 minutes"
-DURATION = re.compile(r"\d\s?(?:[mµun]?s|seconds?|minutes?)\b")
+# a unit of time after a number, as in "0.3 s", "51.4 ms" or "2 minutes", or
+# in words, as in "a few ms", "under a minute" or "within seconds"; "a second"
+# is left alone, since it is mostly an ordinal
+DURATION = re.compile(
+    r"\d\s?(?:[mµun]?s|seconds?|minutes?|hours?)\b"
+    r"|\b(?:a few|few|several|many|some|within|under|over)\s+[mµun]?s\b"
+    r"|\ban?\s+(?:minute|hour)\b"
+    r"|\b(?:milli|micro|nano)?(?:seconds|minutes|hours)\b"
+)
 
 
 def _library_example() -> str:
@@ -77,9 +84,19 @@ def test_every_stated_duration_cites_a_bench_file():
     for path in (README, *sorted(Path(chshprob.__file__).parent.glob("*.py"))):
         assert _unbacked_durations(path.read_text()) == [], path.name
     bench = min(path.name for path in README.parent.glob("BENCH_*.json"))
-    stated = "It took 0.3 s.\nIt ran in 51.4\nms. It took 2 s (`BENCH_0000000.json`). Done in 45 ms (`%s`)."
-    assert _unbacked_durations(stated % bench) == [
-        "It took 0.3 s.", "It ran in 51.4 ms.", "It took 2 s (`BENCH_0000000.json`)."
+    stated = (
+        "It took 0.3 s.\nIt ran in 51.4\nms. It took 2 s (`BENCH_0000000.json`). Done in 45 ms (`%s`). "
+        "It costs a few ms. It ends within seconds. It draws for under a\nminute. It takes milliseconds. "
+        "A second batch of 2 rounds follows. Its sums fit in 64 bits. Done in seconds (`%s`)."
+    )
+    assert _unbacked_durations(stated % (bench, bench)) == [
+        "It took 0.3 s.",
+        "It ran in 51.4 ms.",
+        "It took 2 s (`BENCH_0000000.json`).",
+        "It costs a few ms.",
+        "It ends within seconds.",
+        "It draws for under a minute.",
+        "It takes milliseconds.",
     ]
 
 
@@ -97,7 +114,7 @@ def test_library_example_runs_and_matches_its_comments():
     exec(_library_example(), namespace)
     assert namespace["exact"] == Fraction(9, 128)
     assert namespace["approx"] == 0.15729920705028513
-    assert namespace["mc"].stream == 5
+    assert namespace["mc"].stream == 6
 
 
 def test_package_root_is_the_documented_api():

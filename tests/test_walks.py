@@ -105,6 +105,22 @@ class TestBinomialRow:
         assert row == [math.comb(n, i) for i in range(n + 1)]
         assert sum(row) == 2**n
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_exhaustive_enumeration(self, n):
+        # entry i counts the paths of i up-steps, whose endpoint is 2i - n
+        pmf = {2 * i - n: Fraction(paths, 2**n) for i, paths in enumerate(binomial_row(n))}
+        assert pmf == brute_force_walk_distribution(n)
+
+    @given(n=st.integers(min_value=1, max_value=200))
+    def test_mass_sums_to_one(self, n):
+        assert Fraction(sum(binomial_row(n)), 2**n) == 1
+
+    @given(n=st.integers(min_value=1, max_value=200))
+    def test_symmetric(self, n):
+        # endpoints m and -m are reached by equally many paths
+        row = binomial_row(n)
+        assert row == row[::-1]
+
 
 class TestGaussianDensity:
     def test_peak_single_step(self):
