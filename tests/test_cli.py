@@ -249,8 +249,12 @@ class TestProbabilityCommands:
         ids=["mc", "mcuneven", "mcbatches", "mcword", "mcpieces", "mcshort"],
     )
     def test_mc_stdout_is_the_same_at_any_worker_count(self, capsys, monkeypatch, argv, workers):
-        # the floor is lowered, so that each row of more than one batch forks
+        # the floor is lowered, so that each row of more than one batch
+        # forks, and four CPUs are usable, so that a row of four batches at
+        # four workers draws in four processes on any machine
         monkeypatch.setattr(montecarlo, "FORK_FLOOR_ROUNDS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         single = run_cli(capsys, *argv, "--workers", "1")
         assert single[0] == 0
         assert run_cli(capsys, *argv, "--workers", workers) == single
