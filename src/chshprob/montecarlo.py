@@ -9,28 +9,30 @@ reproducible bit-for-bit.  ``STREAM_VERSION`` names the stream, whose hit
 counts differ from earlier versions' for the same seed; README describes
 those.
 
-Stream 6.  A run of T trials has B = ceil(T / MAX_BATCH_TRIALS) batches.
+Stream 7.  A run of T trials has B = ceil(T / MAX_BATCH_TRIALS) batches.
 Batches 1 .. B - 2 are full, and batches 0 and B - 1 share the E trials
 left, batch 0 taking E - E // 2 and batch B - 1 E // 2; a run of one
 batch holds all T.  Batch b of seed s draws from
 ``random.Random((s & (2**64 - 1)) | b << 64)``, the standard library's
-MT19937, channel by channel in stable ascending order of n_k, each
-channel's rounds in order.  In a batch of
-``count`` trials a plane holds L = min(n_k, MAX_BATCH_TRIALS // count)
-rounds of channel k as L lanes of ``count`` bits: plane i is
-``getrandbits(L * count)``, and its bit l * count + t is round i * L + l
-of trial t, a set bit a +1 round.  The channel's last plane holds the
-rounds left, drawn as that many lanes.  A full batch has one round per
-plane.  The batch is counted bit-sliced: every operation on a Python
-integer handles one bit of every trial at once (Biham 1997).  One
-carry-save counter, ``_tally``, does every addition: a channel's planes
-stream into one, so it holds O(log n_k) planes whatever its length, and
-its lanes are folded into one count per trial.  Channel 2's planes are
-inverted, so its count is its -1 rounds.  Each count, weighed by
-q_k = lcm(n) / n_k in exact Python integers at any lcm, is tallied once
-into one more counter, V's, which a ripple carry resolves into the planes
-of V = sum_k q_k * c_k, and a comparator tests every trial against the
-bounds, all in C loops over the whole batch.  No numpy is needed.
+MT19937, channel by channel in ascending order of n_k, each channel's
+rounds in order.  In a batch of ``count`` trials a plane holds
+L = min(n_k, MAX_BATCH_TRIALS // count) rounds of channel k as L lanes
+of ``count`` bits: plane i is ``getrandbits(L * count)``, and its bit
+l * count + t is round i * L + l of trial t, a set bit a round that adds
++1 to C and a clear one a round that adds -1.  On the (1,2) channel, whose
+sum enters C with a minus sign, a set bit is a -1 outcome: each sum is
+that of a fair +-1 walk, whose law is symmetric, so C's law is the same.
+The channel's last plane holds the rounds left, drawn as that many
+lanes.  A full batch has one round per plane.  The batch is counted
+bit-sliced: every operation on a Python integer handles one bit of every
+trial at once (Biham 1997).  One carry-save counter, ``_tally``, does
+every addition: a channel's planes stream into one, so it holds
+O(log n_k) planes whatever its length, and its lanes are folded into one
+count per trial.  Each count, weighed by q_k = lcm(n) / n_k in exact
+Python integers at any lcm, is tallied once into one more counter, V's,
+which a ripple carry resolves into the planes of V = sum_k q_k * c_k,
+and a comparator tests every trial against the bounds, all in C loops
+over the whole batch.  No numpy is needed.
 
 A batch splits at most once, after the channel where a rule on the round
 and trial counts alone says the split pays (see STRATUM_BITS).  The
@@ -50,8 +52,9 @@ both bounds lowered by q_k times the rounds left.  That judges every
 trial at the lowest and the highest count its remaining rounds allow,
 and when each verdict is the same at both the rest is never drawn.  So
 every verdict is the one the full draw would give, and a batch draws at
-most its rounds' bits.  A batch that does not split, of a row whose
-counts never decrease, draws stream 4's bits and gives its hits.
+most its rounds' bits.  No channel differs from another but by its n_k,
+so a run's hits depend only on the seed, the trials, the threshold and
+the multiset of counts, whatever their order.
 
 Python keeps the ``getrandbits`` sequence of a seed stable in practice,
 but promises it only for ``random()``.  The tests pin hit counts on every
@@ -92,7 +95,6 @@ import sys
 
 from .errors import InvalidConfigError, LimitError
 from .model import (
-    CHANNEL_SIGNS,
     STRICT,
     ExperimentConfig,
     _check_threshold,
@@ -103,7 +105,7 @@ from .model import (
 MAX_BATCH_TRIALS = 1 << 16
 # The int8-era batch budget in bytes; only benchmarks/tracing.py reads it.
 BATCH_ELEMENT_BUDGET = 1 << 22
-STREAM_VERSION = 6
+STREAM_VERSION = 7
 # Rounds one run is priced at, trials * sum(n_k), a generator bit each at
 # most, so the budget bounds the drawing a run may ask for before any draw.
 RUN_ROUND_BUDGET = 1 << 37
@@ -287,19 +289,16 @@ def _sliced_violations(planes: list[int], bounds: tuple[int, int], ones: int) ->
     return verdict
 
 
-def _channel_planes(draw, n: int, lanes: int, count: int, flip: bool):
-    """Channel planes of ``n`` rounds, ``lanes`` a plane, drawn by ``draw``, inverted if ``flip``."""
-    width = lanes * count
-    mask = (1 << width) - 1 if flip else 0
+def _channel_planes(draw, n: int, lanes: int, count: int):
+    """Channel planes of ``n`` rounds, ``lanes`` a plane, drawn by ``draw``."""
     for _ in range(n // lanes):
-        yield draw(width) ^ mask
+        yield draw(lanes * count)
     if n % lanes:
-        width = n % lanes * count
-        yield draw(width) ^ (mask >> (lanes * count - width))
+        yield draw(n % lanes * count)
 
 
-# a channel as it is drawn: (n_k, q_k, whether its planes are inverted)
-_Channels = tuple[tuple[int, int, bool], ...]
+# a channel as it is drawn: (n_k, q_k)
+_Channels = tuple[tuple[int, int], ...]
 
 
 @functools.lru_cache(maxsize=64)
@@ -307,17 +306,15 @@ def _channels(rounds: tuple[int, ...], threshold: str) -> tuple[_Channels, tuple
     """The channels in the order they are drawn, the bounds on V, and the
     planes V and the bounds need.
 
-    The channels are in stable ascending order of n_k.  With
-    q_k = lcm(rounds) / n_k and m_k = 2*ones_k - n_k, the correlation
-    inequality with denominators cleared is |sum_k sign_k*q_k*m_k| > 2*lcm,
-    >= when non-strict.  With c_k channel k's +1 rounds and channel 2's -1
-    rounds, V = sum_k q_k * c_k is half that sum plus 2*lcm, so a trial
-    violates when V < low or V >= high, the bounds (low, high) being
-    (lcm, 3*lcm + 1) strict and (lcm + 1, 3*lcm) non-strict.  V <= 4*lcm.
+    The channels are in ascending order of n_k.  With c_k channel k's
+    rounds that add +1 to C and q_k = lcm(rounds) / n_k, lcm * C is
+    sum_k q_k * (2*c_k - n_k) = 2*V - 4*lcm, V = sum_k q_k * c_k.  So
+    |C| > 2, >= when non-strict, holds when V < low or V >= high, the
+    bounds (low, high) being (lcm, 3*lcm + 1) strict and (lcm + 1, 3*lcm)
+    non-strict.  V <= 4*lcm.
     """
     scale = math.lcm(*rounds)
-    signed = ((n, scale // n, sign < 0) for sign, n in zip(CHANNEL_SIGNS, rounds))
-    channels = tuple(sorted(signed, key=lambda channel: channel[0]))
+    channels = tuple((n, scale // n) for n in sorted(rounds))
     bounds = (scale, 3 * scale + 1) if threshold == STRICT else (scale + 1, 3 * scale)
     return channels, bounds, (4 * scale).bit_length()
 
@@ -331,7 +328,7 @@ def _open_sums(sums, rest: _Channels, bounds: tuple[int, int]) -> list[int]:
     verdicts of v .. v + R are all the same when v and v + R lie on the same
     side of both bounds, and otherwise they reach both verdicts.
     """
-    reach = sum(q * n for n, q, _ in rest)
+    reach = sum(q * n for n, q in rest)
     low, high = bounds
     return sorted(v for v in sums if low - reach <= v < low or high - reach <= v < high)
 
@@ -342,7 +339,7 @@ def _split(channels: _Channels, count: int, bounds: tuple[int, int]) -> tuple[in
     first i channels, or None when no split pays (see STRATUM_BITS)."""
     sums, drawn = {0: 1}, 0  # V's reachable values so far, by path count
     best, margin = None, 0  # margin is the best split's gain times 2**drawn
-    for i, (n, q, _) in enumerate(channels[:-1]):
+    for i, (n, q) in enumerate(channels[:-1]):
         if len(sums) * (n + 1) > MAX_STRATA:
             break
         grown: dict[int, int] = {}
@@ -351,7 +348,7 @@ def _split(channels: _Channels, count: int, bounds: tuple[int, int]) -> tuple[in
                 grown[v + q * c] = grown.get(v + q * c, 0) + paths * math.comb(n, c)
         sums, drawn, rest = grown, drawn + n, channels[i + 1 :]
         strata = _open_sums(sums, rest, bounds)
-        saved = sum(n for n, _, _ in rest[:-1]) + min(rest[-1][0], 2 * count.bit_length())
+        saved = sum(n for n, _ in rest[:-1]) + min(rest[-1][0], 2 * count.bit_length())
         settled = (1 << drawn) - sum(sums[v] for v in strata)
         gain = settled * count * saved - (STRATUM_BITS * (1 + len(strata) * len(rest)) << drawn)
         margin <<= n
@@ -377,9 +374,9 @@ def _hits(draw, count: int, channels: _Channels, bounds: tuple[int, int], width:
     ones = (1 << count) - 1
     total: list[list[int]] = [[] for _ in range(width)]
     split, strata = _split(channels, count, bounds) or (len(channels), ())
-    for i, (n, q, flip) in enumerate(channels[:split]):
+    for i, (n, q) in enumerate(channels[:split]):
         lanes = min(n, MAX_BATCH_TRIALS // count)
-        planes = _channel_planes(draw, n, lanes, count, flip)
+        planes = _channel_planes(draw, n, lanes, count)
         columns: list[list[int]] = []
         head = -(-2 * count.bit_length() // lanes)
         rest = n - head * lanes
@@ -441,15 +438,14 @@ def estimate_violation_probability(
 
     Deterministic in (seed, trials, config, threshold): trials are cut into
     batches of at most MAX_BATCH_TRIALS (see ``_batch_trials``) with
-    per-batch substreams and hits are summed.
-    ``workers`` caps the processes the batches are shared among, as do the
-    batches, the usable CPUs and the priced rounds, one process per
-    FORK_FLOOR_ROUNDS (see the module docstring); it does not change the
-    hits.  An error in a forked share is raised once the
-    caller's own share is done.  The
-    seed is a signed 64-bit integer, -2**63 .. 2**63 - 1, and the streams
-    read its two's-complement pattern, so a negative seed s draws the
-    stream of s + 2**64, which no accepted seed shares.  ``trials``, ``workers`` and
+    per-batch substreams and hits are summed.  ``workers`` caps the
+    processes the batches are shared among, as do the batches, the usable
+    CPUs and the priced rounds, one process per FORK_FLOOR_ROUNDS (see the
+    module docstring); it does not change the hits.  An error in a forked
+    share is raised once the caller's own share is done.  The seed is a
+    signed 64-bit integer, -2**63 .. 2**63 - 1, and the streams read its
+    two's-complement pattern, so a negative seed s draws the stream of
+    s + 2**64, which no accepted seed shares.  ``trials``, ``workers`` and
     ``seed`` must be Python ints: a float, a bool or a numpy integer is
     refused with InvalidConfigError, as is a seed outside that range, before
     any draw, and a run of more than RUN_ROUND_BUDGET rounds with LimitError.

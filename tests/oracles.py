@@ -108,13 +108,13 @@ def brute_force_violation_probability(rounds, threshold: str) -> Fraction:
 
 def _replay_planes(rng, n: int, count: int):
     """Each plane of a channel of ``n`` rounds in a batch of ``count``
-    trials, as every trial's +1 rounds in it.
+    trials, as every trial's set bits in it.
 
     A plane holds L = min(n, 2**16 // count) of the channel's rounds, in
     round order, as lanes of ``count`` bits: it is ``getrandbits(L *
     count)``, bit l * count + t round l of the plane's rounds for trial t,
     and the channel's last plane holds only the rounds left.  A set bit is
-    a +1 round and a clear one a -1 round.
+    a round that adds +1 to C and a clear one a round that adds -1.
     """
     lanes = min(n, 2**16 // count)
     for first in range(0, n, lanes):
@@ -143,9 +143,12 @@ def _drawing_order(rounds) -> list[int]:
 
 
 def plane_replay_sums(rounds, seed: int, batch_index: int, count: int) -> Counter:
-    """How many of ``count`` trials have each tuple of channel sums
-    (m1, m2, m3, m4), every round redrawn bit by bit from the planes of
-    streams 5 and 6.
+    """How many of ``count`` trials have each tuple of channel contribution
+    sums, every round redrawn bit by bit from the planes of stream 7.
+
+    Channel k's contribution sum s_k is what its rounds add to n_k * C,
+    its set bits less its clear ones: m_k, or -m_2 for the (1,2) channel.
+    So C = sum_k s_k / n_k, and each s_k has the law of m_k.
 
     The batch's generator draws the channels in stable ascending order of
     their counts, each as ``_replay_planes`` reads it.
@@ -160,30 +163,30 @@ def plane_replay_sums(rounds, seed: int, batch_index: int, count: int) -> Counte
 
 def plane_replay_hits(rounds, seed: int, batch_index: int, count: int, threshold: str, split: int = 0) -> int:
     """Violations among ``count`` trials of a batch, redrawn bit by bit from
-    the planes and strata of streams 5 and 6, each trial judged by
+    the planes and strata of stream 7, each trial judged by
     ``is_violation`` on its exact correlation; the batch splits after its
     first ``split`` channels, or not at all if that is 0.
 
-    Channel k adds sign_k * (2*ones - n_k) / n_k, between -1 and 1, to a
-    trial's correlation.  The batch draws its channels in stable ascending
-    order of their counts (see ``plane_replay_sums``).  At a split its
-    trials are grouped by their correlation so far.  Raising the channels
-    left from -1 to 1 a round at a time walks from the lowest correlation
-    any completion can reach to the highest, by at most 2 a step, less than
-    the 4 between -2 and 2; so a group meets one verdict on the walk when
-    every completion gives it, and takes it.  Every other group, in
-    ascending order of its correlation so far, draws the channels left as
-    a batch of its own size from the same generator, and does not split
-    again.  The last channel of a batch or group stops after its first
+    Channel k adds (2*ones - n_k) / n_k, between -1 and 1, to a trial's
+    correlation, ones its set bits.  The batch draws its channels in stable
+    ascending order of their counts (see ``plane_replay_sums``).  At a split
+    its trials are grouped by their correlation so far.  Raising the
+    channels left from -1 to 1 a round at a time walks from the lowest
+    correlation any completion can reach to the highest, by at most 2 a
+    step, less than the 4 between -2 and 2; so a group meets one verdict on
+    the walk when every completion gives it, and takes it.  Every other
+    group, in ascending order of its correlation so far, draws the channels
+    left as a batch of its own size from the same generator, and does not
+    split again.  The last channel of a batch or group stops after its first
     ceil(2 * size.bit_length() / L) planes, L its lanes, if rounds remain
-    and every trial has one verdict at its +1 rounds so far and at those
-    plus every round left.
+    and every trial has one verdict at its set bits so far and at those plus
+    every round left.
     """
     rng = _batch_generator(seed, batch_index)
     order = _drawing_order(rounds)
 
     def share(k: int, ones: int) -> Fraction:
-        return (1, -1, 1, 1)[k] * Fraction(2 * ones - rounds[k], rounds[k])
+        return Fraction(2 * ones - rounds[k], rounds[k])
 
     def replay(channels, size: int, start: Fraction, last: bool) -> Counter:
         # how many of ``size`` trials end at each correlation
@@ -196,7 +199,7 @@ def plane_replay_hits(rounds, seed: int, batch_index: int, count: int, threshold
             for p, plane in enumerate(_replay_planes(rng, rounds[k], size), 1):
                 ones = [a + b for a, b in zip(ones, plane)]
                 if last and i == len(channels) - 1 and p == head and left > 0:
-                    # each trial's correlation before this channel, and its +1 rounds here
+                    # each trial's correlation before this channel, and its set bits here
                     states = {
                         (start + sum(share(j, o) for j, o in zip(channels, state)), state[-1])
                         for state in set(zip(*drawn, ones))

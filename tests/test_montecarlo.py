@@ -106,24 +106,24 @@ class TestSimulateExperiment:
 
     def test_replays_maximal_violation(self):
         # single-trial batches of four single-round channels: the kernel's hit
-        # is decided by the replayed signs alone, |C| = 4 only for +-(+1, -1, +1, +1)
+        # is decided by the replayed bits alone, each adding +-1 to C, so
+        # |C| = 4 only when every bit is set or every bit is clear
         rounds = (1, 1, 1, 1)
         seen = set()
         for index in range(64):
-            (m,) = plane_replay_sums(rounds, 3, index, 1)
+            (s,) = plane_replay_sums(rounds, 3, index, 1)
             strict = _batch_hits(rounds, 3, index, 1, STRICT)
             nonstrict = _batch_hits(rounds, 3, index, 1, NON_STRICT)
-            correlation = m[0] - m[1] + m[2] + m[3]
-            assert strict == (abs(correlation) == 4), m
-            assert nonstrict == (abs(correlation) >= 2), m
-            seen.add(m)
-        assert (1, -1, 1, 1) in seen and (1, 1, 1, 1) in seen
+            assert strict == (s in ((1, 1, 1, 1), (-1, -1, -1, -1))), s
+            assert nonstrict == (abs(sum(s)) >= 2), s
+            seen.add(s)
+        assert (1, 1, 1, 1) in seen and (-1, -1, -1, -1) in seen and (1, -1, 1, 1) in seen
 
     def test_consumes_exactly_the_round_total_in_order(self):
         # the replay reads each channel's rounds lane by lane, shortest
         # channel first, and the strata of a split batch in ascending order
         # of their sums; agreement pins that layout, the channel order, the
-        # strata and the (1,2) sign.  2048 trials put 32 lanes in a plane,
+        # strata and a set bit's +1.  2048 trials put 32 lanes in a plane,
         # so the channels of the first three rows end inside a plane, on
         # its edge and across several planes; (1,1,1000,1000) splits after
         # its 1-round channels when strict, and its strata stop their last
@@ -193,9 +193,10 @@ class TestSimulateExperiment:
 
     def test_rows_past_int64_are_weighed_exactly(self, monkeypatch):
         # 4*lcm >= 2**62 in the first two, and 4*lcm just under 2**62 in the
-        # third: no drawn row violates, and an all-ones row has V = 3*lcm,
-        # C = 2 exactly on the bound, so it violates only when non-strict;
-        # one unit off in any weight would move it
+        # third: no drawn row violates, and a row whose first channel is
+        # drawn clear and the rest set has V = 3*lcm, C = 2 exactly on the
+        # bound, so it violates only when non-strict; one unit off in any
+        # weight would move it
         cases = [
             (32771, 32779, 32783, 32789),
             (5, 1048573, 1048571, 1048559),
@@ -206,15 +207,20 @@ class TestSimulateExperiment:
             for threshold in (STRICT, NON_STRICT):
                 assert _batch_hits(rounds, 13, 0, 15, threshold) == 0
 
-        class AllOnes:
+        class FirstChannelClear:
+            # the first ``clear`` bits drawn, the first channel's, are clear
+            clear = 0
+
             def __init__(self, seed):
-                pass
+                self.left = self.clear
 
             def getrandbits(self, width):
-                return (1 << width) - 1
+                self.left -= width
+                return 0 if self.left >= 0 else (1 << width) - 1
 
-        monkeypatch.setattr(montecarlo.random, "Random", AllOnes)
+        monkeypatch.setattr(montecarlo.random, "Random", FirstChannelClear)
         for rounds in cases:
+            FirstChannelClear.clear = 3 * min(rounds)
             assert _batch_hits(rounds, 13, 0, 3, STRICT) == 0
             assert _batch_hits(rounds, 13, 0, 3, NON_STRICT) == 3
 
@@ -231,29 +237,31 @@ class TestSimulateExperiment:
         # MAX_BATCH_TRIALS bits: the first holds MAX_BATCH_TRIALS lanes of
         # one trial, and nothing of the row's length is built before it is
         # counted.  The trial settles on that plane, so nothing more is
-        # drawn.  All-ones planes put it on the non-strict bound at the
-        # channel's last round, so it does not settle, and its next planes
-        # are as wide; the stand-in stops that draw, which would take
-        # minutes
+        # drawn.  A clear first channel and set planes after it put it on
+        # the non-strict bound at the channel's last round, so it does not
+        # settle, and its next planes are as wide; the stand-in stops that
+        # draw, which would take minutes
         class Stopped(Exception):
             pass
 
         widths = []
 
         class Recorded(random.Random):
-            all_ones = False
+            on_bound = False
 
             def getrandbits(self, width):
                 widths.append(width)
                 if len(widths) > 8:
                     raise Stopped
-                return (1 << width) - 1 if self.all_ones else super().getrandbits(width)
+                if self.on_bound:
+                    return 0 if len(widths) == 1 else (1 << width) - 1
+                return super().getrandbits(width)
 
         monkeypatch.setattr(montecarlo.random, "Random", Recorded)
         _batch_hits((1, 1, 1, 10**12), 13, 0, 1, STRICT)
         assert widths == [1, 1, 1, MAX_BATCH_TRIALS]
         widths.clear()
-        Recorded.all_ones = True
+        Recorded.on_bound = True
         with pytest.raises(Stopped):
             _batch_hits((1, 1, 1, 10**12), 13, 0, 1, NON_STRICT)
         assert widths == [1, 1, 1] + [MAX_BATCH_TRIALS] * 6
@@ -318,21 +326,6 @@ class TestSimulateExperiment:
                 for t, bit in enumerate(format(plane, f"0{count}b")[::-1]):
                     got[t] += (bit == "1") << position
         assert got == expected
-
-    def test_full_batches_draw_stream_3s_planes(self):
-        # a full batch has one round a plane; of a row whose counts never
-        # decrease and which does not split it is drawn in stream 3's
-        # order, so its hits are stream 3's, recorded from it at seed 13,
-        # batch 1.  Stream 3 drew (3,5,7,1) in channel order, 7232 and 7238
-        recorded = {
-            (1, 1, 1, 1): (8274, 40926),
-            (2, 2, 2, 2): (4471, 19015),
-            (4, 4, 4, 4): (1404, 4962),
-            (1, 2, 4, 8): (7965, 11993),
-        }
-        for rounds, hits in recorded.items():
-            got = tuple(_batch_hits(rounds, 13, 1, MAX_BATCH_TRIALS, th) for th in (STRICT, NON_STRICT))
-            assert got == hits, rounds
 
     def test_channel_sums_follow_walk_distribution(self):
         # frequency check of each channel endpoint against the exact pmf,
@@ -494,11 +487,10 @@ class TestOpenSums:
 
     @staticmethod
     def share(channel, c):
-        """What a channel's count c adds to the correlation: the count is
-        the channel's +1 rounds, or its -1 rounds if its planes are
-        inverted, as channel 2's are, whose sum enters with a minus sign."""
-        n, _, inverted = channel
-        return -Fraction(2 * (n - c) - n, n) if inverted else Fraction(2 * c - n, n)
+        """What a channel's count c, its rounds that add +1, adds to the
+        correlation."""
+        n, _ = channel
+        return Fraction(2 * c - n, n)
 
     @pytest.mark.parametrize("rounds", SHORT_CONFIGS)
     def test_a_settled_stratum_has_one_verdict_and_an_open_one_both(self, rounds):
@@ -509,8 +501,8 @@ class TestOpenSums:
             channels, (low, high), _ = _channels(rounds, threshold)
             drawn, rest = channels[:split], channels[split:]
             so_far: dict[int, Fraction] = {}
-            for counts in itertools.product(*(range(n + 1) for n, _, _ in drawn)):
-                v = sum(q * c for (_, q, _), c in zip(drawn, counts))
+            for counts in itertools.product(*(range(n + 1) for n, _ in drawn)):
+                v = sum(q * c for (_, q), c in zip(drawn, counts))
                 correlation = sum(self.share(channel, c) for channel, c in zip(drawn, counts))
                 assert so_far.setdefault(v, correlation) == correlation, (rounds, v)
             strata = _open_sums(so_far, rest, (low, high))
@@ -518,7 +510,7 @@ class TestOpenSums:
             for v, correlation in so_far.items():
                 verdicts = {
                     is_violation(correlation + sum(self.share(channel, c) for channel, c in zip(rest, counts)), threshold)
-                    for counts in itertools.product(*(range(n + 1) for n, _, _ in rest))
+                    for counts in itertools.product(*(range(n + 1) for n, _ in rest))
                 }
                 # a settled stratum takes the verdict of its sum v
                 expected = {True, False} if v in strata else {v < low or v >= high}
@@ -588,6 +580,20 @@ class TestEstimate:
         b = estimate_violation_probability(config, 200_000, seed=2)
         assert a.hits != b.hits
 
+    @pytest.mark.parametrize("rounds", [(1, 1, 1000, 1000), (1, 1, 1, 2000), (2, 3, 5, 7)])
+    @pytest.mark.parametrize("trials", [2000, MAX_BATCH_TRIALS + 4464], ids=["one-batch", "two-batches"])
+    def test_every_order_of_the_counts_gives_the_same_result(self, rounds, trials):
+        # every bit is a round that adds +1 to C, on any channel, so a batch
+        # draws the same bits for the same multiset of counts.  The first
+        # row splits when strict, the second stops its last channel early
+        # and the third does neither
+        for threshold in (STRICT, NON_STRICT):
+            results = set()
+            for order in set(itertools.permutations(rounds)):
+                r = estimate_violation_probability(ExperimentConfig(order), trials, 9, threshold)
+                results.add((r.hits, r.estimate, r.ci_low, r.ci_high))
+            assert len(results) == 1, (rounds, threshold, results)
+
     def test_worker_count_does_not_change_the_result(self, monkeypatch):
         # every run is several batches, the first and the last short; they
         # fall in share 0 at four workers and in different shares at three
@@ -607,7 +613,7 @@ class TestEstimate:
                 config, trials, seed=3, threshold=STRICT, workers=workers
             )
             assert sequential == parallel
-            assert sequential.stream == STREAM_VERSION == 6
+            assert sequential.stream == STREAM_VERSION == 7
 
     def test_the_first_and_last_batch_share_the_trials_left(self, monkeypatch):
         # a run keeps ceil(trials / MAX_BATCH_TRIALS) batches, all full but
@@ -732,27 +738,25 @@ class TestEstimate:
     @pytest.mark.parametrize(
         "rounds, trials, seed, strict, nonstrict",
         [
-            pytest.param((2, 2, 2, 2), 4_000_000, 42, 281954, 1156866, id="2-2-2-2"),
-            pytest.param((4, 4, 4, 4), 200_000, 7, 4288, 15382, id="4-4-4-4"),
-            pytest.param((4, 4, 4, 5), 200_000, 7, 8267, 9764, id="4-4-4-5"),
-            pytest.param((1, 1, 1000, 1000), 50_000, 42, 12249, 12670, id="1-1-1000-1000"),
-            pytest.param((1, 1, 1, 2000), 100_000, 42, 24813, 24813, id="1-1-1-2000-1e5"),
-            pytest.param((1, 1, 1, 2000), 1_000, 42, 258, 258, id="1-1-1-2000-1e3"),
+            pytest.param((2, 2, 2, 2), 4_000_000, 42, 281194, 1156405, id="2-2-2-2"),
+            pytest.param((4, 4, 4, 4), 200_000, 7, 4297, 15400, id="4-4-4-4"),
+            pytest.param((4, 4, 4, 5), 200_000, 7, 8387, 9908, id="4-4-4-5"),
+            pytest.param((1, 1, 1000, 1000), 50_000, 42, 12453, 12796, id="1-1-1000-1000"),
+            pytest.param((1, 1, 1, 2000), 100_000, 42, 25193, 25193, id="1-1-1-2000-1e5"),
+            pytest.param((1, 1, 1, 2000), 1_000, 42, 244, 244, id="1-1-1-2000-1e3"),
         ],
     )
     def test_pinned_hit_counts(self, rounds, trials, seed, strict, nonstrict):
-        # recorded under stream 6.  It moved from stream 5 only the runs of
-        # more than one batch whose trials are not a multiple of
-        # MAX_BATCH_TRIALS, whose first and last batches share the
-        # trials the full ones leave: every row here but the two of one
-        # batch.  The one batch of (1,1,1000,1000) splits when strict, where
-        # stream 4 gave 12235, and not when non-strict.  A trial of
+        # recorded under stream 7, which reads every drawn bit as a round
+        # that adds +1 to C and so moved every row from stream 6.  The one
+        # batch of (1,1,1000,1000) splits when strict, and not when
+        # non-strict.  A trial of
         # (1,1,1,2000) that its 1-round channels leave open has one verdict
         # at every count of channel 4 but one end of its range, so its hits
         # are those 1-round channels' alone, whether its batch splits or
         # not.  A change to these values is a new stream and needs a new
         # STREAM_VERSION
-        assert STREAM_VERSION == 6
+        assert STREAM_VERSION == 7
         config = ExperimentConfig(rounds)
         for threshold, hits in ((STRICT, strict), (NON_STRICT, nonstrict)):
             result = estimate_violation_probability(config, trials, seed, threshold)
@@ -777,7 +781,7 @@ class TestEstimate:
             [sys.executable, "-c", probe], capture_output=True, text=True, check=True
         )
         warm, hits, faults = map(int, result.stdout.split())
-        assert warm == hits == 281954
+        assert warm == hits == 281194
         assert faults < 1000
 
     def test_batches_are_made_one_at_a_time(self, monkeypatch):

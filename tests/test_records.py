@@ -61,7 +61,7 @@ CASES = {
             threshold="non-strict", config=CONFIG,
         ),
         "McEstimate(trials=10, hits=3, estimate=0.3, ci_low=0.1, ci_high=0.6, seed=42, "
-        "threshold='non-strict', config=ExperimentConfig(rounds=(2, 2, 2, 2)), stream=6)",
+        "threshold='non-strict', config=ExperimentConfig(rounds=(2, 2, 2, 2)), stream=7)",
         [dict(hits=11), dict(ci_low=0.4)],
         InvalidConfigError,
     ),
@@ -126,4 +126,4 @@ def test_construction_validates(case):
 def test_defaults_fill_the_trailing_fields():
     request = SweepRequest("equal", (4,))
     assert (request.include_exact_intervals, request.continuous) == (False, False)
-    assert McEstimate(10, 3, 0.3, 0.1, 0.6, 42, "strict", CONFIG).stream == STREAM_VERSION == 6
+    assert McEstimate(10, 3, 0.3, 0.1, 0.6, 42, "strict", CONFIG).stream == STREAM_VERSION == 7
