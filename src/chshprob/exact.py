@@ -33,9 +33,11 @@ from .errors import InvalidConfigError, LimitError
 from .model import (
     DEFAULT_ENUMERATION_BUDGET,
     STRICT,
+    THRESHOLDS,
     ExperimentConfig,
     ViolationProbability,
-    _check_threshold,
+    _add_walk,
+    _bounds,
 )
 
 # Weights of the price, fitted on one host.  A unit is one 64-bit word of
@@ -103,13 +105,14 @@ def _walk_reach(rest: Sequence[tuple[int, int]], longest: tuple[int, int], scale
     length, q = longest
     if math.prod(n + 1 for n, _ in rest) > _REACH_ENUMERATION_LIMIT:
         return (length - 1) // 2
-    sums = {0}
+    sums = {0: 1}
     for n, r in rest:
-        sums = {s + r * (2 * i - n) for s in sums for i in range(n + 1)}
+        sums = _add_walk(sums, r, (1,) * (n + 1))
+    highs = [_bounds(scale, threshold)[1] for threshold in THRESHOLDS]
     reach = 0
     for u in sums:
-        for offset in (2 * scale, 2 * scale + 1):
-            k = -((u - offset - q * length) // (2 * q))
+        for high in highs:
+            k = -((u - high) // q)
             if 1 <= k <= length:
                 reach = max(reach, min(k - 1, length - k))
     return reach
@@ -202,57 +205,48 @@ def binomial_row(n: int) -> list[int]:
 
 
 def _walk_sums(groups: Sequence[tuple[int, int]]) -> dict[int, int]:
-    """Path counts of the joint walks of ``groups``, keyed by sum_k q_k*m_k
-    for each group's (length, q); equal sums merge.  No groups leave the
-    single empty sum {0: 1}."""
+    """Path counts of the joint walks of ``groups``, each a (length, q),
+    keyed by their part sum q*c of V (``model._bounds``); equal sums merge.
+    No groups leave the single empty sum {0: 1}."""
     sums = {0: 1}
     for length, q in groups:
-        row = [(q * (2 * i - length), w) for i, w in enumerate(binomial_row(length))]
-        merged: dict[int, int] = {}
-        for s, count in sums.items():
-            for step, w in row:
-                merged[s + step] = merged.get(s + step, 0) + count * w
-        sums = merged
+        sums = _add_walk(sums, q, binomial_row(length))
     return sums
 
 
-def _violation_numerator(rounds: Sequence[int], threshold: str, plan: tuple) -> int:
+def _violation_numerator(high: int, plan: tuple) -> int:
     """Number of the 2**N sign patterns whose correlation violates.
 
-    Works in integer units of lcm(n1..n4): C compares to 2 exactly as
-    S = sum_k q_k*m_k compares to 2*lcm, with q_k = lcm/n_k.  Each channel's
-    path counts are symmetric in m_k, so the minus sign on the (1,2)
-    channel leaves the distribution of S unchanged and S is symmetric about
-    0: the lower half-space holds as many patterns as the upper one.
+    Counts the integer V of ``model._bounds``, whose law is symmetric, so
+    the patterns with V < low are as many as those with V >= ``high``.
 
-    The upper half-space is one double sum over the groups of ``_plan``:
-    for each outer sum s (count c_s), middle sum t (count c_t) and step i of
-    the longest group (length L, coefficient q), the pattern violates when
-    s + t + q*(2i - L) >= 2*lcm (+1 when strict), that is when i >= k(s, t)
-    = ceil((base - t) / 2q) with base = 2*lcm (+1) - s + q*L.  k falls as t
-    grows, so the middle sums sharing one k are a run of the sorted table,
-    found by bisection, and the run's count is a difference of suffix sums.
-    The weights c_s times that count merge per distinct k, each to be
-    multiplied by the row's upper tail at k, sum_{i >= k} C(L, i).  With
-    prefix sums P(j) = sum_{i <= j} C(L, i), that tail is 2**L - P(k - 1)
-    in the lower half of the row (2k <= L + 1) and P(L - k) in the upper,
-    so the weights fold into 2**L times the lower half's weights plus one
-    signed coefficient per prefix point min(k - 1, L - k): mirrored
-    thresholds share a point, and their weights often nearly cancel.  k = 0
-    lands on P(-1) = 0 and drops.  One walk up from C(L, 0), holding two
-    integers, reads the points off in order; the row is never built.
+    Those are one double sum over the groups of ``_plan``: for each outer
+    sum s (count c_s), middle sum t (count c_t) and count i of the longest
+    group (length L, step q), the pattern violates when s + t + q*i >= high,
+    that is when i >= k(s, t) = ceil((base - t) / q) with base = high - s.
+    k falls as t grows, so the middle sums sharing one k are a run of the
+    sorted table, found by bisection, and the run's count is a difference of
+    suffix sums.  The weights c_s times that count merge per distinct k,
+    each to be multiplied by the row's upper tail at k,
+    sum_{i >= k} C(L, i).  With prefix sums P(j) = sum_{i <= j} C(L, i),
+    that tail is 2**L - P(k - 1) in the lower half of the row
+    (2k <= L + 1) and P(L - k) in the upper, so the weights fold into 2**L
+    times the lower half's weights plus one signed coefficient per prefix
+    point min(k - 1, L - k): mirrored thresholds share a point, and their
+    weights often nearly cancel.  k = 0 lands on P(-1) = 0 and drops.  One
+    walk up from C(L, 0), holding two integers, reads the points off in
+    order; the row is never built.
     """
-    outer, middle, (length, q), _ = plan
+    outer, middle, (length, step), _ = plan
     sums = _walk_sums(middle)
     keys = sorted(sums)
     # pop frees each count once it is in the suffix sums
     suffix = list(accumulate((sums.pop(t) for t in reversed(keys)), initial=0))[::-1]
-    offset = 2 * math.lcm(*rounds) + int(threshold == STRICT)
-    step, size = 2 * q, len(keys)
+    size = len(keys)
     weights: defaultdict[int, int] = defaultdict(int)
     for s, count in _walk_sums(outer).items():
-        base = offset - s + q * length
-        # middle sums below base - 2qL violate at no step (k > L)
+        base = high - s
+        # middle sums below base - qL violate at no step (k > L)
         j = bisect_left(keys, base - step * length)
         while j < size:
             k = -((keys[j] - base) // step)
@@ -295,7 +289,7 @@ def violation_count(
     a non-negative Python int: a float, a bool or a numpy integer is refused
     with InvalidConfigError.
     """
-    _check_threshold(threshold)
+    _, high = _bounds(math.lcm(*config.rounds), threshold)
     if not isinstance(budget, int) or isinstance(budget, bool):
         raise InvalidConfigError(f"enumeration budget must be an integer, got {budget!r}")
     if budget < 0:
@@ -307,7 +301,7 @@ def violation_count(
             f"exact enumeration costs {cost} work units, over the budget {budget}; "
             "the analytic method has no such limit"
         )
-    return _violation_numerator(config.rounds, threshold, plan)
+    return _violation_numerator(high, plan)
 
 
 def exact_violation_probability(

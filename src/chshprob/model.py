@@ -16,6 +16,7 @@ violation predicate, and one of the three routes to the violation
 probability: the Gaussian tail formula erfc(sqrt(2 / sum_k 1/n_k)).  The
 exact count lives in :mod:`chshprob.exact` and Monte Carlo simulation in
 :mod:`chshprob.montecarlo`; only the commands that run them load them.
+Both count the same integer V against the bounds of ``_bounds``.
 """
 
 from __future__ import annotations
@@ -53,6 +54,29 @@ DEFAULT_ENUMERATION_BUDGET = 7 * 10**7
 def _check_threshold(threshold: str) -> None:
     if threshold not in THRESHOLDS:
         raise InvalidConfigError(f"threshold must be one of {THRESHOLDS}, got {threshold!r}")
+
+
+def _bounds(scale: int, threshold: str) -> tuple[int, int]:
+    """(low, high): |C| > 2, >= 2 when non-strict, exactly when V < low or V >= high.
+
+    With ``scale`` = lcm(n1..n4), q_k = scale / n_k and c_k the rounds of
+    channel k that add +1 to C, scale * C = sum_k q_k * (2*c_k - n_k) =
+    2*V - 4*scale, V = sum_k q_k * c_k.  V runs over 0..4*scale, and its
+    law is symmetric about 2*scale, each c_k's being symmetric about n_k/2.
+    """
+    _check_threshold(threshold)
+    return (scale, 3 * scale + 1) if threshold == STRICT else (scale + 1, 3 * scale)
+
+
+def _add_walk(sums: dict[int, int], q: int, row: Sequence[int]) -> dict[int, int]:
+    """``sums``, path counts by partial sum v, extended to v + q*c by one
+    more walk whose count c has row[c] paths; equal sums merge."""
+    steps = [(q * c, paths) for c, paths in enumerate(row)]
+    grown: dict[int, int] = {}
+    for v, count in sums.items():
+        for step, paths in steps:
+            grown[v + step] = grown.get(v + step, 0) + count * paths
+    return grown
 
 
 class _Record:

@@ -97,6 +97,8 @@ from .errors import InvalidConfigError, LimitError
 from .model import (
     STRICT,
     ExperimentConfig,
+    _add_walk,
+    _bounds,
     _check_threshold,
     _Record,
 )
@@ -303,20 +305,12 @@ _Channels = tuple[tuple[int, int], ...]
 
 @functools.lru_cache(maxsize=64)
 def _channels(rounds: tuple[int, ...], threshold: str) -> tuple[_Channels, tuple[int, int], int]:
-    """The channels in the order they are drawn, the bounds on V, and the
-    planes V and the bounds need.
-
-    The channels are in ascending order of n_k.  With c_k channel k's
-    rounds that add +1 to C and q_k = lcm(rounds) / n_k, lcm * C is
-    sum_k q_k * (2*c_k - n_k) = 2*V - 4*lcm, V = sum_k q_k * c_k.  So
-    |C| > 2, >= when non-strict, holds when V < low or V >= high, the
-    bounds (low, high) being (lcm, 3*lcm + 1) strict and (lcm + 1, 3*lcm)
-    non-strict.  V <= 4*lcm.
-    """
+    """The channels (n_k, q_k) in ascending order of n_k, the bounds
+    (low, high) on V, and the planes V and the bounds need (see
+    ``model._bounds``)."""
     scale = math.lcm(*rounds)
     channels = tuple((n, scale // n) for n in sorted(rounds))
-    bounds = (scale, 3 * scale + 1) if threshold == STRICT else (scale + 1, 3 * scale)
-    return channels, bounds, (4 * scale).bit_length()
+    return channels, _bounds(scale, threshold), (4 * scale).bit_length()
 
 
 def _open_sums(sums, rest: _Channels, bounds: tuple[int, int]) -> list[int]:
@@ -342,11 +336,8 @@ def _split(channels: _Channels, count: int, bounds: tuple[int, int]) -> tuple[in
     for i, (n, q) in enumerate(channels[:-1]):
         if len(sums) * (n + 1) > MAX_STRATA:
             break
-        grown: dict[int, int] = {}
-        for v, paths in sums.items():
-            for c in range(n + 1):
-                grown[v + q * c] = grown.get(v + q * c, 0) + paths * math.comb(n, c)
-        sums, drawn, rest = grown, drawn + n, channels[i + 1 :]
+        sums = _add_walk(sums, q, [math.comb(n, c) for c in range(n + 1)])
+        drawn, rest = drawn + n, channels[i + 1 :]
         strata = _open_sums(sums, rest, bounds)
         saved = sum(n for n, _ in rest[:-1]) + min(rest[-1][0], 2 * count.bit_length())
         settled = (1 << drawn) - sum(sums[v] for v in strata)

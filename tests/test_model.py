@@ -18,9 +18,11 @@ from chshprob.model import (
     MAXIMAL_VIOLATION_RECORDS,
     NON_STRICT,
     STRICT,
+    THRESHOLDS,
     ExperimentConfig,
     MeasurementRecord,
     RoundTally,
+    _bounds,
     analytic_violation_probability,
     chsh_correlation,
     gaussian_tail_probability,
@@ -201,6 +203,22 @@ class TestViolationPredicate:
     def test_rejects_unknown_threshold(self):
         with pytest.raises(InvalidConfigError):
             is_violation(3, "loose")
+        with pytest.raises(InvalidConfigError):
+            _bounds(1, "loose")
+
+    def test_integer_bounds_match_the_rational_predicate(self):
+        # the exact and Monte Carlo routes both count V = sum_k q_k*c_k
+        # against these bounds; every count pattern of every small config
+        for rounds in [*itertools.product(range(1, 4), repeat=4), (2, 3, 5, 7)]:
+            scale = math.lcm(*rounds)
+            bounds = [(_bounds(scale, threshold), threshold) for threshold in THRESHOLDS]
+            # each channel's count c as its part q*c of V and (2c - n)/n of C
+            channels = [[(scale // n * c, Fraction(2 * c - n, n)) for c in range(n + 1)] for n in rounds]
+            for pattern in itertools.product(*channels):
+                v = sum(part for part, _ in pattern)
+                correlation = sum(term for _, term in pattern)
+                for (low, high), threshold in bounds:
+                    assert (v < low or v >= high) == is_violation(correlation, threshold), (rounds, pattern)
 
 
 class TestExactProbability:
